@@ -1,21 +1,19 @@
-"""Fast path — table-driven VLC + two-phase batched reconstruction.
+"""Fast path — two-phase batched reconstruction.
 
 Decodes the same 1080p-class synthetic stream through both reconstruction
 engines of the sequential decoder and records the stage split (parse vs.
-plan vs. execute), throughput in macroblocks/s and frames/s, and two
-speedups to ``BENCH_fastpath.json`` at the repo root:
+plan vs. execute), throughput in macroblocks/s and frames/s, and
+``reconstruct_speedup`` — per-macroblock reference vs. batched engine — to
+``BENCH_fastpath.json`` at the repo root.  (The parse has one runtime
+path, the columnar parser; its before/after is the measurement spine's,
+``benchmarks/spine``.)
 
-- ``reconstruct_speedup`` — per-macroblock reference vs. batched engine;
-- ``parse_speedup`` — bit-at-a-time reference VLC vs. the table-driven
-  fast parser (both decoding the batched path).
-
-Both fast paths must be *bit-identical* to their reference — this bench
+The batched engine must be *bit-identical* to the reference — this bench
 asserts it on every run, so the committed baseline numbers always
 correspond to an output-equivalent configuration.
 
 Run either under pytest-benchmark with the other tables/figures or
 directly: ``PYTHONPATH=src python benchmarks/bench_fastpath.py``.
-CI runs the smoke variant ``--frames 1 --small`` under a time budget.
 """
 
 import argparse
@@ -23,7 +21,6 @@ import json
 import time
 from pathlib import Path
 
-from repro.mpeg2 import fast_vlc
 from repro.mpeg2.decoder import Decoder
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.workloads.synthetic import GENERATORS
@@ -55,14 +52,10 @@ def run_fastpath(width: int = WIDTH, height: int = HEIGHT, n_frames: int = N_FRA
     }
     outputs = {}
 
-    def measure(name, batch, reference_vlc=False):
+    def measure(name, batch):
         dec = Decoder(batch_reconstruct=batch)
         t0 = time.perf_counter()
-        if reference_vlc:
-            with fast_vlc.use_reference():
-                outputs[name] = dec.decode(stream)
-        else:
-            outputs[name] = dec.decode(stream)
+        outputs[name] = dec.decode(stream)
         wall = time.perf_counter() - t0
         st = dec.stage_times
         report["modes"][name] = {
@@ -77,23 +70,14 @@ def run_fastpath(width: int = WIDTH, height: int = HEIGHT, n_frames: int = N_FRA
 
     measure("per_macroblock", batch=False)
     measure("batched", batch=True)
-    measure("batched_reference_vlc", batch=True, reference_vlc=True)
 
     ref, bat = outputs["per_macroblock"], outputs["batched"]
-    refvlc = outputs["batched_reference_vlc"]
-    report["bit_identical"] = (
-        len(ref) == len(bat) == len(refvlc)
-        and all(a == b for a, b in zip(ref, bat))
-        and all(a == b for a, b in zip(bat, refvlc))
+    report["bit_identical"] = len(ref) == len(bat) and all(
+        a == b for a, b in zip(ref, bat)
     )
     report["reconstruct_speedup"] = round(
         report["modes"]["per_macroblock"]["reconstruct_s"]
         / report["modes"]["batched"]["reconstruct_s"],
-        2,
-    )
-    report["parse_speedup"] = round(
-        report["modes"]["batched_reference_vlc"]["parse_s"]
-        / report["modes"]["batched"]["parse_s"],
         2,
     )
     return report
@@ -102,10 +86,9 @@ def run_fastpath(width: int = WIDTH, height: int = HEIGHT, n_frames: int = N_FRA
 def _check(report: dict) -> None:
     assert report["bit_identical"], "fast path output diverged from reference"
     # Regression guards only — the committed baseline documents the real
-    # margins (>= 3x reconstruct, >= 2x parse on the full-size stream); a
-    # loaded CI box still must beat 1x.
+    # margin (>= 3x reconstruct on the full-size stream); a loaded CI box
+    # still must beat 1x.
     assert report["reconstruct_speedup"] > 1.0
-    assert report["parse_speedup"] > 1.0
 
 
 def test_fastpath(benchmark):
@@ -131,7 +114,6 @@ def test_fastpath(benchmark):
         ],
     )
     print(f"reconstruct speedup: {report['reconstruct_speedup']}x")
-    print(f"parse speedup: {report['parse_speedup']}x")
 
 
 def main() -> None:
@@ -140,7 +122,7 @@ def main() -> None:
     ap.add_argument(
         "--small",
         action="store_true",
-        help=f"use a {SMALL_WIDTH}x{SMALL_HEIGHT} raster (CI smoke) instead of {WIDTH}x{HEIGHT}",
+        help=f"use a {SMALL_WIDTH}x{SMALL_HEIGHT} raster instead of {WIDTH}x{HEIGHT}",
     )
     ap.add_argument("--out", type=Path, default=OUT_PATH, help="output JSON path")
     args = ap.parse_args()

@@ -25,7 +25,7 @@ this engine vectorizes *within* one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.reconstruct import DEFAULT_MATRICES, QuantMatrices
 from repro.mpeg2.tables import QUANTISER_SCALE
+
+if TYPE_CHECKING:
+    from repro.mpeg2.parser import ParsedPicture
 
 # Prediction direction indices within plan arrays.
 _FWD, _BWD = 0, 1
@@ -90,6 +93,43 @@ class ReconstructionPlan:
         return len(self.scans)
 
 
+def validate_mv(
+    mb_x: int, mb_y: int, mv: Tuple[int, int], frame_width: int, frame_height: int
+) -> None:
+    """Reject a vector whose prediction would read outside the planes.
+
+    Mirrors the bounds check in :func:`repro.mpeg2.motion.predict_plane`
+    for both the luma and the chroma read, but runs at *plan* time so a
+    corrupt record fails before the batch executes.
+    """
+    mvx, mvy = mv
+    x0, y0 = mb_x * 16 + (mvx >> 1), mb_y * 16 + (mvy >> 1)
+    if (
+        x0 < 0
+        or y0 < 0
+        or x0 + 16 + (mvx & 1) > frame_width
+        or y0 + 16 + (mvy & 1) > frame_height
+    ):
+        raise ValueError(
+            f"motion vector ({mvx},{mvy}) reads outside plane "
+            f"at ({mb_x * 16},{mb_y * 16})"
+        )
+    # chroma read (§7.6.3.7: chroma MV = luma MV / 2, toward zero)
+    cx = mvx // 2 if mvx >= 0 else -((-mvx) // 2)
+    cy = mvy // 2 if mvy >= 0 else -((-mvy) // 2)
+    x0, y0 = mb_x * 8 + (cx >> 1), mb_y * 8 + (cy >> 1)
+    if (
+        x0 < 0
+        or y0 < 0
+        or x0 + 8 + (cx & 1) > frame_width // 2
+        or y0 + 8 + (cy & 1) > frame_height // 2
+    ):
+        raise ValueError(
+            f"motion vector ({cx},{cy}) reads outside plane "
+            f"at ({mb_x * 8},{mb_y * 8})"
+        )
+
+
 class PlanBuilder:
     """Accumulate parsed macroblocks into a :class:`ReconstructionPlan`.
 
@@ -124,40 +164,6 @@ class PlanBuilder:
     # phase 1: staging
     # ------------------------------------------------------------------ #
 
-    def _validate_mv(self, mb_x: int, mb_y: int, mv: Tuple[int, int]) -> None:
-        """Reject vectors whose prediction would read outside the planes.
-
-        Mirrors the bounds check in :func:`repro.mpeg2.motion.predict_plane`
-        for both the luma and the chroma read, but runs at *plan* time so a
-        corrupt record fails before the batch executes.
-        """
-        mvx, mvy = mv
-        x0, y0 = mb_x * 16 + (mvx >> 1), mb_y * 16 + (mvy >> 1)
-        if (
-            x0 < 0
-            or y0 < 0
-            or x0 + 16 + (mvx & 1) > self.frame_width
-            or y0 + 16 + (mvy & 1) > self.frame_height
-        ):
-            raise ValueError(
-                f"motion vector ({mvx},{mvy}) reads outside plane "
-                f"at ({mb_x * 16},{mb_y * 16})"
-            )
-        # chroma read (§7.6.3.7: chroma MV = luma MV / 2, toward zero)
-        cx = mvx // 2 if mvx >= 0 else -((-mvx) // 2)
-        cy = mvy // 2 if mvy >= 0 else -((-mvy) // 2)
-        x0, y0 = mb_x * 8 + (cx >> 1), mb_y * 8 + (cy >> 1)
-        if (
-            x0 < 0
-            or y0 < 0
-            or x0 + 8 + (cx & 1) > self.frame_width // 2
-            or y0 + 8 + (cy & 1) > self.frame_height // 2
-        ):
-            raise ValueError(
-                f"motion vector ({cx},{cy}) reads outside plane "
-                f"at ({mb_x * 8},{mb_y * 8})"
-            )
-
     def _stage(self, mb: Macroblock) -> tuple:
         if mb.intra:
             mv_fwd = mv_bwd = None
@@ -173,9 +179,9 @@ class PlanBuilder:
         # The zero vector is always in bounds — the overwhelmingly common
         # case for skipped macroblocks, so skip its checks.
         if mv_fwd is not None and mv_fwd != (0, 0):
-            self._validate_mv(mb_x, mb_y, mv_fwd)
+            validate_mv(mb_x, mb_y, mv_fwd, self.frame_width, self.frame_height)
         if mv_bwd is not None and mv_bwd != (0, 0):
-            self._validate_mv(mb_x, mb_y, mv_bwd)
+            validate_mv(mb_x, mb_y, mv_bwd, self.frame_width, self.frame_height)
         return (mb, mb_x, mb_y, mv_fwd, mv_bwd)
 
     def add(self, mb: Macroblock) -> None:
@@ -291,6 +297,139 @@ class PlanBuilder:
 
 
 # ---------------------------------------------------------------------- #
+# plans straight from the parser's columns (the runtime path)
+# ---------------------------------------------------------------------- #
+
+
+def chroma_mv_batch(mv: np.ndarray) -> np.ndarray:
+    """Vectorized §7.6.3.7 luma->chroma vector mapping (divide toward 0)."""
+    return np.where(mv >= 0, mv // 2, -((-mv) // 2))
+
+
+def reference_rects(mb_x: np.ndarray, mb_y: np.ndarray, mv: np.ndarray) -> Tuple[tuple, tuple]:
+    """The luma and chroma rectangles, each as ``(x0, y0, x1, y1)`` arrays,
+    that half-pel vectors ``mv`` (``(..., 2)``) read at macroblocks
+    ``mb_x``/``mb_y`` (broadcast against ``mv[..., 0]``) — the array form of
+    :func:`repro.mpeg2.motion.reference_rect` / ``chroma_reference_rect``."""
+    x, y = mv[..., 0], mv[..., 1]
+    x0, y0 = mb_x * 16 + (x >> 1), mb_y * 16 + (y >> 1)
+    luma = (x0, y0, x0 + 16 + (x & 1), y0 + 16 + (y & 1))
+    cmv = chroma_mv_batch(mv)
+    x, y = cmv[..., 0], cmv[..., 1]
+    x0, y0 = mb_x * 8 + (x >> 1), mb_y * 8 + (y >> 1)
+    return luma, (x0, y0, x0 + 8 + (x & 1), y0 + 8 + (y & 1))
+
+
+def check_staging(
+    parsed: "ParsedPicture",
+    frame_width: int,
+    frame_height: int,
+    idx: Optional[np.ndarray] = None,
+) -> None:
+    """Raise what :class:`PlanBuilder` would for the first macroblock (of
+    rows ``idx``, default all) it refuses: no prediction direction at all,
+    or a vector that reads outside the reference planes."""
+    c = parsed.columns
+    mb_dir, mb_mv, address, intra = parsed.mb_dir, c.mv, c.address, c.intra
+    if idx is not None:
+        mb_dir, mb_mv, address, intra = mb_dir[idx], mb_mv[idx], address[idx], intra[idx]
+    mb_x, mb_y = address % parsed.mb_width, address // parsed.mb_width
+    bad = ~intra & ~mb_dir.any(axis=1)
+    # The zero vector is always in bounds, and by far the most common.
+    moving = mb_dir & mb_mv.any(axis=2)
+    if moving.any():
+        luma, chroma = reference_rects(mb_x[:, None], mb_y[:, None], mb_mv)
+        outside = np.zeros(moving.shape, dtype=bool)
+        for (x0, y0, x1, y1), w, h in (
+            (luma, frame_width, frame_height),
+            (chroma, frame_width // 2, frame_height // 2),
+        ):
+            outside |= (x0 < 0) | (y0 < 0) | (x1 > w) | (y1 > h)
+        bad |= (moving & outside).any(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not mb_dir[i].any():
+        raise ValueError("prediction requested with no motion vectors")
+    for d in (_FWD, _BWD):
+        if moving[i, d]:
+            mv = (int(mb_mv[i, d, 0]), int(mb_mv[i, d, 1]))
+            validate_mv(int(mb_x[i]), int(mb_y[i]), mv, frame_width, frame_height)
+    raise AssertionError("vectorized staging check disagreed with validate_mv")
+
+
+def assemble_plan(
+    parsed: "ParsedPicture",
+    matrices: QuantMatrices,
+    idx: Optional[np.ndarray] = None,
+) -> ReconstructionPlan:
+    """The :class:`ReconstructionPlan` :class:`PlanBuilder` would build
+    from rows ``idx`` (ascending stream-order indices, default all) of
+    ``parsed.columns``, with numpy only and no validation.
+
+    Residual rows are assigned in stream order; the coefficient stack is
+    partitioned intra-first (stream order within each class, slots
+    ascending within a macroblock), so it is a gather from the picture's
+    ``scans``.
+    """
+    c = parsed.columns
+    hdr = parsed.header
+    mb_dir, mb_mv, address, intra = parsed.mb_dir, c.mv, c.address, c.intra
+    n_blocks, first_block, qcode = c.n_blocks, c.first_block, c.qscale_code
+    if idx is not None:
+        mb_dir, mb_mv, address, intra = mb_dir[idx], mb_mv[idx], address[idx], intra[idx]
+        n_blocks, first_block, qcode = n_blocks[idx], first_block[idx], qcode[idx]
+    has_blocks = n_blocks > 0
+    res_row = np.where(has_blocks, np.cumsum(has_blocks) - 1, -1)
+    qscale = QUANTISER_SCALE.astype(np.int64)[qcode]
+
+    def blocks_of(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        count = n_blocks[mask]
+        total = int(count.sum())
+        ends = np.cumsum(count)
+        within = np.arange(total, dtype=np.int64) - np.repeat(ends - count, count)
+        return (
+            np.repeat(first_block[mask], count) + within,
+            np.repeat(qscale[mask], count),
+            np.repeat(res_row[mask], count),
+        )
+
+    rows_i, q_i, r_i = blocks_of(intra & has_blocks)
+    rows_n, q_n, r_n = blocks_of(~intra & has_blocks)
+    rows = np.concatenate([rows_i, rows_n])
+    return ReconstructionPlan(
+        picture_type=hdr.picture_type,
+        mb_width=parsed.mb_width,
+        matrices=matrices,
+        dc_scaler=hdr.dc_scaler,
+        scans=c.scans[rows],
+        block_qscale=np.concatenate([q_i, q_n]),
+        block_res=np.concatenate([r_i, r_n]),
+        block_slot=c.block_slot[rows],
+        n_intra_blocks=len(rows_i),
+        mb_x=address % parsed.mb_width,
+        mb_y=address // parsed.mb_width,
+        mb_intra=intra,
+        mb_dir=mb_dir,
+        mb_mv=mb_mv,
+        mb_res_row=res_row.astype(np.int64, copy=False),
+        n_res=int(has_blocks.sum()),
+    )
+
+
+def plan_from_columns(
+    parsed: "ParsedPicture",
+    frame_width: int,
+    frame_height: int,
+    matrices: QuantMatrices,
+    idx: Optional[np.ndarray] = None,
+) -> ReconstructionPlan:
+    """Validate (:func:`check_staging`) and build (:func:`assemble_plan`)."""
+    check_staging(parsed, frame_width, frame_height, idx)
+    return assemble_plan(parsed, matrices, idx)
+
+
+# ---------------------------------------------------------------------- #
 # execute phase
 # ---------------------------------------------------------------------- #
 
@@ -340,11 +479,6 @@ def _assemble_luma_batch(res6: np.ndarray) -> np.ndarray:
         .transpose(0, 1, 3, 2, 4)
         .reshape(m, 16, 16)
     )
-
-
-def _chroma_mv_batch(mv: np.ndarray) -> np.ndarray:
-    """Vectorized §7.6.3.7 luma->chroma vector mapping (divide toward 0)."""
-    return np.where(mv >= 0, mv // 2, -((-mv) // 2))
 
 
 def _predict_plane_batch(
@@ -400,7 +534,7 @@ def _predict_direction(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predictions ``(y, cb, cr)`` for the macroblocks ``idx`` from ``ref``."""
     mv = plan.mb_mv[idx, direction]
-    cmv = _chroma_mv_batch(mv)
+    cmv = chroma_mv_batch(mv)
     y = _predict_plane_batch(
         ref.y, plan.mb_x[idx] * 16, plan.mb_y[idx] * 16, mv[:, 0], mv[:, 1], 16
     )

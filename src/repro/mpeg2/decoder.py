@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from repro.mpeg2.batch_reconstruct import PlanBuilder, execute_plan
+import numpy as np
+
+from repro.mpeg2.batch_reconstruct import execute_plan, plan_from_columns
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture, PictureScanner
@@ -89,7 +91,7 @@ class Decoder:
         prev_anchor: Optional[Frame] = None
         for unit in pictures:
             with timers.stage("parse"):
-                parsed = parser.parse_picture(unit.data)
+                parsed = parser.parse_picture(unit.data, lean=True)
             timers.pictures += 1
             self.stats.picture_types.append(parsed.header.picture_type)
             self.stats.coded_macroblocks.append(parsed.n_coded)
@@ -142,35 +144,22 @@ def reconstruct_picture(
     out = Frame.blank(sequence.width, sequence.height)
     matrices = QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
-    seen = set()
     if batch:
         with timers.stage("plan"):
-            builder = PlanBuilder(
-                ptype,
-                parsed.mb_width,
-                sequence.width,
-                sequence.height,
-                matrices,
-                parsed.header.dc_scaler,
-            )
-            for item in parsed.items:
-                seen.add(item.mb.address)
-                builder.add(item.mb)
-            plan = builder.build()
+            plan = plan_from_columns(parsed, sequence.width, sequence.height, matrices)
         with timers.stage("execute"):
             execute_plan(plan, out, fwd, bwd)
     else:
         with timers.stage("execute"):
             for item in parsed.items:
-                seen.add(item.mb.address)
                 reconstruct_macroblock(
                     item.mb, ptype, out, fwd, bwd, parsed.mb_width, matrices,
                     parsed.header.dc_scaler,
                 )
     expected = parsed.mb_width * parsed.mb_height
-    if len(seen) != expected:
-        missing = expected - len(seen)
-        raise ValueError(f"picture is missing {missing} macroblocks")
+    seen = len(np.unique(parsed.columns.address))
+    if seen != expected:
+        raise ValueError(f"picture is missing {expected - seen} macroblocks")
     return out
 
 

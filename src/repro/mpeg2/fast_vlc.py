@@ -8,26 +8,37 @@ codes stored as sentinel entries, the address-increment escape folded into
 its table — and decodes against a wide cached bit window so the hot loop
 is a shift, a mask, and one list index per symbol.
 
+Two consumers decode against these tables.  The runtime's full-picture
+parse is :func:`parse_slice_columns` below: one function per slice with the
+whole macroblock layer inline, writing columns (``parser.PictureColumns``)
+instead of objects; it consults no switch.  The per-symbol decoders
+(``decode_address_increment`` ... ``decode_ac_into``) serve the object
+parser in :mod:`repro.mpeg2.macroblock`, which the tile decoders run on
+sub-picture payloads and the tests keep as the columnar parser's oracle.
+
 ``repro.mpeg2.vlc`` stays untouched as the bit-exact reference oracle:
 every decoder here is differentially fuzzed against it
-(``tests/test_fast_vlc.py``), and the syntax layer falls back to the
-reference path when ``ENABLED`` is off (``set_enabled`` /
-``use_reference``), which is also how the benchmark measures the legacy
-parse cost.
+(``tests/test_fast_vlc.py``), and the object parser falls back to the
+reference decoders when ``ENABLED`` is off (``set_enabled`` /
+``use_reference``) — a test hook, which the columnar parser ignores.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import tables as T
+from repro.mpeg2.constants import PictureType
+from repro.mpeg2.structures import PictureHeader
 from repro.mpeg2.vlc import VLCError
 
-#: Module-level switch consulted by the macroblock/slice parsers.  Leave it
-#: on; flip off (via :func:`set_enabled` or :func:`use_reference`) to force
-#: the bit-at-a-time reference decoders for differential testing.
+#: Module-level switch consulted by the object parser (``macroblock.py``,
+#: ``TileDecoder``).  Leave it on; flip off (via :func:`set_enabled` or
+#: :func:`use_reference`) to force the bit-at-a-time reference decoders for
+#: differential testing.
 ENABLED = True
 
 
@@ -79,28 +90,32 @@ def _build_sym_lut(
 
 
 # DCT coefficient LUTs: 16 bits cover the longest run/level code (13 bits)
-# plus its sign bit; EOB and the escape prefix become sentinel entries so
-# one lookup classifies every symbol.  No Annex B code is all zeros, so the
-# zero-padding past end-of-buffer can never decode as a symbol.
+# plus its sign bit.  Entries are ``(advance, level, length)`` with
+# ``advance = run + 1``, the step in scan position; EOB, the escape prefix
+# and the slots no code reaches are entries with ``advance <= 0``, so one
+# lookup classifies every symbol and the hot loops unpack it untested.  No
+# Annex B code is all zeros, so the zero-padding past end-of-buffer can
+# never decode as a symbol.
 COEFF_BITS = 16
-_EOB_RUN = -1
-_ESC_RUN = -2
+_EOB_ADV = 0
+_ESC_ADV = -1
+_MISS = (-2, 0, 0)
 
 
 def _build_coeff_lut(
     mapping: Dict[Tuple[int, int], Tuple[int, int]], eob_code: Tuple[int, int]
-) -> List[Optional[tuple]]:
+) -> List[tuple]:
     lut: List[Optional[tuple]] = [None] * (1 << COEFF_BITS)
     for (run, a), (bits, length) in mapping.items():
         if length + 1 > COEFF_BITS:
             raise ValueError(f"code for (run={run}, level={a}) exceeds {COEFF_BITS} bits")
-        _fill(lut, bits << 1, length + 1, COEFF_BITS, (run, a, length + 1))
-        _fill(lut, (bits << 1) | 1, length + 1, COEFF_BITS, (run, -a, length + 1))
+        _fill(lut, bits << 1, length + 1, COEFF_BITS, (run + 1, a, length + 1))
+        _fill(lut, (bits << 1) | 1, length + 1, COEFF_BITS, (run + 1, -a, length + 1))
     eob_bits, eob_len = eob_code
-    _fill(lut, eob_bits, eob_len, COEFF_BITS, (_EOB_RUN, 0, eob_len))
+    _fill(lut, eob_bits, eob_len, COEFF_BITS, (_EOB_ADV, 0, eob_len))
     esc_bits, esc_len = T.DCT_ESCAPE_CODE
-    _fill(lut, esc_bits, esc_len, COEFF_BITS, (_ESC_RUN, 0, esc_len))
-    return lut
+    _fill(lut, esc_bits, esc_len, COEFF_BITS, (_ESC_ADV, 0, esc_len))
+    return [_MISS if entry is None else entry for entry in lut]
 
 
 _COEFF_LUT_T0 = _build_coeff_lut(T.DCT_COEFF, T.EOB_CODE)
@@ -243,22 +258,21 @@ def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) ->
                 scan[p] = -1 if v & 0x4000 else 1
                 pos += 2
                 continue
-        hit = lut[v]
-        if hit is None:
+        adv, level, length = lut[v]
+        if adv > 0:
+            pos += length
+        elif adv == _EOB_ADV:
+            br.pos = pos + length
+            return
+        elif adv != _ESC_ADV:
             br.pos = pos
             raise VLCError(
                 f"no DCT coefficient code matches bits {v:016b} at bit {pos}"
             )
-        run, level, length = hit
-        if run >= 0:
-            pos += length
-        elif run == _EOB_RUN:
-            br.pos = pos + length
-            return
         else:
             # Escape: 6-bit prefix + 6-bit run + 12-bit two's-complement level.
             v = (win >> (wend - pos - 24)) & 0xFFFFFF
-            run = (v >> 12) & 0x3F
+            adv = ((v >> 12) & 0x3F) + 1
             level = v & 0xFFF
             if level >= 2048:
                 level -= 4096
@@ -266,10 +280,366 @@ def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) ->
                 br.pos = pos
                 raise VLCError("escape-coded level of zero")
             pos += 24
-        p += run + 1
+        p += adv
         if p > 63:
             br.pos = pos
             raise BitstreamError(
                 "AC run overruns block" if intra else "run overruns block"
             )
         scan[p] = level
+
+
+# ---------------------------------------------------------------------- #
+# fused columnar slice parser
+# ---------------------------------------------------------------------- #
+
+# macroblock flag bits of the ``flags`` column
+MB_INTRA, MB_PATTERN, MB_BACKWARD, MB_FORWARD, MB_QUANT, MB_SKIPPED = 1, 2, 4, 8, 16, 32
+
+#: One macroblock's ints in ``ColumnLists.rows``: address, flags, the four
+#: motion predictors after its vectors were decoded (forward x/y, backward
+#: x/y: its vectors, where its flags say it has them), quantiser_scale_code,
+#: cbp (one bit per coded block, 63 for intra), bit_start, body_start,
+#: bit_end.
+ROW_WIDTH = 11
+#: The predictor state *before* a macroblock in ``ColumnLists.states``:
+#: quantiser_scale_code, dc_pred[3], pmv[2][2], prev_forward, prev_backward.
+STATE_WIDTH = 10
+
+_WIN_BYTES = 40
+_WIN_BITS = 8 * _WIN_BYTES
+# A macroblock's header (increment after escapes, type, quantiser, four
+# motion components of at most 24 bits, cbp) plus one 24-bit peek fits.
+_MB_HEADROOM = 160
+
+
+def _flag_lut(mapping: Dict) -> Tuple[List[Optional[tuple]], int]:
+    packed = {
+        (q * MB_QUANT + mf * MB_FORWARD + mb * MB_BACKWARD + p * MB_PATTERN + i): code
+        for (q, mf, mb, p, i), code in mapping.items()
+    }
+    return _build_sym_lut(packed)
+
+
+_MB_FLAG_LUTS = {
+    1: _flag_lut(T.MB_TYPE_I),
+    2: _flag_lut(T.MB_TYPE_P),
+    3: _flag_lut(T.MB_TYPE_B),
+}
+# coded block indices (Y0..Y3, Cb, Cr) for each coded_block_pattern value
+_CBP_BLOCKS = tuple(
+    tuple(b for b in range(6) if cbp & (1 << (5 - b))) for cbp in range(64)
+)
+# predictor slots (direction * 2 + component) decoded for each motion flag pair
+_MV_SLOTS = {
+    MB_FORWARD: (0, 1),
+    MB_BACKWARD: (2, 3),
+    MB_FORWARD | MB_BACKWARD: (0, 1, 2, 3),
+}
+_PAST_END = "skip past end of bitstream"
+
+
+def _window(data: bytes, pos: int, nbits: int) -> Tuple[int, int, int, int]:
+    """Load ``_WIN_BYTES`` from the byte holding bit ``pos``.
+
+    Returns ``(win, wend, rem, lim)``: the window as an int (zero-padded
+    past the buffer), the bit index one past it, the bits of it still
+    unread, and the value ``rem`` must not fall below (``wend - nbits``)
+    for a consume to stay inside the buffer.
+    """
+    base = pos >> 3
+    chunk = data[base : base + _WIN_BYTES]
+    win = int.from_bytes(chunk, "big") << (8 * (_WIN_BYTES - len(chunk)))
+    wend = (base << 3) + _WIN_BITS
+    return win, wend, wend - pos, wend - nbits
+
+
+@dataclass
+class ColumnLists:
+    """What :func:`parse_slice_columns` appends to: one picture's flat lists.
+
+    Every macroblock (skipped ones included) adds ``ROW_WIDTH`` ints to
+    ``rows`` and, unless ``states`` is ``None``, ``STATE_WIDTH`` ints to
+    ``states``; every coded block adds its slot (0-5) to ``slots`` and each
+    nonzero level to ``coef_pos`` (``block * 64 + scan position``, ``block``
+    being the block's index in ``slots``) and ``coef_level``.
+    """
+
+    rows: List[int] = field(default_factory=list)
+    slots: List[int] = field(default_factory=list)
+    coef_pos: List[int] = field(default_factory=list)
+    coef_level: List[int] = field(default_factory=list)
+    states: Optional[List[int]] = None
+
+
+def parse_slice_columns(
+    data: bytes,
+    pos: int,
+    row: int,
+    mb_width: int,
+    qcode: int,
+    picture: PictureHeader,
+    out: ColumnLists,
+) -> int:
+    """Parse one slice's macroblocks from bit ``pos`` straight into ``out``.
+
+    ``pos`` is the first bit after the slice header, ``qcode`` the slice's
+    quantiser_scale_code.  The whole macroblock layer is decoded inline
+    against the LUTs above — bit cursor, window, DC/motion predictors and
+    quantiser in locals, no :class:`BitReader` and no per-macroblock
+    objects.  ``out`` is the picture's, so slices concatenate.  Returns the
+    bit position after the last macroblock.
+
+    Checks, their order and their exceptions are those of the object
+    parser (the slice loop over
+    :func:`repro.mpeg2.macroblock.parse_macroblock_body` in
+    ``tests/oracles.py``), the differential oracle.
+    """
+    nbits = 8 * len(data)
+    picture_type, f_code, dc_reset = picture.picture_type, picture.f_code, picture.dc_reset
+    rows, slots, states = out.rows, out.slots, out.states
+    addr_lut, motion_lut, cbp_lut = _ADDR_LUT, _MOTION_LUT, _CBP_LUT
+    addr_mask, cbp_mask = (1 << _ADDR_BITS) - 1, (1 << _CBP_BITS) - 1
+    motion_shift = 24 - _MOTION_BITS
+    dc_luma_lut, dc_chroma_lut = _DC_LUMA_LUT, _DC_CHROMA_LUT
+    dc_luma_shift, dc_chroma_shift = 24 - _DC_LUMA_BITS, 24 - _DC_CHROMA_BITS
+    type_lut, type_bits = _MB_FLAG_LUTS[picture_type]
+    type_mask = (1 << type_bits) - 1
+    lut_intra = _COEFF_LUT_T1 if picture.intra_vlc_format == 1 else _COEFF_LUT_T0
+    lut_inter = _COEFF_LUT_T0
+    cbp_blocks, mv_slots = _CBP_BLOCKS, _MV_SLOTS
+    r_sizes = [f_code[0][0] - 1, f_code[0][1] - 1, f_code[1][0] - 1, f_code[1][1] - 1]
+    rows_extend, slots_append = rows.extend, slots.append
+    pos_append, level_append = out.coef_pos.append, out.coef_level.append
+    p_picture = picture_type == PictureType.P
+
+    dc = [dc_reset, dc_reset, dc_reset]
+    pmv = [0, 0, 0, 0]
+    prev_dirs = 0  # MB_FORWARD | MB_BACKWARD of the previous macroblock
+    prev_addr = row * mb_width - 1
+    row_end = (row + 1) * mb_width
+    first_in_slice = True
+    n_blocks = len(slots)
+    win, wend, rem, lim = _window(data, pos, nbits)
+
+    while True:
+        if rem < _MB_HEADROOM:
+            win, wend, rem, lim = _window(data, wend - rem, nbits)
+        # A macroblock never starts with 23 zero bits; the padding and
+        # start-code prefix that end a slice always provide them.
+        # (Past the buffer the window reads zero, so running out of data
+        # ends the slice the same way.)
+        if not (win >> (rem - 23)) & 0x7FFFFF:
+            return wend - rem
+        bit_start = wend - rem
+
+        # -- macroblock_address_increment (section 6.3.16) -------------- #
+        increment = 0
+        while True:
+            hit = addr_lut[(win >> (rem - _ADDR_BITS)) & addr_mask]
+            if hit is None:
+                raise VLCError(
+                    f"no address-increment code matches at bit {wend - rem}"
+                )
+            sym, length = hit
+            rem -= length
+            if rem < lim:
+                raise BitstreamError(_PAST_END)
+            if sym != _ADDR_ESCAPE:
+                increment += sym
+                break
+            increment += 33
+            if rem < _MB_HEADROOM:
+                win, wend, rem, lim = _window(data, wend - rem, nbits)
+        address = prev_addr + increment
+        if address >= row_end:
+            raise BitstreamError("macroblock address beyond slice row")
+
+        # -- skipped macroblocks the increment covers (section 7.6.6) --- #
+        # They change the predictors *before* the coded macroblock's body.
+        # The first increment of a slice only positions it in the row.
+        if first_in_slice:
+            first_in_slice = False
+        elif increment > 1:
+            for skip_addr in range(prev_addr + 1, address):
+                if states is not None:
+                    states.extend(
+                        (qcode, dc[0], dc[1], dc[2], pmv[0], pmv[1], pmv[2], pmv[3],
+                         prev_dirs & MB_FORWARD, prev_dirs & MB_BACKWARD)
+                    )
+                if p_picture:
+                    # zero forward vector, motion predictors reset
+                    pmv = [0, 0, 0, 0]
+                    skip_flags = MB_SKIPPED | MB_FORWARD
+                else:
+                    # previous macroblock's directions, current predictors
+                    skip_flags = MB_SKIPPED | prev_dirs
+                rows_extend(
+                    (skip_addr, skip_flags, pmv[0], pmv[1], pmv[2], pmv[3], qcode, 0,
+                     -1, -1, -1)
+                )
+                dc = [dc_reset, dc_reset, dc_reset]
+        if states is not None:
+            states.extend(
+                (qcode, dc[0], dc[1], dc[2], pmv[0], pmv[1], pmv[2], pmv[3],
+                 prev_dirs & MB_FORWARD, prev_dirs & MB_BACKWARD)
+            )
+
+        # -- macroblock_type, quantiser_scale_code ---------------------- #
+        body_start = wend - rem
+        hit = type_lut[(win >> (rem - type_bits)) & type_mask]
+        if hit is None:
+            raise VLCError(f"no macroblock_type code matches at bit {wend - rem}")
+        flags, length = hit
+        rem -= length
+        if rem < lim:
+            raise BitstreamError(_PAST_END)
+        if flags & MB_QUANT:
+            qcode = (win >> (rem - 5)) & 31
+            rem -= 5
+            if qcode == 0:
+                raise BitstreamError("quantiser_scale_code of zero")
+
+        # -- motion vectors (section 7.6.3) ----------------------------- #
+        dirs = flags & (MB_FORWARD | MB_BACKWARD)
+        if dirs:
+            for k in mv_slots[dirs]:
+                r_size = r_sizes[k]
+                v = (win >> (rem - 24)) & 0xFFFFFF
+                hit = motion_lut[v >> motion_shift]
+                if hit is None:
+                    raise VLCError(f"no motion code matches at bit {wend - rem}")
+                code, length = hit
+                if code == 0:
+                    rem -= length
+                    delta = 0
+                else:
+                    if r_size:
+                        residual = (v >> (24 - length - r_size)) & ((1 << r_size) - 1)
+                        rem -= length + r_size
+                    else:
+                        residual = 0
+                        rem -= length
+                    delta = ((abs(code) - 1) << r_size) + residual + 1
+                    if code < 0:
+                        delta = -delta
+                if rem < lim:
+                    raise BitstreamError(_PAST_END)
+                f16 = 16 << r_size
+                val = pmv[k] + delta
+                if val < -f16:
+                    val += 2 * f16
+                elif val >= f16:
+                    val -= 2 * f16
+                pmv[k] = val
+
+        # -- blocks: DC differential, then run/level pairs to EOB ------- #
+        cbp = 0
+        if flags & (MB_INTRA | MB_PATTERN):
+            intra = flags & MB_INTRA
+            if intra:
+                cbp = 63
+                lut = lut_intra
+            else:
+                hit = cbp_lut[(win >> (rem - _CBP_BITS)) & cbp_mask]
+                if hit is None:
+                    raise VLCError(
+                        f"no coded_block_pattern code matches at bit {wend - rem}"
+                    )
+                cbp, length = hit
+                rem -= length
+                if rem < lim:
+                    raise BitstreamError(_PAST_END)
+                lut = lut_inter
+            for b in cbp_blocks[cbp]:
+                if rem < 24:
+                    win, wend, rem, lim = _window(data, wend - rem, nbits)
+                q = n_blocks << 6  # this block's scan position 0 in coef_pos
+                end = q + 63
+                if intra:
+                    v = (win >> (rem - 24)) & 0xFFFFFF
+                    if b < 4:
+                        comp = 0
+                        hit = dc_luma_lut[v >> dc_luma_shift]
+                    else:
+                        comp = b - 3
+                        hit = dc_chroma_lut[v >> dc_chroma_shift]
+                    if hit is None:
+                        raise VLCError(
+                            f"no dct_dc_size code matches at bit {wend - rem}"
+                        )
+                    size, length = hit
+                    if size:
+                        length += size
+                        rem -= length
+                        if rem < lim:
+                            raise BitstreamError(_PAST_END)
+                        d = (v >> (24 - length)) & ((1 << size) - 1)
+                        if d < (1 << (size - 1)):
+                            d -= (1 << size) - 1
+                        dc[comp] += d
+                    else:
+                        rem -= length
+                        if rem < lim:
+                            raise BitstreamError(_PAST_END)
+                    pos_append(q)
+                    level_append(dc[comp])
+                elif (win >> (rem - 1)) & 1:
+                    # A leading '1' at the first coefficient of a non-intra
+                    # block is (0, +/-1), next bit the sign (section 7.2.2).
+                    pos_append(q)
+                    level_append(-1 if (win >> (rem - 2)) & 1 else 1)
+                    rem -= 2
+                else:
+                    q -= 1
+                # The run/level loop tracks ``shift = rem - 16``, the shift
+                # that brings the next 16 bits to the bottom of the window.
+                shift = rem - 16
+                while True:
+                    if shift < 8:
+                        win, wend, rem, lim = _window(data, wend - shift - 16, nbits)
+                        shift = rem - 16
+                    adv, level, length = lut[(win >> shift) & 0xFFFF]
+                    if adv > 0:
+                        shift -= length
+                    elif adv == _EOB_ADV:
+                        rem = shift + 16 - length
+                        break
+                    elif adv == _ESC_ADV:
+                        # 6-bit prefix, 6-bit run, 12-bit two's-complement level
+                        v = (win >> (shift - 8)) & 0xFFFFFF
+                        adv = ((v >> 12) & 0x3F) + 1
+                        level = v & 0xFFF
+                        if level >= 2048:
+                            level -= 4096
+                        if level == 0:
+                            raise VLCError("escape-coded level of zero")
+                        shift -= 24
+                    else:
+                        raise VLCError(
+                            "no DCT coefficient code matches bits "
+                            f"{(win >> shift) & 0xFFFF:016b} at bit {wend - shift - 16}"
+                        )
+                    q += adv
+                    if q > end:
+                        raise BitstreamError(
+                            "AC run overruns block" if intra else "run overruns block"
+                        )
+                    pos_append(q)
+                    level_append(level)
+                slots_append(b)
+                n_blocks += 1
+
+        rows_extend(
+            (address, flags, pmv[0], pmv[1], pmv[2], pmv[3], qcode, cbp, bit_start,
+             body_start, wend - rem)
+        )
+        # -- predictor resets (sections 7.2.1, 7.6.3.4) ----------------- #
+        if flags & MB_INTRA:
+            pmv = [0, 0, 0, 0]
+        else:
+            dc = [dc_reset, dc_reset, dc_reset]
+            if p_picture and not dirs & MB_FORWARD:
+                pmv = [0, 0, 0, 0]
+        prev_dirs = dirs
+        prev_addr = address

@@ -6,33 +6,35 @@ sequence/GOP headers they travel with).  It does **no** VLC work — that is
 exactly why picture-level splitting is cheap (paper Table 1).
 
 :class:`MacroblockParser` is the second-level splitter's engine: a full VLC
-parse of one coded picture into macroblocks with their bit extents and the
-predictor state at every macroblock boundary — everything the sub-picture
-builder needs to emit State Propagation Headers and the MEI builder needs to
-pre-calculate remote-block exchanges.  It does no pixel reconstruction
-("a splitter does not motion compensate").
+parse of one coded picture, by the fused slice parser in
+:mod:`repro.mpeg2.fast_vlc`, straight into :class:`PictureColumns` — one
+row per macroblock with its flags, vectors, quantiser and bit extents, the
+coded blocks' levels as flat lists, and (unless ``lean``) the predictor
+state at every macroblock boundary: everything plan building, the
+sub-picture builder's State Propagation Headers and the MEI
+pre-calculation need, with no per-macroblock objects.  It does no pixel
+reconstruction ("a splitter does not motion compensate").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2.constants import (
     GROUP_START_CODE,
     PICTURE_START_CODE,
+    PictureType,
     SEQUENCE_END_CODE,
     SEQUENCE_HEADER_CODE,
     is_slice_start_code,
 )
-from repro.mpeg2 import fast_vlc, vlc
-from repro.mpeg2.macroblock import (
-    CodingState,
-    Macroblock,
-    make_skipped,
-    parse_macroblock_body,
-)
+from repro.mpeg2 import fast_vlc
+from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.structures import GOPHeader, PictureHeader, SequenceHeader
 
 
@@ -145,31 +147,239 @@ class ParsedMB:
 
 
 @dataclass
+class StateColumns:
+    """Predictor state before each macroblock (what an SPH carries)."""
+
+    qscale_code: np.ndarray  # (n,) int64
+    dc_pred: np.ndarray  # (n, 3) int64
+    pmv: np.ndarray  # (n, 2, 2) int64, [direction][component]
+    prev_dir: np.ndarray  # (n, 2) bool, previous macroblock's directions
+
+
+@dataclass
+class PictureColumns:
+    """One parsed picture as columns: a row per macroblock, stream order.
+
+    This is the parser's output and the only store; plans are built from
+    it with numpy alone.  Skipped macroblocks have rows too (``skipped``
+    set, the direction flags and vectors they reconstruct with, bit
+    extents -1).  Coded blocks are numbered in stream order, slots
+    ascending within a macroblock; macroblock ``i`` owns blocks
+    ``first_block[i] : first_block[i] + n_blocks[i]``.  DESIGN.md section
+    7 has the table of columns and readers.
+    """
+
+    address: np.ndarray  # (n,) int64
+    skipped: np.ndarray  # (n,) bool
+    intra: np.ndarray  # (n,) bool
+    pattern: np.ndarray  # (n,) bool
+    quant: np.ndarray  # (n,) bool
+    motion: np.ndarray  # (n, 2) bool: forward / backward vector present
+    mv: np.ndarray  # (n, 2, 2) int64 half-pel [direction][x, y]; 0 if absent
+    qscale_code: np.ndarray  # (n,) int64
+    cbp: np.ndarray  # (n,) int64, 63 for intra
+    bit_start: np.ndarray  # (n,) int64, first bit of the address increment
+    body_start: np.ndarray  # (n,) int64, first bit of macroblock_type
+    bit_end: np.ndarray  # (n,) int64, one past the macroblock's last bit
+    slice_row: np.ndarray  # (n,) int64
+    slice_index: np.ndarray  # (n,) int64
+    first_block: np.ndarray  # (n,) int64
+    n_blocks: np.ndarray  # (n,) int64
+    block_slot: np.ndarray  # (total blocks,) int64, 0-5 = Y0..Y3, Cb, Cr
+    coef_pos: np.ndarray  # (nonzero levels,) int64: block * 64 + scan position
+    coef_level: np.ndarray  # (nonzero levels,) int32
+    state: Optional[StateColumns] = None  # full (non-lean) parse only
+
+    def __len__(self) -> int:
+        return len(self.address)
+
+    @cached_property
+    def scans(self) -> np.ndarray:
+        """``(total blocks, 64)`` int32 scan-order levels: one scatter.
+
+        Read-only: every plan gathers from it and every :class:`Macroblock`
+        of the ``items`` view holds rows of it as its blocks.
+        """
+        scans = np.zeros((len(self.block_slot), 64), dtype=np.int32)
+        scans.reshape(-1)[self.coef_pos] = self.coef_level
+        scans.setflags(write=False)
+        return scans
+
+
+_POPCOUNT6 = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
+
+
+def _columns(
+    lists: fast_vlc.ColumnLists, slice_rows: List[int], slice_ends: List[int]
+) -> PictureColumns:
+    """Freeze the slice parser's flat lists into typed columns.
+
+    ``slice_rows[k]`` is slice ``k``'s macroblock row and ``slice_ends[k]``
+    the number of macroblocks parsed once it ended.
+    """
+    tab = np.array(lists.rows, dtype=np.int64).reshape(-1, fast_vlc.ROW_WIDTH)
+    n = len(tab)
+    # one transposing copy, so that every column is contiguous
+    address, flags, _, _, _, _, qscale_code, cbp, bit_start, body_start, bit_end = (
+        np.ascontiguousarray(tab.T)
+    )
+    n_blocks = _POPCOUNT6[cbp]
+    motion = (
+        np.stack([flags & fast_vlc.MB_FORWARD, flags & fast_vlc.MB_BACKWARD], axis=1)
+        != 0
+    )
+    per_slice = np.diff(np.asarray(slice_ends, dtype=np.int64), prepend=0)
+    state = None
+    if lists.states is not None:
+        st = np.array(lists.states, dtype=np.int64).reshape(n, fast_vlc.STATE_WIDTH)
+        state = StateColumns(
+            qscale_code=np.ascontiguousarray(st[:, 0]),
+            dc_pred=np.ascontiguousarray(st[:, 1:4]),
+            pmv=np.ascontiguousarray(st[:, 4:8]).reshape(n, 2, 2),
+            prev_dir=st[:, 8:10] != 0,
+        )
+    return PictureColumns(
+        address=address,
+        skipped=(flags & fast_vlc.MB_SKIPPED) != 0,
+        intra=(flags & fast_vlc.MB_INTRA) != 0,
+        pattern=(flags & fast_vlc.MB_PATTERN) != 0,
+        quant=(flags & fast_vlc.MB_QUANT) != 0,
+        motion=motion,
+        # the row carries the predictors; they are vectors where flagged
+        mv=tab[:, 2:6].reshape(n, 2, 2) * motion[:, :, None],
+        qscale_code=qscale_code,
+        cbp=cbp,
+        bit_start=bit_start,
+        body_start=body_start,
+        bit_end=bit_end,
+        slice_row=np.repeat(np.asarray(slice_rows, dtype=np.int64), per_slice),
+        slice_index=np.repeat(np.arange(len(per_slice), dtype=np.int64), per_slice),
+        first_block=np.cumsum(n_blocks) - n_blocks,
+        n_blocks=n_blocks,
+        block_slot=np.array(lists.slots, dtype=np.int64),
+        coef_pos=np.array(lists.coef_pos, dtype=np.int64),
+        coef_level=np.array(lists.coef_level, dtype=np.int32),
+        state=state,
+    )
+
+
+@dataclass(eq=False)
 class ParsedPicture:
-    """Full macroblock-level parse of one coded picture."""
+    """Full macroblock-level parse of one coded picture.
+
+    ``columns`` is the store.  ``items`` is a compatibility view — one
+    :class:`ParsedMB` (with a :class:`Macroblock`) per row, built on first
+    use — for the bitstream splitter, the validator, the per-macroblock
+    reference reconstruction and the tests; nothing on the plan path
+    touches it.
+    """
 
     header: PictureHeader
     data: bytes
     mb_width: int
     mb_height: int
-    items: List[ParsedMB] = field(default_factory=list)  # stream order
-    n_skipped: int = 0
+    columns: PictureColumns
+
+    @cached_property
+    def n_skipped(self) -> int:
+        return int(self.columns.skipped.sum())
 
     @property
     def n_coded(self) -> int:
-        return len(self.items) - self.n_skipped
+        return len(self.columns) - self.n_skipped
+
+    @cached_property
+    def mb_dir(self) -> np.ndarray:
+        """``(n, 2)`` bool: the directions each macroblock predicts from, as
+        ``PlanBuilder`` stages them — none for intra macroblocks, and in a
+        P-picture forward even without a forward vector ("No MC" predicts
+        with the zero vector, §7.6.3.5; absent vectors are stored as zero,
+        so ``columns.mv`` needs no such fix-up).  Shared by every plan built
+        from this picture."""
+        c = self.columns
+        mb_dir = c.motion & ~c.intra[:, None]
+        if self.header.picture_type == PictureType.P:
+            mb_dir[:, 0] = ~c.intra
+        return mb_dir
+
+    @cached_property
+    def items(self) -> List[ParsedMB]:
+        """Stream-order :class:`ParsedMB` view of the columns.  A macroblock's
+        blocks are read-only rows of ``columns.scans``, not copies."""
+        c = self.columns
+        scans = c.scans
+        slots = c.block_slot.tolist()
+        st = c.state
+        if st is not None:
+            st_q = st.qscale_code.tolist()
+            st_dc = st.dc_pred.tolist()
+            st_pmv = st.pmv.tolist()
+            st_prev = st.prev_dir.tolist()
+        items: List[ParsedMB] = []
+        for i, (address, skipped, intra, pattern, quant, (mf, mbk), mv, qcode, cbp,
+                bit_start, body_start, bit_end, row, index, first, count) in enumerate(
+            zip(
+                c.address.tolist(), c.skipped.tolist(), c.intra.tolist(),
+                c.pattern.tolist(), c.quant.tolist(), c.motion.tolist(),
+                c.mv.tolist(), c.qscale_code.tolist(), c.cbp.tolist(),
+                c.bit_start.tolist(), c.body_start.tolist(), c.bit_end.tolist(),
+                c.slice_row.tolist(), c.slice_index.tolist(),
+                c.first_block.tolist(), c.n_blocks.tolist(),
+            )
+        ):
+            blocks: List[Optional[np.ndarray]] = [None] * 6
+            for k in range(first, first + count):
+                blocks[slots[k]] = scans[k]
+            mb = Macroblock(
+                address=address,
+                quant=quant,
+                motion_forward=mf,
+                motion_backward=mbk,
+                pattern=pattern,
+                intra=intra,
+                qscale_code=qcode,
+                mv_fwd=tuple(mv[0]) if mf else None,
+                mv_bwd=tuple(mv[1]) if mbk else None,
+                cbp=cbp,
+                blocks=blocks,
+                skipped=skipped,
+                bit_start=bit_start,
+                body_start=body_start,
+                bit_end=bit_end,
+            )
+            snap = None
+            if st is not None:
+                snap = {
+                    "qscale_code": st_q[i],
+                    "dc_pred": st_dc[i],
+                    "pmv": st_pmv[i],
+                    "prev_forward": st_prev[i][0],
+                    "prev_backward": st_prev[i][1],
+                }
+            items.append(
+                ParsedMB(mb=mb, state_before=snap, slice_row=row, slice_index=index)
+            )
+        return items
+
+    def rows_in(self, rect) -> np.ndarray:
+        """Stream-order row indices of the macroblocks that intersect the
+        pixel rectangle ``rect`` (``x0, y0, x1, y1``, exclusive ends) — a
+        box test in macroblock coordinates."""
+        address = self.columns.address
+        mb_x, mb_y = address % self.mb_width, address // self.mb_width
+        return np.flatnonzero(
+            (mb_x >= rect.x0 // 16)
+            & (mb_x <= (rect.x1 - 1) // 16)
+            & (mb_y >= rect.y0 // 16)
+            & (mb_y <= (rect.y1 - 1) // 16)
+        )
 
     def coded_items(self) -> List[ParsedMB]:
         return [it for it in self.items if not it.mb.skipped]
 
 
-# End-of-slice detection: a macroblock never starts with 23 zero bits, while
-# the zero padding + start-code prefix that ends a slice always provides them.
-_EOS_BITS = 23
-
-
 class MacroblockParser:
-    """VLC-parse coded pictures into macroblocks (no reconstruction)."""
+    """VLC-parse coded pictures into macroblock columns (no reconstruction)."""
 
     def __init__(self, sequence: SequenceHeader):
         self.sequence = sequence
@@ -179,94 +389,36 @@ class MacroblockParser:
     def parse_picture(self, data: bytes, lean: bool = False) -> ParsedPicture:
         """VLC-parse one coded picture.
 
-        With ``lean=True`` the per-macroblock predictor-state snapshots are
-        skipped (``state_before`` is ``None``) — they exist only for the
-        sub-picture builder's State Propagation Headers, and allocating
-        the dicts dominates parse time for plan-shipping splitters, which
-        never read them.
+        With ``lean=True`` the per-macroblock predictor-state columns are
+        not recorded (``columns.state`` and every ``state_before`` are
+        ``None``) — they exist only for the sub-picture builder's State
+        Propagation Headers, and nothing on the plan path reads them.
         """
         br = BitReader(data)
         code = br.next_start_code()
         if code != PICTURE_START_CODE:
             raise BitstreamError("picture unit does not start with picture code")
         header = PictureHeader.parse(br)
-        parsed = ParsedPicture(
-            header=header,
-            data=data,
-            mb_width=self.mb_width,
-            mb_height=self.mb_height,
-        )
-        slice_index = 0
+        lists = fast_vlc.ColumnLists(states=None if lean else [])
+        slice_rows: List[int] = []
+        slice_ends: List[int] = []
         while True:
             code = br.peek_start_code()
             if code is None or not is_slice_start_code(code):
                 break
             br.next_start_code()
-            self._parse_slice(br, code - 1, header, parsed, slice_index, lean)
-            slice_index += 1
-        return parsed
-
-    def _parse_slice(
-        self,
-        br: BitReader,
-        row: int,
-        header: PictureHeader,
-        parsed: ParsedPicture,
-        slice_index: int = 0,
-        lean: bool = False,
-    ) -> None:
-        if row >= self.mb_height:
-            raise BitstreamError(f"slice row {row} beyond picture height")
-        qcode = br.read(5)
-        if qcode == 0:
-            raise BitstreamError("slice quantiser_scale_code of zero")
-        if br.read(1):
-            raise BitstreamError("extra_information_slice unsupported")
-        state = CodingState(picture=header, qscale_code=qcode)
-        prev_addr = row * self.mb_width - 1
-        first_in_slice = True
-        decode_increment = (
-            fast_vlc.decode_address_increment
-            if fast_vlc.ENABLED
-            else vlc.decode_address_increment
-        )
-        while br.bits_left() > 0 and br.peek(_EOS_BITS) != 0:
-            bit_start = br.pos
-            increment = decode_increment(br)
-            address = prev_addr + increment
-            if address >= (row + 1) * self.mb_width:
-                raise BitstreamError("macroblock address beyond slice row")
-            # Skipped macroblocks covered by the increment mutate the
-            # predictor state *before* the coded macroblock's body parse
-            # (§7.6.3.4): P skips reset the motion-vector predictors, and
-            # every skip resets the DC predictors.  The FIRST macroblock of
-            # a slice is special: its increment only positions the slice in
-            # the row (earlier macroblocks belong to the previous slice),
-            # so it implies no skips (§6.3.16).
-            skip_from = address if first_in_slice else prev_addr + 1
-            first_in_slice = False
-            for skip_addr in range(skip_from, address):
-                skip_snap = None if lean else state.snapshot()
-                smb = make_skipped(skip_addr, state)
-                parsed.items.append(
-                    ParsedMB(
-                        mb=smb,
-                        state_before=skip_snap,
-                        slice_row=row,
-                        slice_index=slice_index,
-                    )
-                )
-                parsed.n_skipped += 1
-            snap = None if lean else state.snapshot()
-            mb = parse_macroblock_body(br, state)
-            mb.bit_start = bit_start
-            mb.address = address
-            parsed.items.append(
-                ParsedMB(
-                    mb=mb,
-                    state_before=snap,
-                    slice_row=row,
-                    slice_index=slice_index,
-                )
+            row = code - 1
+            if row >= self.mb_height:
+                raise BitstreamError(f"slice row {row} beyond picture height")
+            qcode = br.read(5)
+            if qcode == 0:
+                raise BitstreamError("slice quantiser_scale_code of zero")
+            if br.read(1):
+                raise BitstreamError("extra_information_slice unsupported")
+            br.pos = fast_vlc.parse_slice_columns(
+                br.data, br.pos, row, self.mb_width, qcode, header, lists
             )
-            prev_addr = address
+            slice_rows.append(row)
+            slice_ends.append(len(lists.rows) // fast_vlc.ROW_WIDTH)
+        columns = _columns(lists, slice_rows, slice_ends)
+        return ParsedPicture(header, br.data, self.mb_width, self.mb_height, columns)

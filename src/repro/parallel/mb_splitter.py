@@ -16,18 +16,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import PlanBuilder, ReconstructionPlan
+from repro.mpeg2.batch_reconstruct import (
+    assemble_plan,
+    check_staging,
+    reference_rects,
+)
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
 from repro.mpeg2.parser import MacroblockParser, ParsedMB, ParsedPicture, PictureUnit
 from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.reconstruct import QuantMatrices
 from repro.mpeg2.structures import SequenceHeader
-from repro.mpeg2.tables import QUANTISER_SCALE
 from repro.parallel.mei import BWD, FWD, BlockXfer, MEIBatch
 from repro.parallel.subpicture import SPH, RunRecord, SkipRecord, SubPicture
 from repro.perf.metrics import StageTimes
@@ -82,170 +85,6 @@ class _Run:
     @property
     def next_addr(self) -> int:
         return self.items[-1].mb.address + 1
-
-
-def _div2_toward_zero(v: np.ndarray) -> np.ndarray:
-    """Chroma MV component: luma MV / 2 rounded toward zero (§7.6.3.7)."""
-    return np.where(v >= 0, v // 2, -((-v) // 2))
-
-
-class _PictureColumns:
-    """Columnar (structure-of-arrays) view of one parsed picture.
-
-    ``compile_plans`` is called once per picture per tile *set*, and the
-    scalar path re-walks the macroblock list once per covering tile —
-    O(n_mb x tiles) Python-level work.  This table is built in a single
-    pass and every per-tile question (membership, plan arrays, which
-    motion vectors escape a tile's coverage) becomes a numpy expression
-    over it.  Blocks are stacked once, in stream order with slots
-    ascending per macroblock, so a tile's coefficient stack is a fancy
-    index into ``scans``.
-    """
-
-    def __init__(self, parsed: ParsedPicture):
-        items = parsed.items
-        n = self.n = len(items)
-        mbs = self.mbs = [it.mb for it in items]
-        is_p = parsed.header.picture_type == PictureType.P
-
-        addr = np.fromiter((mb.address for mb in mbs), np.int64, n)
-        self.mbx = addr % parsed.mb_width
-        self.mby = addr // parsed.mb_width
-        self.intra = np.fromiter((mb.intra for mb in mbs), bool, n)
-        self.skipped = np.fromiter((mb.skipped for mb in mbs), bool, n)
-        self.fwd_flag = np.fromiter((mb.motion_forward for mb in mbs), bool, n)
-        self.bwd_flag = np.fromiter((mb.motion_backward for mb in mbs), bool, n)
-        qcode = np.fromiter((mb.qscale_code for mb in mbs), np.int64, n)
-        self.qscale = QUANTISER_SCALE.astype(np.int64)[qcode]
-
-        mvf = np.zeros((n, 2), np.int64)
-        mvb = np.zeros((n, 2), np.int64)
-        has_f = np.zeros(n, bool)
-        has_b = np.zeros(n, bool)
-        first_blk = np.zeros(n, np.int64)
-        nblk = np.zeros(n, np.int64)
-        scans: List[np.ndarray] = []
-        slots: List[int] = []
-        for i, mb in enumerate(mbs):
-            v = mb.mv_fwd
-            if v is not None:
-                has_f[i] = True
-                mvf[i, 0], mvf[i, 1] = v
-            v = mb.mv_bwd
-            if v is not None:
-                has_b[i] = True
-                mvb[i, 0], mvb[i, 1] = v
-            if mb.intra or mb.pattern:
-                first_blk[i] = len(scans)
-                c = 0
-                for slot, blk in enumerate(mb.blocks):
-                    if blk is not None:
-                        scans.append(blk)
-                        slots.append(slot)
-                        c += 1
-                nblk[i] = c
-        self.mvf_raw, self.mvb_raw = mvf, mvb
-        self.has_f, self.has_b = has_f, has_b
-        self.first_blk, self.nblk = first_blk, nblk
-        self.scans = (
-            np.stack(scans).astype(np.int32, copy=False)
-            if scans
-            else np.zeros((0, 64), np.int32)
-        )
-        self.slots = np.asarray(slots, np.int64)
-
-        # Staged (plan) view of the motion data, mirroring
-        # PlanBuilder._stage: a P "No MC" macroblock gets a zero forward
-        # vector; directions follow vector presence, not the coded flags.
-        if is_p:
-            forced = ~self.fwd_flag
-            dir_f = ~self.intra & (has_f | forced)
-            eff_f = np.where(forced[:, None], 0, mvf)
-        else:
-            dir_f = ~self.intra & has_f
-            eff_f = mvf
-        dir_b = ~self.intra & has_b
-        self.mb_dir = np.stack([dir_f, dir_b], axis=1)
-        self.mb_mv = np.stack(
-            [
-                np.where(dir_f[:, None], eff_f, 0),
-                np.where(dir_b[:, None], mvb, 0),
-            ],
-            axis=1,
-        )
-
-    def stage_errors(self, frame_width: int, frame_height: int) -> bool:
-        """True if any macroblock would make ``PlanBuilder._stage`` raise.
-
-        The caller then replays the scalar staging to surface the exact
-        exception; this predicate only has to *agree* with it.
-        """
-        bad = ~self.intra & ~self.mb_dir[:, 0] & ~self.mb_dir[:, 1]
-        for d in range(2):
-            mv = self.mb_mv[:, d]
-            mvx, mvy = mv[:, 0], mv[:, 1]
-            check = self.mb_dir[:, d] & ((mvx != 0) | (mvy != 0))
-            if not check.any():
-                continue
-            x0 = self.mbx * 16 + (mvx >> 1)
-            y0 = self.mby * 16 + (mvy >> 1)
-            v = (
-                (x0 < 0)
-                | (y0 < 0)
-                | (x0 + 16 + (mvx & 1) > frame_width)
-                | (y0 + 16 + (mvy & 1) > frame_height)
-            )
-            cx, cy = _div2_toward_zero(mvx), _div2_toward_zero(mvy)
-            xc = self.mbx * 8 + (cx >> 1)
-            yc = self.mby * 8 + (cy >> 1)
-            v |= (
-                (xc < 0)
-                | (yc < 0)
-                | (xc + 8 + (cx & 1) > frame_width // 2)
-                | (yc + 8 + (cy & 1) > frame_height // 2)
-            )
-            bad |= check & v
-        return bool(bad.any())
-
-    def members(self, tile) -> np.ndarray:
-        """Stream-order indices of macroblocks tile ``t`` displays.
-
-        A macroblock intersects ``tile.rect`` iff it lies inside the
-        rect's macroblock-aligned expansion — exactly ``tile.coverage``,
-        so membership is a box test in macroblock coordinates.
-        """
-        r = tile.rect
-        mask = (
-            (self.mbx >= r.x0 // 16)
-            & (self.mbx <= (r.x1 - 1) // 16)
-            & (self.mby >= r.y0 // 16)
-            & (self.mby <= (r.y1 - 1) // 16)
-        )
-        return np.nonzero(mask)[0]
-
-    def mei_candidates(self):
-        """Per direction: (active mask, luma rect columns, chroma rect columns).
-
-        Active means the macroblock carries a nonzero coded vector in that
-        direction — the only case ``_add_exchanges`` can emit a transfer
-        for.  Rects are computed for every row; garbage where inactive.
-        """
-        out = []
-        for flag, has, mv in (
-            (self.fwd_flag, self.has_f, self.mvf_raw),
-            (self.bwd_flag, self.has_b, self.mvb_raw),
-        ):
-            mvx, mvy = mv[:, 0], mv[:, 1]
-            act = ~self.intra & flag & has & ((mvx != 0) | (mvy != 0))
-            lx0 = self.mbx * 16 + (mvx >> 1)
-            ly0 = self.mby * 16 + (mvy >> 1)
-            lrect = (lx0, ly0, lx0 + 16 + (mvx & 1), ly0 + 16 + (mvy & 1))
-            cx, cy = _div2_toward_zero(mvx), _div2_toward_zero(mvy)
-            cx0 = self.mbx * 8 + (cx >> 1)
-            cy0 = self.mby * 8 + (cy >> 1)
-            crect = (cx0, cy0, cx0 + 8 + (cx & 1), cy0 + 8 + (cy & 1))
-            out.append((act, lrect, crect))
-        return out
 
 
 def _contained(rect_cols, idx: np.ndarray, bound: Rect) -> np.ndarray:
@@ -343,82 +182,50 @@ class MacroblockSplitter:
     def compile_plans(
         self, parsed: ParsedPicture, picture_index: int
     ) -> PlanSplitResult:
-        """Vectorized plan compilation (output-identical to the reference).
+        """Compile each tile's share of ``parsed.columns`` into a plan.
 
-        One Python pass builds a columnar table of the picture
-        (:class:`_PictureColumns`); after that, tile membership, plan
-        arrays, and the escape test for MEI exchanges are all array
-        expressions.  Only the rare macroblocks whose reference rectangle
-        actually leaves a tile's coverage fall back to the scalar
-        ``_add_exchanges`` — in the same (stream, tile) order the
-        reference path visits them, so MEI dedup and program order are
-        preserved exactly.
+        The parser's output is already the columnar table, so tile
+        membership, plan arrays and the escape test for MEI exchanges are
+        all array expressions.  Only the rare macroblocks whose reference
+        rectangle actually leaves a tile's coverage go through the scalar
+        ``_exchange`` — in (stream, tile) order, the order a macroblock-
+        at-a-time walk visits them, so MEI dedup and program order are
+        those of ``tests/oracles.py::compile_plans_reference``.
         """
         layout = self.layout
         hdr = parsed.header
+        c = parsed.columns
         mei = MEIBatch(picture_index, layout.n_tiles)
-        items = parsed.items
-        if not items:
-            empty = PlanBuilder(
-                hdr.picture_type,
-                parsed.mb_width,
-                self.sequence.width,
-                self.sequence.height,
-                self.matrices,
-                hdr.dc_scaler,
-            )
-            plans = {
-                t.tid: TilePlan(
-                    picture_index, t.tid, hdr.picture_type, 0, 0, empty.build()
-                )
-                for t in layout
-            }
-            return PlanSplitResult(picture_index, plans, mei, hdr.picture_type)
+        check_staging(parsed, self.sequence.width, self.sequence.height)
 
-        tab = _PictureColumns(parsed)
-        if tab.stage_errors(self.sequence.width, self.sequence.height):
-            # Replay the scalar staging to raise the exact exception the
-            # reference path would (message depends on the offending MB).
-            probe = PlanBuilder(
-                hdr.picture_type,
-                parsed.mb_width,
-                self.sequence.width,
-                self.sequence.height,
-                self.matrices,
-                hdr.dc_scaler,
-            )
-            for mb in tab.mbs:
-                probe._stage(mb)
-            raise AssertionError("vectorized staging check disagreed with PlanBuilder")
+        mb_x, mb_y = c.address % parsed.mb_width, c.address // parsed.mb_width
+        # Per row and direction: is there a nonzero coded vector (the only
+        # kind that can need an exchange), and the luma / chroma reference
+        # rectangles it reads (garbage where there is none).
+        active = ~c.intra[:, None] & c.motion & c.mv.any(axis=2)
+        luma, chroma = reference_rects(mb_x[:, None], mb_y[:, None], c.mv)
 
-        cands = tab.mei_candidates()
         esc_items: List[np.ndarray] = []
         esc_tids: List[np.ndarray] = []
         plans: Dict[int, TilePlan] = {}
         for t in layout:
-            idx = tab.members(t)
+            idx = parsed.rows_in(t.rect)
             m = len(idx)
-            n_sk = int(tab.skipped[idx].sum())
+            n_sk = int(c.skipped[idx].sum())
             plans[t.tid] = TilePlan(
                 picture_index=picture_index,
                 tile=t.tid,
                 picture_type=hdr.picture_type,
                 n_coded=m - n_sk,
                 n_skipped=n_sk,
-                plan=self._tile_plan(parsed, tab, idx),
+                plan=assemble_plan(parsed, self.matrices, idx),
             )
             if m == 0:
                 continue
             cov = t.coverage
             ccov = Rect(cov.x0 // 2, cov.y0 // 2, cov.x1 // 2, cov.y1 // 2)
-            esc = np.zeros(m, bool)
-            for act, lrect, crect in cands:
-                a = act[idx]
-                if not a.any():
-                    continue
-                esc |= a & ~(
-                    _contained(lrect, idx, cov) & _contained(crect, idx, ccov)
-                )
+            local = _contained(luma, idx, cov) & _contained(chroma, idx, ccov)
+            esc = (active[idx] & ~local).any(axis=1)
             if esc.any():
                 esc_items.append(idx[esc])
                 esc_tids.append(np.full(int(esc.sum()), t.tid, np.int64))
@@ -426,113 +233,16 @@ class MacroblockSplitter:
         if esc_items:
             gi = np.concatenate(esc_items)
             gt = np.concatenate(esc_tids)
-            # Reference visit order: stream position major, tile id minor.
+            # visit order: stream position major, tile id minor
             for k in np.lexsort((gt, gi)):
                 i = int(gi[k])
-                self._add_exchanges(
-                    mei, items[i], int(gt[k]), int(tab.mbx[i]), int(tab.mby[i])
-                )
+                vectors = [
+                    (d, (int(c.mv[i, d, 0]), int(c.mv[i, d, 1])))
+                    for d in (FWD, BWD)
+                    if c.motion[i, d]
+                ]
+                self._exchange(mei, int(gt[k]), int(mb_x[i]), int(mb_y[i]), vectors)
 
-        return PlanSplitResult(
-            picture_index=picture_index,
-            plans=plans,
-            mei=mei,
-            picture_type=hdr.picture_type,
-        )
-
-    def _tile_plan(
-        self, parsed: ParsedPicture, tab: _PictureColumns, idx: np.ndarray
-    ) -> ReconstructionPlan:
-        """Assemble one tile's :class:`ReconstructionPlan` from the table.
-
-        Reproduces ``PlanBuilder.build`` exactly: residual rows are
-        assigned in stream order over the tile's members, while the
-        coefficient stack is partitioned intra-first (stream order within
-        each class, slots ascending within a macroblock).
-        """
-        hdr = parsed.header
-        t_intra = tab.intra[idx]
-        hb = tab.nblk[idx] > 0
-        res_vals = np.where(hb, np.cumsum(hb) - 1, -1)
-
-        def block_meta(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            sel = idx[mask]
-            c = tab.nblk[sel]
-            tot = int(c.sum())
-            if tot == 0:
-                z = np.zeros(0, np.int64)
-                return z, z, z
-            ends = np.cumsum(c)
-            offs = np.arange(tot, dtype=np.int64) - np.repeat(ends - c, c)
-            rows = np.repeat(tab.first_blk[sel], c) + offs
-            return rows, np.repeat(tab.qscale[sel], c), np.repeat(res_vals[mask], c)
-
-        rows_i, q_i, r_i = block_meta(t_intra & hb)
-        rows_n, q_n, r_n = block_meta(~t_intra & hb)
-        rows = np.concatenate([rows_i, rows_n])
-        return ReconstructionPlan(
-            picture_type=hdr.picture_type,
-            mb_width=parsed.mb_width,
-            matrices=self.matrices,
-            dc_scaler=hdr.dc_scaler,
-            scans=tab.scans[rows],
-            block_qscale=np.concatenate([q_i, q_n]),
-            block_res=np.concatenate([r_i, r_n]),
-            block_slot=tab.slots[rows],
-            n_intra_blocks=len(rows_i),
-            mb_x=tab.mbx[idx],
-            mb_y=tab.mby[idx],
-            mb_intra=t_intra,
-            mb_dir=tab.mb_dir[idx],
-            mb_mv=tab.mb_mv[idx],
-            mb_res_row=res_vals.astype(np.int64, copy=False),
-            n_res=int(hb.sum()),
-        )
-
-    def compile_plans_reference(
-        self, parsed: ParsedPicture, picture_index: int
-    ) -> PlanSplitResult:
-        """Scalar reference for :meth:`compile_plans` (differential tests).
-
-        The macroblock-at-a-time path the vectorized compiler must match
-        bit for bit — plans, counts, MEI programs, and exceptions.
-        """
-        layout = self.layout
-        hdr = parsed.header
-        builders = {
-            t.tid: PlanBuilder(
-                hdr.picture_type,
-                parsed.mb_width,
-                self.sequence.width,
-                self.sequence.height,
-                self.matrices,
-                hdr.dc_scaler,
-            )
-            for t in layout
-        }
-        counts = {t.tid: [0, 0] for t in layout}  # [coded, skipped]
-        mei = MEIBatch(picture_index, layout.n_tiles)
-
-        for item in parsed.items:
-            mb = item.mb
-            mb_x = mb.address % parsed.mb_width
-            mb_y = mb.address // parsed.mb_width
-            for t in layout.tiles_for_mb(mb_x, mb_y):
-                builders[t].add(mb)
-                counts[t][1 if mb.skipped else 0] += 1
-                self._add_exchanges(mei, item, t, mb_x, mb_y)
-
-        plans = {
-            t.tid: TilePlan(
-                picture_index=picture_index,
-                tile=t.tid,
-                picture_type=hdr.picture_type,
-                n_coded=counts[t.tid][0],
-                n_skipped=counts[t.tid][1],
-                plan=builders[t.tid].build(),
-            )
-            for t in layout
-        }
         return PlanSplitResult(
             picture_index=picture_index,
             plans=plans,
@@ -694,20 +404,26 @@ class MacroblockSplitter:
         mb = item.mb
         if mb.intra:
             return
+        vectors = []
+        if mb.motion_forward and mb.mv_fwd is not None:
+            vectors.append((FWD, mb.mv_fwd))
+        if mb.motion_backward and mb.mv_bwd is not None:
+            vectors.append((BWD, mb.mv_bwd))
+        # P "No MC" and P skips read the co-located macroblock, which is
+        # always inside this tile's coverage — no exchange needed.
+        self._exchange(mei, t, mb_x, mb_y, vectors)
+
+    def _exchange(
+        self, mei: MEIBatch, t: int, mb_x: int, mb_y: int, vectors: list
+    ) -> None:
+        """Add the transfers tile ``t`` needs for a non-intra macroblock's
+        coded ``(direction, vector)`` pairs."""
         layout = self.layout
         tile = layout.tile(t)
         cov = tile.coverage
         ccov = Rect(cov.x0 // 2, cov.y0 // 2, cov.x1 // 2, cov.y1 // 2)
 
-        directions = []
-        if mb.motion_forward and mb.mv_fwd is not None:
-            directions.append((FWD, mb.mv_fwd))
-        if mb.motion_backward and mb.mv_bwd is not None:
-            directions.append((BWD, mb.mv_bwd))
-        # P "No MC" and P skips read the co-located macroblock, which is
-        # always inside this tile's coverage — no exchange needed.
-
-        for direction, mv in directions:
+        for direction, mv in vectors:
             if mv == (0, 0):
                 continue  # co-located read, local by construction
             lrect = reference_rect(mb_x, mb_y, mv)

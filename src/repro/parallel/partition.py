@@ -501,19 +501,12 @@ def content_profile(parsed) -> Tuple[np.ndarray, np.ndarray]:
     they count as one bit so fully-skipped regions keep nonzero weight.
     """
     mbw, mbh = parsed.mb_width, parsed.mb_height
-    items = parsed.items
-    n = len(items)
-    if n == 0:
+    c = parsed.columns
+    if len(c) == 0:
         return np.zeros(mbw), np.zeros(mbh)
-    addr = np.fromiter((it.mb.address for it in items), np.int64, n)
-    bits = np.fromiter(
-        (
-            1 if it.mb.skipped else max(it.mb.bit_end - it.mb.bit_start, 1)
-            for it in items
-        ),
-        np.int64,
-        n,
-    )
+    addr = c.address
+    # a skipped row's extents are both -1, so it too counts as one bit
+    bits = np.maximum(c.bit_end - c.bit_start, 1)
     cols = np.bincount(addr % mbw, weights=bits, minlength=mbw)[:mbw]
     rows = np.bincount(addr // mbw, weights=bits, minlength=mbh)[:mbh]
     return cols.astype(float), rows.astype(float)

@@ -150,7 +150,7 @@ class PacedStreamDecoder:
                 self._broken = True
             return StepResult(index=i, ptype=ptype, decoded=False, forced=forced)
 
-        parsed = self.parser.parse_picture(self.pictures[i].data)
+        parsed = self.parser.parse_picture(self.pictures[i].data, lean=True)
         if ptype == PictureType.B:
             frame = reconstruct_picture(
                 parsed,

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import PlanBuilder, execute_plan
+from repro.mpeg2.batch_reconstruct import execute_plan, plan_from_columns
 from repro.mpeg2.constants import MB_SIZE, PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.motion import Rect, mb_rect
@@ -87,23 +87,9 @@ def reconstruct_rect(
         raise ValueError("B-picture without two references")
     out = Frame.blank(sequence.width, sequence.height)
     matrices = matrices or QuantMatrices.from_sequence(sequence)
-    builder = PlanBuilder(
-        ptype,
-        parsed.mb_width,
-        sequence.width,
-        sequence.height,
-        matrices,
-        parsed.header.dc_scaler,
+    plan = plan_from_columns(
+        parsed, sequence.width, sequence.height, matrices, parsed.rows_in(rect)
     )
-    mbx0 = rect.x0 // MB_SIZE
-    mby0 = rect.y0 // MB_SIZE
-    mbx1 = -(-rect.x1 // MB_SIZE)
-    mby1 = -(-rect.y1 // MB_SIZE)
-    for item in parsed.items:
-        mb_x, mb_y = item.mb.mb_xy(parsed.mb_width)
-        if mbx0 <= mb_x < mbx1 and mby0 <= mb_y < mby1:
-            builder.add(item.mb)
-    plan = builder.build()
     execute_plan(plan, out, fwd, bwd)
     return out
 
@@ -266,7 +252,7 @@ class WallReceiver:
         rect = expand_rect(
             tile.coverage, pic.margin_px, self.sequence.width, self.sequence.height
         )
-        parsed = self.parser.parse_picture(pic.data)
+        parsed = self.parser.parse_picture(pic.data, lean=True)
         if pic.ptype == PictureType.B:
             frame = reconstruct_rect(
                 parsed, self.sequence, self._prev_anchor, self._held, rect,

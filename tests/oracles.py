@@ -1,0 +1,188 @@
+"""Differential oracles: the macroblock-at-a-time paths the runtime left.
+
+The runtime parses every full picture with the fused columnar parser
+(``fast_vlc.parse_slice_columns``) and builds plans from its columns with
+numpy.  The paths below are what those replaced, kept here — out of
+``src/`` — as the references the differential tests compare against:
+
+- :func:`object_parse_picture`: the slice loop over
+  :func:`repro.mpeg2.macroblock.parse_macroblock_body` (which the tile
+  decoders still run on sub-picture payloads), one ``Macroblock`` +
+  ``ParsedMB`` per macroblock and a ``CodingState.snapshot()`` each unless
+  ``lean``;
+- :func:`compile_plans_reference`: per-tile :class:`PlanBuilder` staging
+  and scalar MEI pre-calculation, a macroblock at a time.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import List
+
+from repro.bitstream import BitReader, BitstreamError
+from repro.mpeg2 import fast_vlc, vlc
+from repro.mpeg2.batch_reconstruct import PlanBuilder, ReconstructionPlan
+from repro.mpeg2.constants import PICTURE_START_CODE, is_slice_start_code
+from repro.mpeg2.macroblock import CodingState, make_skipped, parse_macroblock_body
+from repro.mpeg2.parser import MacroblockParser, ParsedMB
+from repro.mpeg2.plan_codec import TilePlan
+from repro.mpeg2.structures import PictureHeader
+from repro.parallel.mb_splitter import MacroblockSplitter, PlanSplitResult
+from repro.parallel.mei import MEIBatch
+
+# A macroblock never starts with 23 zero bits, while the zero padding +
+# start-code prefix that ends a slice always provides them.
+_EOS_BITS = 23
+
+
+@dataclass
+class ObjectParsedPicture:
+    """What ``parse_picture`` returned before the columns: a list of objects."""
+
+    header: PictureHeader
+    data: bytes
+    mb_width: int
+    mb_height: int
+    items: List[ParsedMB] = field(default_factory=list)  # stream order
+    n_skipped: int = 0
+
+    @property
+    def n_coded(self) -> int:
+        return len(self.items) - self.n_skipped
+
+
+def object_parse_picture(
+    parser: MacroblockParser, data: bytes, lean: bool = False
+) -> ObjectParsedPicture:
+    """VLC-parse one coded picture into per-macroblock objects."""
+    br = BitReader(data)
+    if br.next_start_code() != PICTURE_START_CODE:
+        raise BitstreamError("picture unit does not start with picture code")
+    header = PictureHeader.parse(br)
+    parsed = ObjectParsedPicture(header, data, parser.mb_width, parser.mb_height)
+    slice_index = 0
+    while True:
+        code = br.peek_start_code()
+        if code is None or not is_slice_start_code(code):
+            return parsed
+        br.next_start_code()
+        _parse_slice(parser, br, code - 1, parsed, slice_index, lean)
+        slice_index += 1
+
+
+def _parse_slice(parser, br, row, parsed, slice_index, lean) -> None:
+    if row >= parser.mb_height:
+        raise BitstreamError(f"slice row {row} beyond picture height")
+    qcode = br.read(5)
+    if qcode == 0:
+        raise BitstreamError("slice quantiser_scale_code of zero")
+    if br.read(1):
+        raise BitstreamError("extra_information_slice unsupported")
+    state = CodingState(picture=parsed.header, qscale_code=qcode)
+    prev_addr = row * parser.mb_width - 1
+    first_in_slice = True
+    decode_increment = (
+        fast_vlc.decode_address_increment
+        if fast_vlc.ENABLED
+        else vlc.decode_address_increment
+    )
+    while br.bits_left() > 0 and br.peek(_EOS_BITS) != 0:
+        bit_start = br.pos
+        increment = decode_increment(br)
+        address = prev_addr + increment
+        if address >= (row + 1) * parser.mb_width:
+            raise BitstreamError("macroblock address beyond slice row")
+        # Skipped macroblocks covered by the increment mutate the predictor
+        # state *before* the coded macroblock's body parse (§7.6.3.4).  The
+        # first increment of a slice only positions it in the row (§6.3.16).
+        skip_from = address if first_in_slice else prev_addr + 1
+        first_in_slice = False
+        for skip_addr in range(skip_from, address):
+            snap = None if lean else state.snapshot()
+            parsed.items.append(
+                ParsedMB(make_skipped(skip_addr, state), snap, row, slice_index)
+            )
+            parsed.n_skipped += 1
+        snap = None if lean else state.snapshot()
+        mb = parse_macroblock_body(br, state)
+        mb.bit_start = bit_start
+        mb.address = address
+        parsed.items.append(ParsedMB(mb, snap, row, slice_index))
+        prev_addr = address
+
+
+def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan:
+    """:class:`PlanBuilder` over the items of ``parsed`` (or ``members``)."""
+    builder = PlanBuilder(
+        parsed.header.picture_type,
+        parsed.mb_width,
+        sequence.width,
+        sequence.height,
+        matrices,
+        parsed.header.dc_scaler,
+    )
+    for item in parsed.items if members is None else members:
+        builder.add(item.mb)
+    return builder.build()
+
+
+def compile_plans_reference(
+    splitter: MacroblockSplitter, parsed, picture_index: int
+) -> PlanSplitResult:
+    """Scalar reference for :meth:`MacroblockSplitter.compile_plans`.
+
+    The macroblock-at-a-time path the columnar compiler must match bit for
+    bit — plans, counts, MEI programs, and exceptions.  ``parsed`` only
+    needs ``items`` (a :class:`ParsedPicture`'s view or the object
+    parser's list).
+    """
+    layout = splitter.layout
+    hdr = parsed.header
+    builders = {
+        t.tid: PlanBuilder(
+            hdr.picture_type,
+            parsed.mb_width,
+            splitter.sequence.width,
+            splitter.sequence.height,
+            splitter.matrices,
+            hdr.dc_scaler,
+        )
+        for t in layout
+    }
+    counts = {t.tid: [0, 0] for t in layout}  # [coded, skipped]
+    mei = MEIBatch(picture_index, layout.n_tiles)
+
+    for item in parsed.items:
+        mb = item.mb
+        mb_x = mb.address % parsed.mb_width
+        mb_y = mb.address // parsed.mb_width
+        for t in layout.tiles_for_mb(mb_x, mb_y):
+            builders[t].add(mb)
+            counts[t][1 if mb.skipped else 0] += 1
+            splitter._add_exchanges(mei, item, t, mb_x, mb_y)
+
+    plans = {
+        t.tid: TilePlan(
+            picture_index=picture_index,
+            tile=t.tid,
+            picture_type=hdr.picture_type,
+            n_coded=counts[t.tid][0],
+            n_skipped=counts[t.tid][1],
+            plan=builders[t.tid].build(),
+        )
+        for t in layout
+    }
+    return PlanSplitResult(
+        picture_index=picture_index,
+        plans=plans,
+        mei=mei,
+        picture_type=hdr.picture_type,
+    )
+
+
+__all__ = [
+    "ObjectParsedPicture",
+    "builder_plan",
+    "compile_plans_reference",
+    "object_parse_picture",
+]

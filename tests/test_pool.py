@@ -24,6 +24,7 @@ from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
+from tests.oracles import compile_plans_reference, object_parse_picture
 
 
 @pytest.fixture
@@ -206,8 +207,8 @@ class TestPlanByHandle:
         ).encode(clip)
         _, pictures = PictureScanner(stream).scan()
         for i, unit in enumerate(pictures):
-            parsed = splitter.parser.parse_picture(unit.data)
-            ref = splitter.compile_plans_reference(parsed, i)
+            parsed = object_parse_picture(splitter.parser, unit.data)
+            ref = compile_plans_reference(splitter, parsed, i)
             vec = results[i]
             assert ref.mei._seen == vec.mei._seen
             for tid in range(layout.n_tiles):
@@ -234,11 +235,12 @@ class TestPlanByHandle:
         _, pictures = PictureScanner(stream).scan()
         # pictures[1] is a P picture in this GOP structure; corrupt one MV
         parsed = splitter.parser.parse_picture(pictures[1].data)
-        victim = next(it.mb for it in parsed.items if not it.mb.intra)
-        victim.motion_forward = True
-        victim.mv_fwd = (10_000, 0)
+        c = parsed.columns
+        victim = int(np.flatnonzero(~c.intra)[0])
+        c.motion[victim, 0] = True
+        c.mv[victim, 0] = (10_000, 0)
         with pytest.raises(ValueError, match="outside plane") as vec_err:
             splitter.compile_plans(parsed, 1)
         with pytest.raises(ValueError, match="outside plane") as ref_err:
-            splitter.compile_plans_reference(parsed, 1)
+            compile_plans_reference(splitter, parsed, 1)
         assert str(vec_err.value) == str(ref_err.value)
