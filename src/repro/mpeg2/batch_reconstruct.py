@@ -12,9 +12,16 @@ compensated predictions with array-level gathers grouped by half-pel
 fraction, and scatters finished macroblock tiles into the frame planes with
 slice assignments.
 
-Every arithmetic step reproduces the reference path operation for
-operation (same dtypes, same rounding, same clip order), so the output is
-bit-identical — the property the golden and hypothesis tests assert.
+Coefficients stay *sparse* from the parser to the IDCT input: a plan holds
+only the nonzero levels (scan position + level per entry, an entry count
+per block — about four per coded block on ordinary streams, not 64), the
+dequantiser runs over those entries alone, and the first dense array is
+the zeroed ``float64`` stack they are scattered into for the IDCT.
+
+Every arithmetic step gives the reference path's value (the same integer
+operations, in narrower types where the ranges are bounded; same rounding,
+same clip order), so the output is bit-identical — the property the golden
+and hypothesis tests assert.
 
 Entropy decoding itself stays serial: VLC parsing is inherently sequential
 (each codeword's position depends on the previous one), which is exactly
@@ -28,19 +35,24 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.mpeg2 import dct
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.reconstruct import DEFAULT_MATRICES, QuantMatrices
-from repro.mpeg2.tables import QUANTISER_SCALE
+from repro.mpeg2.tables import QUANTISER_SCALE, RASTER_OF_SCAN
 
 if TYPE_CHECKING:
     from repro.mpeg2.parser import ParsedPicture
 
 # Prediction direction indices within plan arrays.
 _FWD, _BWD = 0, 1
+
+# quantiser_scale_code -> quantiser scale, in the plans' dtype
+_QSCALE_OF_CODE = QUANTISER_SCALE.astype(np.int64)
+_LEVEL_MIN, _LEVEL_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
 
 
 @dataclass
@@ -49,12 +61,20 @@ class ReconstructionPlan:
 
     Block-level arrays (length ``n_blocks``, one entry per *coded* block).
     Blocks are ordered with the ``n_intra_blocks`` intra blocks first so the
-    two dequantizers each run over a contiguous slice of the stack:
+    two dequantizers each run over a contiguous run of coefficients:
 
-    - ``scans``: ``(n_blocks, 64)`` int32 scan-order levels;
+    - ``block_ncoef``: uint8, the coefficient entries the block owns (0-64);
     - ``block_qscale``: quantiser scale (already mapped from the code);
     - ``block_res``: row in the compacted residual stack;
     - ``block_slot``: 0-5 (Y0..Y3, Cb, Cr).
+
+    Coefficient-level arrays (length ``n_coefs``), block after block in
+    block order — only the levels the stream coded, never the zeros
+    between them (an entry may still be zero: an intra block's DC always
+    has one):
+
+    - ``coef_scan``: uint8 scan position (0-63);
+    - ``coef_level``: int16 level (see :func:`narrow_levels`).
 
     Macroblock-level arrays (length ``n_macroblocks``):
 
@@ -71,7 +91,9 @@ class ReconstructionPlan:
     mb_width: int
     matrices: QuantMatrices
     dc_scaler: int
-    scans: np.ndarray
+    block_ncoef: np.ndarray
+    coef_scan: np.ndarray
+    coef_level: np.ndarray
     block_qscale: np.ndarray
     block_res: np.ndarray
     block_slot: np.ndarray
@@ -90,7 +112,26 @@ class ReconstructionPlan:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.scans)
+        return len(self.block_ncoef)
+
+    @property
+    def n_coefs(self) -> int:
+        return len(self.coef_level)
+
+
+def narrow_levels(level: np.ndarray) -> np.ndarray:
+    """Levels as the plans' int16, saturating.
+
+    Every level a valid stream codes fits (12-bit escapes, 11-bit DC).  A
+    damaged one can run an intra DC predictor past int16; clamping it is
+    exact where wrapping would not be, because a level at the int16 limits
+    already reconstructs to the 12-bit limit it is clipped to, for every
+    weight, quantiser scale and ``dc_scaler`` >= 1 (the smallest products:
+    ``32767 * 1 * 1 // 16`` and ``(2 * 32767 + 1) * 1 * 1 // 32`` are both
+    2047, ``-32768 // 16`` is -2048), and to zero under a zero weight
+    either way.
+    """
+    return np.clip(level, _LEVEL_MIN, _LEVEL_MAX).astype(np.int16)
 
 
 def validate_mv(
@@ -199,8 +240,6 @@ class PlanBuilder:
     def build(self) -> ReconstructionPlan:
         staged = self._staged
         m = len(staged)
-        if m == 0:
-            return self._empty_plan()
         mbs = [s[0] for s in staged]
         mb_x = np.fromiter((s[1] for s in staged), dtype=np.int64, count=m)
         mb_y = np.fromiter((s[2] for s in staged), dtype=np.int64, count=m)
@@ -220,7 +259,7 @@ class PlanBuilder:
         meta_n: List[Tuple[int, int, int]] = []
         res_row = [-1] * m
         n_res = 0
-        qs_table = QUANTISER_SCALE
+        qs_table = _QSCALE_OF_CODE
         for i, mb in enumerate(mbs):
             if not (mb.intra or mb.pattern):
                 continue
@@ -244,27 +283,22 @@ class PlanBuilder:
 
         n_intra = len(scans_i)
         n_blocks = n_intra + len(scans_n)
-        if n_blocks:
-            scan_arr = np.stack(scans_i + scans_n).astype(np.int32, copy=False)
-            meta_arr = np.array(meta_i + meta_n, dtype=np.int64)
-            block_qscale = meta_arr[:, 0]
-            block_res = meta_arr[:, 1]
-            block_slot = meta_arr[:, 2]
-        else:
-            scan_arr = np.zeros((0, 64), dtype=np.int32)
-            block_qscale = np.zeros(0, dtype=np.int64)
-            block_res = np.zeros(0, dtype=np.int64)
-            block_slot = np.zeros(0, dtype=np.int64)
+        # dense 64-entry blocks in, their nonzero entries out
+        scan_arr = np.stack(scans_i + scans_n) if n_blocks else np.zeros((0, 64), np.int32)
+        block, coef_scan = np.nonzero(scan_arr)
+        meta_arr = np.array(meta_i + meta_n, dtype=np.int64).reshape(n_blocks, 3)
 
         return ReconstructionPlan(
             picture_type=self.picture_type,
             mb_width=self.mb_width,
             matrices=self.matrices,
             dc_scaler=self.dc_scaler,
-            scans=scan_arr,
-            block_qscale=block_qscale,
-            block_res=block_res,
-            block_slot=block_slot,
+            block_ncoef=np.bincount(block, minlength=n_blocks).astype(np.uint8),
+            coef_scan=coef_scan.astype(np.uint8),
+            coef_level=narrow_levels(scan_arr[block, coef_scan]),
+            block_qscale=meta_arr[:, 0],
+            block_res=meta_arr[:, 1],
+            block_slot=meta_arr[:, 2],
             n_intra_blocks=n_intra,
             mb_x=mb_x,
             mb_y=mb_y,
@@ -273,26 +307,6 @@ class PlanBuilder:
             mb_mv=mb_mv,
             mb_res_row=np.asarray(res_row, dtype=np.int64),
             n_res=n_res,
-        )
-
-    def _empty_plan(self) -> ReconstructionPlan:
-        return ReconstructionPlan(
-            picture_type=self.picture_type,
-            mb_width=self.mb_width,
-            matrices=self.matrices,
-            dc_scaler=self.dc_scaler,
-            scans=np.zeros((0, 64), dtype=np.int32),
-            block_qscale=np.zeros(0, dtype=np.int64),
-            block_res=np.zeros(0, dtype=np.int64),
-            block_slot=np.zeros(0, dtype=np.int64),
-            n_intra_blocks=0,
-            mb_x=np.zeros(0, dtype=np.int64),
-            mb_y=np.zeros(0, dtype=np.int64),
-            mb_intra=np.zeros(0, dtype=bool),
-            mb_dir=np.zeros((0, 2), dtype=bool),
-            mb_mv=np.zeros((0, 2, 2), dtype=np.int64),
-            mb_res_row=np.zeros(0, dtype=np.int64),
-            n_res=0,
         )
 
 
@@ -320,20 +334,18 @@ def reference_rects(mb_x: np.ndarray, mb_y: np.ndarray, mv: np.ndarray) -> Tuple
     return luma, (x0, y0, x0 + 8 + (x & 1), y0 + 8 + (y & 1))
 
 
-def check_staging(
-    parsed: "ParsedPicture",
+def _check_vectors(
+    mb_x: np.ndarray,
+    mb_y: np.ndarray,
+    intra: np.ndarray,
+    mb_dir: np.ndarray,
+    mb_mv: np.ndarray,
     frame_width: int,
     frame_height: int,
-    idx: Optional[np.ndarray] = None,
 ) -> None:
-    """Raise what :class:`PlanBuilder` would for the first macroblock (of
-    rows ``idx``, default all) it refuses: no prediction direction at all,
-    or a vector that reads outside the reference planes."""
-    c = parsed.columns
-    mb_dir, mb_mv, address, intra = parsed.mb_dir, c.mv, c.address, c.intra
-    if idx is not None:
-        mb_dir, mb_mv, address, intra = mb_dir[idx], mb_mv[idx], address[idx], intra[idx]
-    mb_x, mb_y = address % parsed.mb_width, address // parsed.mb_width
+    """Raise what :class:`PlanBuilder` would for the first macroblock it
+    refuses: no prediction direction at all, or a vector that reads
+    outside the reference planes."""
     bad = ~intra & ~mb_dir.any(axis=1)
     # The zero vector is always in bounds, and by far the most common.
     moving = mb_dir & mb_mv.any(axis=2)
@@ -358,6 +370,40 @@ def check_staging(
     raise AssertionError("vectorized staging check disagreed with validate_mv")
 
 
+def check_staging(
+    parsed: "ParsedPicture",
+    frame_width: int,
+    frame_height: int,
+    idx: Optional[np.ndarray] = None,
+) -> None:
+    """:func:`_check_vectors` over rows ``idx`` (default all) of a parsed
+    picture's columns, before they become a plan."""
+    c = parsed.columns
+    mb_dir, mb_mv, address, intra = parsed.mb_dir, c.mv, c.address, c.intra
+    if idx is not None:
+        mb_dir, mb_mv, address, intra = mb_dir[idx], mb_mv[idx], address[idx], intra[idx]
+    mb_x, mb_y = address % parsed.mb_width, address // parsed.mb_width
+    _check_vectors(mb_x, mb_y, intra, mb_dir, mb_mv, frame_width, frame_height)
+
+
+def check_plan(plan: ReconstructionPlan, frame_width: int, frame_height: int) -> None:
+    """Hold a plan that arrived from elsewhere (``plan_codec.decode_plan``)
+    to the raster it is about to be executed on: every macroblock lands
+    inside it and every vector reads inside it, or ``ValueError``.  The
+    wire record carries no raster, so this is the consumer's half of the
+    bounds checks."""
+    mb_w, mb_h = frame_width // 16, frame_height // 16
+    if plan.mb_width != mb_w:
+        raise ValueError(f"plan.mb_width {plan.mb_width}, raster has {mb_w}")
+    for name, arr, high in (("mb_x", plan.mb_x, mb_w), ("mb_y", plan.mb_y, mb_h)):
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= high):
+            raise ValueError(f"plan.{name} outside [0, {high})")
+    _check_vectors(
+        plan.mb_x, plan.mb_y, plan.mb_intra, plan.mb_dir, plan.mb_mv,
+        frame_width, frame_height,
+    )
+
+
 def assemble_plan(
     parsed: "ParsedPicture",
     matrices: QuantMatrices,
@@ -367,10 +413,10 @@ def assemble_plan(
     from rows ``idx`` (ascending stream-order indices, default all) of
     ``parsed.columns``, with numpy only and no validation.
 
-    Residual rows are assigned in stream order; the coefficient stack is
-    partitioned intra-first (stream order within each class, slots
-    ascending within a macroblock), so it is a gather from the picture's
-    ``scans``.
+    Residual rows are assigned in stream order; blocks are partitioned
+    intra-first (stream order within each class, slots ascending within a
+    macroblock), and the picture's sparse coefficient columns are
+    renumbered into that block order — a gather of the nonzero entries.
     """
     c = parsed.columns
     hdr = parsed.header
@@ -381,7 +427,7 @@ def assemble_plan(
         n_blocks, first_block, qcode = n_blocks[idx], first_block[idx], qcode[idx]
     has_blocks = n_blocks > 0
     res_row = np.where(has_blocks, np.cumsum(has_blocks) - 1, -1)
-    qscale = QUANTISER_SCALE.astype(np.int64)[qcode]
+    qscale = _QSCALE_OF_CODE[qcode]
 
     def blocks_of(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         count = n_blocks[mask]
@@ -397,12 +443,21 @@ def assemble_plan(
     rows_i, q_i, r_i = blocks_of(intra & has_blocks)
     rows_n, q_n, r_n = blocks_of(~intra & has_blocks)
     rows = np.concatenate([rows_i, rows_n])
+    # Block ``rows[j]``'s entries sit at ``first[j] : first[j] + ncoef[j]``
+    # of the picture's coefficient columns; lay them end to end.
+    ncoef = c.block_ncoef[rows]
+    ends = np.cumsum(ncoef)
+    first = (np.cumsum(c.block_ncoef) - c.block_ncoef)[rows]
+    src = np.repeat(first - (ends - ncoef), ncoef)
+    src += np.arange(len(src), dtype=np.int64)
     return ReconstructionPlan(
         picture_type=hdr.picture_type,
         mb_width=parsed.mb_width,
         matrices=matrices,
         dc_scaler=hdr.dc_scaler,
-        scans=c.scans[rows],
+        block_ncoef=ncoef.astype(np.uint8),
+        coef_scan=(c.coef_pos[src] & 63).astype(np.uint8),
+        coef_level=narrow_levels(c.coef_level[src]),
         block_qscale=np.concatenate([q_i, q_n]),
         block_res=np.concatenate([r_i, r_n]),
         block_slot=c.block_slot[rows],
@@ -445,28 +500,37 @@ def _tiled_view(plane: np.ndarray, size: int) -> np.ndarray:
 def _residual_stacks(plan: ReconstructionPlan) -> np.ndarray:
     """Dequantize + IDCT every coded block; scatter to ``(n_res, 6, 8, 8)``.
 
-    One dequantize per quantizer class and one ``idctn`` over the entire
-    stack — this is the kernel batching the module exists for.  Uncoded
-    blocks stay exactly zero, matching the reference path's zero scans.
+    One dequantize per quantizer class over the coded entries only, one
+    scatter of them into the zeroed raster-order IDCT input, one ``idctn``
+    over the entire stack and one rounding of its output — this is the
+    kernel batching the module exists for.  The result is the *rounded*
+    residual, int16: both dequantisers saturate to 12 bits, and the
+    orthonormal 8x8 IDCT of 64 such coefficients stays below 2**15 in
+    magnitude (its absolute basis sum is 2.642**2 = 6.98 per sample, so at
+    most 2048 * 6.98 = 14 294).  Uncoded blocks stay exactly zero, matching
+    the reference path's zero scans.
     """
-    res6 = np.zeros((plan.n_res, 6, 8, 8), dtype=np.float64)
-    if plan.n_blocks == 0:
+    res6 = np.zeros((plan.n_res, 6, 8, 8), dtype=np.int16)
+    n_blocks = plan.n_blocks
+    if n_blocks == 0:
         return res6
-    blocks = dct.scan_to_block(plan.scans)
+    ncoef, scan, level = plan.block_ncoef, plan.coef_scan, plan.coef_level
+    qscale = np.repeat(plan.block_qscale, ncoef)
     # Blocks were laid out intra-first at build time, so both dequantizers
-    # run over plain slices and write straight into the float IDCT input.
-    coeffs = np.empty((plan.n_blocks, 8, 8), dtype=np.float64)
-    k = plan.n_intra_blocks
-    if k:
-        coeffs[:k] = dct.dequantize_intra(
-            blocks[:k], plan.block_qscale[:k], plan.matrices.intra, plan.dc_scaler
-        )
-    if k < plan.n_blocks:
-        coeffs[k:] = dct.dequantize_non_intra(
-            blocks[k:], plan.block_qscale[k:], plan.matrices.non_intra
-        )
+    # run over plain slices of the entries.
+    k = int(ncoef[: plan.n_intra_blocks].sum())
+    coeffs = np.zeros((n_blocks, 8, 8), dtype=np.float64)
+    dest = np.repeat(np.arange(0, 64 * n_blocks, 64), ncoef)
+    dest += RASTER_OF_SCAN[scan]
+    flat = coeffs.reshape(-1)
+    flat[dest[:k]] = dct.dequantize_intra_sparse(
+        level[:k], scan[:k], qscale[:k], plan.matrices.intra_scan, plan.dc_scaler
+    )
+    flat[dest[k:]] = dct.dequantize_non_intra_sparse(
+        level[k:], scan[k:], qscale[k:], plan.matrices.non_intra_scan
+    )
     res = dct.idct(coeffs)
-    res6[plan.block_res, plan.block_slot] = res
+    res6[plan.block_res, plan.block_slot] = np.rint(res, out=res)
     return res6
 
 
@@ -491,9 +555,10 @@ def _predict_plane_batch(
 ) -> np.ndarray:
     """Batched half-pel prediction: ``(K, size, size)`` int32 samples.
 
-    Groups requests by their half-pel fraction pair so each group is a pure
-    fancy-indexed gather followed by one vectorized interpolation — the same
-    arithmetic as :func:`repro.mpeg2.motion.predict_plane`, over a stack.
+    Groups requests by their half-pel fraction pair so each group is one
+    gather of whole ``(size + fy, size + fx)`` reference windows followed by
+    one vectorized interpolation — the same arithmetic as
+    :func:`repro.mpeg2.motion.predict_plane`, over a stack.
     Bounds were validated at plan time.
     """
     k = len(base_x)
@@ -506,9 +571,8 @@ def _predict_plane_batch(
             sel = (fx == gfx) & (fy == gfy)
             if not sel.any():
                 continue
-            rows = y0[sel][:, None] + np.arange(size + gfy)
-            cols = x0[sel][:, None] + np.arange(size + gfx)
-            region = plane[rows[:, :, None], cols[:, None, :]].astype(np.int32)
+            windows = sliding_window_view(plane, (size + gfy, size + gfx))
+            region = windows[y0[sel], x0[sel]].astype(np.int32)
             if not gfx and not gfy:
                 out[sel] = region
             elif gfx and not gfy:
@@ -581,9 +645,9 @@ def execute_plan(
         ty = _gather_residual(res_y, rows, (16, 16))
         tcb = _gather_residual(res_cb, rows, (8, 8))
         tcr = _gather_residual(res_cr, rows, (8, 8))
-        vy[iy, ix] = np.clip(np.rint(ty), 0, 255).astype(np.uint8)
-        vcb[iy, ix] = np.clip(np.rint(tcb), 0, 255).astype(np.uint8)
-        vcr[iy, ix] = np.clip(np.rint(tcr), 0, 255).astype(np.uint8)
+        vy[iy, ix] = np.clip(ty, 0, 255).astype(np.uint8)
+        vcb[iy, ix] = np.clip(tcb, 0, 255).astype(np.uint8)
+        vcr[iy, ix] = np.clip(tcr, 0, 255).astype(np.uint8)
 
     inter_idx = np.flatnonzero(~plan.mb_intra)
     if not len(inter_idx):
@@ -629,17 +693,11 @@ def execute_plan(
     cb8 = np.empty((m, 8, 8), dtype=np.uint8)
     cr8 = np.empty((m, 8, 8), dtype=np.uint8)
     if hasres.any():
-        # Residual add + clip, exactly as the per-MB path: int64 sum -> clip.
+        # Residual add + clip, as the per-MB path: integer sum -> clip.
         rr = rows[hasres]
-        y8[hasres] = np.clip(
-            py[hasres] + np.rint(res_y[rr]).astype(np.int64), 0, 255
-        ).astype(np.uint8)
-        cb8[hasres] = np.clip(
-            pcb[hasres] + np.rint(res_cb[rr]).astype(np.int64), 0, 255
-        ).astype(np.uint8)
-        cr8[hasres] = np.clip(
-            pcr[hasres] + np.rint(res_cr[rr]).astype(np.int64), 0, 255
-        ).astype(np.uint8)
+        y8[hasres] = np.clip(py[hasres] + res_y[rr], 0, 255).astype(np.uint8)
+        cb8[hasres] = np.clip(pcb[hasres] + res_cb[rr], 0, 255).astype(np.uint8)
+        cr8[hasres] = np.clip(pcr[hasres] + res_cr[rr], 0, 255).astype(np.uint8)
     nores = ~hasres
     if nores.any():
         # Pure predictions are averages of uint8 samples, already in

@@ -133,6 +133,44 @@ def dequantize_non_intra(
     return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
 
 
+def dequantize_intra_sparse(
+    level: np.ndarray,
+    scan: np.ndarray,
+    qscale: np.ndarray,
+    weight_scan: np.ndarray,
+    dc_scaler: int = 8,
+) -> np.ndarray:
+    """:func:`dequantize_intra` over the coded entries alone.
+
+    ``level[i]`` sits at scan position ``scan[i]`` of a block whose
+    quantiser scale is ``qscale[i]``; ``weight_scan`` is the matrix as 64
+    int64 weights in scan order.  Same integer operations entry for entry,
+    and a zero level reconstructs to zero, so scattering the result over
+    zeros equals the dense call.
+    """
+    q = np.asarray(level, dtype=np.int64)
+    f = q * weight_scan[scan]
+    f *= qscale
+    f //= 16
+    dc = scan == 0
+    f[dc] = q[dc] * dc_scaler
+    return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
+
+
+def dequantize_non_intra_sparse(
+    level: np.ndarray, scan: np.ndarray, qscale: np.ndarray, weight_scan: np.ndarray
+) -> np.ndarray:
+    """:func:`dequantize_non_intra` over the coded entries alone (see
+    :func:`dequantize_intra_sparse`)."""
+    q = np.asarray(level, dtype=np.int64)
+    f = 2 * q
+    f += np.sign(q)
+    f *= weight_scan[scan]
+    f *= qscale
+    f //= 32
+    return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
+
+
 # ---------------------------------------------------------------------- #
 # scan ordering / run-level conversion
 # ---------------------------------------------------------------------- #

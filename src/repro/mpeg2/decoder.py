@@ -83,6 +83,7 @@ class Decoder:
                 raise ValueError("cannot seek into an open GOP")
             pictures = pictures[starts[start_gop] :]
         parser = MacroblockParser(sequence)
+        matrices = QuantMatrices.from_sequence(sequence)
         self.stats = DecodeStats()
         self.stage_times = StageTimes()
         timers = self.stage_times
@@ -101,7 +102,7 @@ class Decoder:
             if parsed.header.picture_type == PictureType.B:
                 frame = reconstruct_picture(
                     parsed, sequence, prev_anchor, held,
-                    batch=self.batch_reconstruct, timers=timers,
+                    batch=self.batch_reconstruct, timers=timers, matrices=matrices,
                 )
                 yield frame
             else:
@@ -113,6 +114,7 @@ class Decoder:
                     None,
                     batch=self.batch_reconstruct,
                     timers=timers,
+                    matrices=matrices,
                 )
                 if held is not None:
                     yield held
@@ -129,12 +131,15 @@ def reconstruct_picture(
     bwd: Optional[Frame],
     batch: bool = True,
     timers: Optional[StageTimes] = None,
+    matrices: Optional[QuantMatrices] = None,
 ) -> Frame:
     """Reconstruct every macroblock of a parsed picture into a new frame.
 
     ``batch=True`` runs the two-phase batched engine
     (:mod:`repro.mpeg2.batch_reconstruct`); ``batch=False`` runs the
     per-macroblock reference path.  Both produce bit-identical frames.
+    ``matrices`` is ``QuantMatrices.from_sequence(sequence)``, for a caller
+    that decodes many pictures to build once.
     """
     ptype = parsed.header.picture_type
     if ptype == PictureType.P and fwd is None:
@@ -142,7 +147,7 @@ def reconstruct_picture(
     if ptype == PictureType.B and (fwd is None or bwd is None):
         raise ValueError("B-picture without two references")
     out = Frame.blank(sequence.width, sequence.height)
-    matrices = QuantMatrices.from_sequence(sequence)
+    matrices = matrices or QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
     if batch:
         with timers.stage("plan"):

@@ -194,11 +194,20 @@ class PictureColumns:
         return len(self.address)
 
     @cached_property
+    def block_ncoef(self) -> np.ndarray:
+        """``(total blocks,)`` int64: the nonzero-level entries each block
+        owns.  ``coef_pos`` ascends (blocks in stream order, positions
+        ascending within a block), so block ``b``'s entries are the
+        ``block_ncoef[b]`` ending at ``cumsum(block_ncoef)[b]``."""
+        return np.bincount(self.coef_pos >> 6, minlength=len(self.block_slot))
+
+    @cached_property
     def scans(self) -> np.ndarray:
         """``(total blocks, 64)`` int32 scan-order levels: one scatter.
 
-        Read-only: every plan gathers from it and every :class:`Macroblock`
-        of the ``items`` view holds rows of it as its blocks.
+        The dense form, for the ``items`` compatibility view only (plans
+        carry the sparse columns): every :class:`Macroblock` of that view
+        holds read-only rows of it as its blocks.
         """
         scans = np.zeros((len(self.block_slot), 64), dtype=np.int32)
         scans.reshape(-1)[self.coef_pos] = self.coef_level

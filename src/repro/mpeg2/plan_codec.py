@@ -20,6 +20,7 @@ See DESIGN.md §9 for the byte-level layout diagram.
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -28,34 +29,53 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from repro.mpeg2.batch_reconstruct import ReconstructionPlan
-from repro.mpeg2.constants import PictureType
+from repro.mpeg2.constants import SLICE_START_CODE_MAX, PictureType
 from repro.mpeg2.reconstruct import QuantMatrices
 
-#: Bump on any layout change; decoders reject unknown versions.
-PLAN_WIRE_VERSION = 1
+#: Bump on any layout change; decoders reject every other version.
+#: 2: sparse coefficients (per-block entry counts + scan position / level
+#: per nonzero entry) replace v1's dense ``(n_blocks, 64)`` int32 rows.
+PLAN_WIRE_VERSION = 2
 
 # version u8 | picture_type u8 | dc_scaler u8 | pad u8 | tile u16 |
 # mb_width u16 | picture_index i32 | n_mb u32 | n_blocks u32 |
-# n_intra_blocks u32 | n_res u32 | n_coded u32 | n_skipped u32
-_HEAD = "<BBBxHHiIIIIII"
+# n_intra_blocks u32 | n_res u32 | n_coded u32 | n_skipped u32 | n_coefs u32
+_HEAD = "<BBBxHHiIIIIIII"
 _HEAD_SIZE = struct.calcsize(_HEAD)
 
-#: Array order and dtypes on the wire — (attribute, dtype, shape per count).
-#: Shapes use -1 for the leading count dimension filled from the header.
-_BLOCK_ARRAYS: Tuple[Tuple[str, type, Tuple[int, ...]], ...] = (
-    ("scans", np.int32, (-1, 64)),
-    ("block_qscale", np.int64, (-1,)),
-    ("block_res", np.int64, (-1,)),
-    ("block_slot", np.int64, (-1,)),
+#: Array order on the wire — (attribute, dtype, items per entry, which
+#: header count it is sized by).  Widest dtype first, so every array is
+#: naturally aligned relative to the start of the record.
+_ARRAYS: Tuple[Tuple[str, type, Tuple[int, ...], str], ...] = (
+    ("block_qscale", np.int64, (), "n_blocks"),
+    ("block_res", np.int64, (), "n_blocks"),
+    ("block_slot", np.int64, (), "n_blocks"),
+    ("mb_x", np.int64, (), "n_mb"),
+    ("mb_y", np.int64, (), "n_mb"),
+    ("mb_mv", np.int64, (2, 2), "n_mb"),
+    ("mb_res_row", np.int64, (), "n_mb"),
+    ("coef_level", np.int16, (), "n_coefs"),
+    ("coef_scan", np.uint8, (), "n_coefs"),
+    ("block_ncoef", np.uint8, (), "n_blocks"),
+    ("mb_intra", np.bool_, (), "n_mb"),
+    ("mb_dir", np.bool_, (2,), "n_mb"),
 )
-_MB_ARRAYS: Tuple[Tuple[str, type, Tuple[int, ...]], ...] = (
-    ("mb_x", np.int64, (-1,)),
-    ("mb_y", np.int64, (-1,)),
-    ("mb_intra", np.bool_, (-1,)),
-    ("mb_dir", np.bool_, (-1, 2)),
-    ("mb_mv", np.int64, (-1, 2, 2)),
-    ("mb_res_row", np.int64, (-1,)),
-)
+
+
+def _entry_bytes(count_name: str) -> int:
+    return sum(
+        math.prod(shape) * np.dtype(dtype).itemsize
+        for _name, dtype, shape, sized_by in _ARRAYS
+        if sized_by == count_name
+    )
+
+
+_MB_BYTES = _entry_bytes("n_mb")
+_BLOCK_BYTES = _entry_bytes("n_blocks")
+_COEF_BYTES = _entry_bytes("n_coefs")
+# The record carries no picture height; the macroblock rows slice start
+# codes can number is the only bound on ``mb_y`` known here.
+_MAX_MB_ROWS = SLICE_START_CODE_MAX
 
 Buffers = List[Union[bytes, memoryview]]
 
@@ -104,9 +124,10 @@ def encode_plan(tp: TilePlan) -> Buffers:
         p.n_res,
         tp.n_coded,
         tp.n_skipped,
+        p.n_coefs,
     )
     bufs: Buffers = [head]
-    for name, dtype, _shape in _BLOCK_ARRAYS + _MB_ARRAYS:
+    for name, dtype, _shape, _sized_by in _ARRAYS:
         arr = getattr(p, name)
         if arr.dtype != dtype:
             raise ValueError(f"plan.{name} has dtype {arr.dtype}, wire wants {dtype}")
@@ -119,16 +140,14 @@ def encode_plan_bytes(tp: TilePlan) -> bytes:
     return b"".join(bytes(b) for b in encode_plan(tp))
 
 
+def _wire_size(n_mb: int, n_blocks: int, n_coefs: int) -> int:
+    return _HEAD_SIZE + n_mb * _MB_BYTES + n_blocks * _BLOCK_BYTES + n_coefs * _COEF_BYTES
+
+
 def plan_wire_bound(n_mb: int, n_blocks: int) -> int:
-    """Wire size of a plan with the given counts (slab sizing helper)."""
-    total = _HEAD_SIZE
-    for group, count in ((_BLOCK_ARRAYS, n_blocks), (_MB_ARRAYS, n_mb)):
-        for _name, dtype, shape in group:
-            n_items = count
-            for d in shape[1:]:
-                n_items *= d
-            total += n_items * np.dtype(dtype).itemsize
-    return total
+    """Largest wire size of a plan with the given counts — every block
+    with all 64 coefficients coded (slab sizing helper)."""
+    return _wire_size(n_mb, n_blocks, 64 * n_blocks)
 
 
 def plan_nbytes(tp: TilePlan) -> int:
@@ -138,7 +157,7 @@ def plan_nbytes(tp: TilePlan) -> int:
     plan in place with :func:`encode_plan_into`.
     """
     p = tp.plan
-    return plan_wire_bound(p.n_macroblocks, p.n_blocks)
+    return _wire_size(p.n_macroblocks, p.n_blocks, p.n_coefs)
 
 
 def encode_plan_into(tp: TilePlan, buf) -> int:
@@ -166,6 +185,12 @@ def buffers_nbytes(bufs: Buffers) -> int:
     return sum(memoryview(b).nbytes for b in bufs)
 
 
+def _check_range(name: str, arr: np.ndarray, low: int, high: int) -> None:
+    """``low <= arr < high`` everywhere, or ``ValueError`` naming the field."""
+    if arr.size and (int(arr.min()) < low or int(arr.max()) >= high):
+        raise ValueError(f"plan.{name} outside [{low}, {high})")
+
+
 def decode_plan(
     payload: Union[bytes, memoryview],
     matrices: QuantMatrices,
@@ -175,10 +200,25 @@ def decode_plan(
 
     Returns the :class:`TilePlan` (its arrays are read-only zero-copy views
     into ``payload``) and the offset one past the plan.
+
+    Everything that drives a scatter or a gather in ``execute_plan`` —
+    counts, scan positions, slots, residual rows — is range-checked here;
+    a record that fails raises ``ValueError`` naming the field.  The record
+    carries no raster, so whether a macroblock lands and a motion vector
+    reads inside it is the consumer's check, ``batch_reconstruct.check_plan``
+    (``TileDecoder.decode_plan`` runs it before executing).
     """
     _require_little_endian()
+    available = memoryview(payload).nbytes - offset
+    # the version byte first: an older record is shorter than this header
+    if available > 0 and payload[offset] != PLAN_WIRE_VERSION:
+        raise ValueError(
+            f"plan wire version {payload[offset]}, expected {PLAN_WIRE_VERSION}"
+        )
+    if available < _HEAD_SIZE:
+        raise ValueError(f"plan header truncated: {available} of {_HEAD_SIZE} bytes")
     (
-        version,
+        _version,
         ptype,
         dc_scaler,
         tile,
@@ -190,21 +230,35 @@ def decode_plan(
         n_res,
         n_coded,
         n_skipped,
+        n_coefs,
     ) = struct.unpack_from(_HEAD, payload, offset)
-    if version != PLAN_WIRE_VERSION:
-        raise ValueError(f"plan wire version {version}, expected {PLAN_WIRE_VERSION}")
+    if n_intra > n_blocks:
+        raise ValueError(f"plan n_intra_blocks {n_intra} exceeds n_blocks {n_blocks}")
+    if n_res > n_mb:  # a residual row belongs to one macroblock
+        raise ValueError(f"plan n_res {n_res} exceeds n_mb {n_mb}")
+    counts = {"n_mb": n_mb, "n_blocks": n_blocks, "n_coefs": n_coefs}
+    size = _wire_size(n_mb, n_blocks, n_coefs)
+    if available < size:
+        raise ValueError(f"plan payload truncated: {available} of {size} bytes")
     off = offset + _HEAD_SIZE
     fields = {}
-    for group, count in ((_BLOCK_ARRAYS, n_blocks), (_MB_ARRAYS, n_mb)):
-        for name, dtype, shape in group:
-            full = (count,) + shape[1:]
-            n_items = count
-            for d in shape[1:]:
-                n_items *= d
-            fields[name] = np.frombuffer(
-                payload, dtype=dtype, count=n_items, offset=off
-            ).reshape(full)
-            off += n_items * np.dtype(dtype).itemsize
+    for name, dtype, shape, sized_by in _ARRAYS:
+        full = (counts[sized_by],) + shape
+        n_items = math.prod(full)
+        fields[name] = np.frombuffer(
+            payload, dtype=dtype, count=n_items, offset=off
+        ).reshape(full)
+        off += n_items * np.dtype(dtype).itemsize
+    block_ncoef = fields["block_ncoef"]
+    _check_range("block_ncoef", block_ncoef, 0, 65)
+    if int(block_ncoef.sum(dtype=np.int64)) != n_coefs:
+        raise ValueError(f"plan.block_ncoef does not sum to n_coefs {n_coefs}")
+    _check_range("coef_scan", fields["coef_scan"], 0, 64)
+    _check_range("block_slot", fields["block_slot"], 0, 6)
+    _check_range("block_res", fields["block_res"], 0, n_res)
+    _check_range("mb_res_row", fields["mb_res_row"], -1, n_res)
+    _check_range("mb_x", fields["mb_x"], 0, mb_width)
+    _check_range("mb_y", fields["mb_y"], 0, _MAX_MB_ROWS)
     plan = ReconstructionPlan(
         picture_type=PictureType(ptype),
         mb_width=mb_width,

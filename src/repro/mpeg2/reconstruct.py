@@ -9,6 +9,7 @@ parallel==sequential integration tests then verify end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,16 @@ class QuantMatrices:
     non_intra: np.ndarray = field(
         default_factory=lambda: DEFAULT_NON_INTRA_QUANT_MATRIX
     )
+
+    @cached_property
+    def intra_scan(self) -> np.ndarray:
+        """``intra`` as 64 int64 weights in scan order (sparse dequantiser)."""
+        return dct.block_to_scan(self.intra.astype(np.int64))
+
+    @cached_property
+    def non_intra_scan(self) -> np.ndarray:
+        """``non_intra`` as 64 int64 weights in scan order."""
+        return dct.block_to_scan(self.non_intra.astype(np.int64))
 
     @classmethod
     def from_sequence(cls, sequence) -> "QuantMatrices":

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc, vlc
-from repro.mpeg2.batch_reconstruct import PlanBuilder, execute_plan
+from repro.mpeg2.batch_reconstruct import PlanBuilder, check_plan, execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import (
@@ -237,6 +237,9 @@ class TileDecoder:
         frame, fwd, bwd = self._begin_picture(tp.picture_index, tp.tile, ptype)
         self.stats.subpicture_bytes += tp.wire_bytes
         with self.stage_times.stage("execute"):
+            # the wire record has no raster: landing sites and vectors are
+            # held to this decoder's before they index its planes
+            check_plan(tp.plan, self.sequence.width, self.sequence.height)
             execute_plan(tp.plan, frame, fwd, bwd)
         self.stats.macroblocks_decoded += tp.n_coded
         self.stats.macroblocks_skipped += tp.n_skipped

@@ -32,6 +32,7 @@ from repro.mpeg2.constants import PICTURE_START_CODE, PictureType
 from repro.mpeg2.decoder import reconstruct_picture
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
+from repro.mpeg2.reconstruct import QuantMatrices
 from repro.mpeg2.structures import PictureHeader
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.perf.metrics import families
@@ -85,6 +86,7 @@ class PacedStreamDecoder:
     ):
         self.sequence, self.pictures = PictureScanner(stream).scan()
         self.parser = MacroblockParser(self.sequence)
+        self.matrices = QuantMatrices.from_sequence(self.sequence)
         self.batch_reconstruct = batch_reconstruct
         self.meta: List[PictureMeta] = self._scan_meta()
         if start_at and not 0 <= start_at < len(self.pictures):
@@ -158,11 +160,13 @@ class PacedStreamDecoder:
                 self._prev_anchor,
                 self._held,
                 batch=self.batch_reconstruct,
+                matrices=self.matrices,
             )
             return StepResult(index=i, ptype=ptype, decoded=True, frame=frame)
         fwd = self._held if ptype == PictureType.P else None
         frame = reconstruct_picture(
-            parsed, self.sequence, fwd, None, batch=self.batch_reconstruct
+            parsed, self.sequence, fwd, None,
+            batch=self.batch_reconstruct, matrices=self.matrices,
         )
         out = self._held
         self._prev_anchor = self._held

@@ -11,7 +11,12 @@ numpy.  The paths below are what those replaced, kept here — out of
   ``ParsedMB`` per macroblock and a ``CodingState.snapshot()`` each unless
   ``lean``;
 - :func:`compile_plans_reference`: per-tile :class:`PlanBuilder` staging
-  and scalar MEI pre-calculation, a macroblock at a time.
+  and scalar MEI pre-calculation, a macroblock at a time;
+- :func:`dense_scans`: a plan's sparse coefficient columns inflated to the
+  ``(n_blocks, 64)`` level stack plans used to carry, so two plans that
+  list the same levels differently (``PlanBuilder`` drops every zero, the
+  columnar path keeps an intra block's DC entry even when it is zero)
+  compare equal — :func:`assert_same_plan` is that comparison.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.bitstream import BitReader, BitstreamError
-from repro.mpeg2 import fast_vlc, vlc
+from repro.mpeg2 import fast_vlc, plan_codec, vlc
 from repro.mpeg2.batch_reconstruct import PlanBuilder, ReconstructionPlan
 from repro.mpeg2.constants import PICTURE_START_CODE, is_slice_start_code
 from repro.mpeg2.macroblock import CodingState, make_skipped, parse_macroblock_body
@@ -126,6 +133,32 @@ def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan
     return builder.build()
 
 
+def dense_scans(plan: ReconstructionPlan) -> np.ndarray:
+    """``(n_blocks, 64)`` int32 scan-order levels of ``plan``'s blocks."""
+    scans = np.zeros((plan.n_blocks, 64), dtype=np.int32)
+    block = np.repeat(np.arange(plan.n_blocks), plan.block_ncoef)
+    scans[block, plan.coef_scan] = plan.coef_level
+    return scans
+
+
+_SPARSE = ("block_ncoef", "coef_scan", "coef_level")
+
+
+def assert_same_plan(a: ReconstructionPlan, b: ReconstructionPlan, where=()) -> None:
+    """Field by field: every wire array with the wire's dtype, the
+    coefficient columns through :func:`dense_scans`."""
+    assert (a.picture_type, a.mb_width, a.dc_scaler) == (
+        b.picture_type, b.mb_width, b.dc_scaler,
+    ), where
+    assert (a.n_intra_blocks, a.n_res) == (b.n_intra_blocks, b.n_res), where
+    for name, dtype, _shape, _sized_by in plan_codec._ARRAYS:
+        va, vb = getattr(a, name), getattr(b, name)
+        assert va.dtype == vb.dtype == dtype, (where, name)
+        if name not in _SPARSE:
+            assert va.shape == vb.shape and np.array_equal(va, vb), (where, name)
+    assert np.array_equal(dense_scans(a), dense_scans(b)), (where, "coefficients")
+
+
 def compile_plans_reference(
     splitter: MacroblockSplitter, parsed, picture_index: int
 ) -> PlanSplitResult:
@@ -182,7 +215,9 @@ def compile_plans_reference(
 
 __all__ = [
     "ObjectParsedPicture",
+    "assert_same_plan",
     "builder_plan",
     "compile_plans_reference",
+    "dense_scans",
     "object_parse_picture",
 ]

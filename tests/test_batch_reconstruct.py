@@ -10,14 +10,23 @@ a slice mid-row) through both the sequential decoder and the tiled wall.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.mpeg2.batch_reconstruct import PlanBuilder, execute_plan
+from repro.mpeg2 import dct
+from repro.mpeg2.batch_reconstruct import (
+    PlanBuilder,
+    _predict_plane_batch,
+    _residual_stacks,
+    execute_plan,
+    narrow_levels,
+)
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.decoder import Decoder
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
+from repro.mpeg2.motion import predict_plane
+from repro.mpeg2.reconstruct import QuantMatrices
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
 
@@ -159,3 +168,142 @@ def test_empty_plan_executes_as_noop():
     out = Frame.blank(64, 48, y=77, c=128)
     execute_plan(builder.build(), out, None, None)
     assert int(out.y.min()) == int(out.y.max()) == 77
+
+
+# ---------------------------------------------------------------------- #
+# the sparse coefficient kernels against their dense twins
+# ---------------------------------------------------------------------- #
+
+
+def _dense_residuals(scans, n_intra, qscale, matrices, dc_scaler):
+    """What the dense path made of ``(n, 64)`` scan-order levels: rounded
+    IDCT of ``dct.dequantize_intra`` / ``dequantize_non_intra``."""
+    blocks = dct.scan_to_block(scans)
+    coeffs = np.empty(blocks.shape, dtype=np.float64)
+    coeffs[:n_intra] = dct.dequantize_intra(
+        blocks[:n_intra], qscale[:n_intra], matrices.intra, dc_scaler
+    )
+    coeffs[n_intra:] = dct.dequantize_non_intra(
+        blocks[n_intra:], qscale[n_intra:], matrices.non_intra
+    )
+    return coeffs, np.rint(dct.idct(coeffs))
+
+
+@st.composite
+def coefficient_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    n_intra = draw(st.integers(0, n))
+    # per-block density from empty to all 64 coded; extremes over-weighted
+    density = rng.choice([0.0, 0.05, 0.3, 1.0], size=n)
+    levels = rng.choice(
+        [-2047, -2046, -1025, -3, -2, -1, 1, 2, 3, 1025, 2046, 2047], size=(n, 64)
+    )
+    scans = np.where(rng.random((n, 64)) < density[:, None], levels, 0).astype(np.int32)
+    qscale = rng.choice([1, 2, 3, 8, 31, 62, 111, 112], size=n).astype(np.int64)
+    matrices = QuantMatrices(
+        intra=rng.choice([1, 2, 15, 16, 17, 254, 255], size=(8, 8)).astype(np.int32),
+        non_intra=rng.choice([1, 2, 15, 16, 17, 254, 255], size=(8, 8)).astype(np.int32),
+    )
+    return scans, n_intra, qscale, matrices, draw(st.sampled_from([8, 4, 2]))
+
+
+def _all_coded(level):
+    scans = np.full((2, 64), level, dtype=np.int32)
+    return scans, 1, np.array([112, 112]), QuantMatrices(
+        intra=np.full((8, 8), 255, np.int32), non_intra=np.full((8, 8), 255, np.int32)
+    ), 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_cases())
+@example(_all_coded(2047))  # every entry coded, every product saturates high
+@example(_all_coded(-2047))  # ... and low, through negative floor division
+@example((np.zeros((1, 64), np.int32), 1, np.array([2]), QuantMatrices(), 8))
+def test_sparse_dequantiser_matches_dense(case):
+    scans, n_intra, qscale, matrices, dc_scaler = case
+    n = len(scans)
+    dense_coeffs, dense_res = _dense_residuals(scans, n_intra, qscale, matrices, dc_scaler)
+
+    # the plan's form: nonzero entries, plus every intra block's DC entry
+    # even when its level is zero (the parser always emits it)
+    listed = scans != 0
+    listed[:n_intra, 0] = True
+    block, scan = np.nonzero(listed)
+    level = narrow_levels(scans[block, scan])
+    ncoef = listed.sum(axis=1)
+    k = int(ncoef[:n_intra].sum())
+    per_entry_q = np.repeat(qscale, ncoef)
+    sparse = np.zeros((n, 64), dtype=np.int64)
+    sparse[block[:k], scan[:k]] = dct.dequantize_intra_sparse(
+        level[:k], scan[:k], per_entry_q[:k], matrices.intra_scan, dc_scaler
+    )
+    sparse[block[k:], scan[k:]] = dct.dequantize_non_intra_sparse(
+        level[k:], scan[k:], per_entry_q[k:], matrices.non_intra_scan
+    )
+    assert np.array_equal(dct.scan_to_block(sparse), dense_coeffs)
+
+    # and through the executor's kernel: one block per residual row slot
+    builder = PlanBuilder(PictureType.I, 4, 64, 48, matrices, dc_scaler)
+    plan = builder.build()
+    plan.block_ncoef = ncoef.astype(np.uint8)
+    plan.coef_scan = scan.astype(np.uint8)
+    plan.coef_level = level
+    plan.block_qscale = qscale
+    plan.block_res = np.arange(n) // 6
+    plan.block_slot = np.arange(n) % 6
+    plan.n_intra_blocks = n_intra
+    plan.n_res = -(-n // 6)
+    res6 = _residual_stacks(plan)
+    assert res6.dtype == np.int16
+    flat = res6.reshape(-1, 8, 8)
+    assert np.array_equal(flat[:n], dense_res)
+    assert not flat[n:].any()
+
+
+def test_level_narrowing_saturates_where_dequantisation_does():
+    """A damaged stream can run an intra DC predictor past int16; clamping
+    the level leaves the (saturated) coefficient unchanged."""
+    wild = np.array([-(2**31), -70000, -32769, 32768, 70000, 2**31 - 1])
+    narrow = narrow_levels(wild)
+    assert narrow.dtype == np.int16
+    assert narrow.tolist() == [-32768] * 3 + [32767] * 3
+    for dc_scaler in (8, 4, 2, 1):
+        scans = np.zeros((len(wild), 64), dtype=np.int64)
+        scans[:, 0] = wild
+        dense = dct.dequantize_intra(dct.scan_to_block(scans), 2, dc_scaler=dc_scaler)
+        sparse = dct.dequantize_intra_sparse(
+            narrow, np.zeros(len(wild), np.uint8), np.full(len(wild), 2),
+            QuantMatrices().intra_scan, dc_scaler,
+        )
+        assert np.array_equal(dense[:, 0, 0], sparse)
+
+
+@pytest.mark.parametrize("size,shape", [(16, (48, 80)), (8, (24, 40))])
+def test_windowed_gather_matches_predict_plane_at_every_edge(size, shape):
+    """All four half-pel classes, with the read window flush against each
+    edge and corner of the plane (luma 16x16 and chroma 8x8 requests)."""
+    rng = np.random.default_rng(size)
+    plane = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    h, w = shape
+    requests = []  # (base_x, base_y, mvx, mvy)
+    for fy in (0, 1):
+        for fx in (0, 1):
+            for x0 in (0, 5, w - size - fx):
+                for y0 in (0, 3, h - size - fy):
+                    for base_x, base_y in ((0, 0), (w - size, h - size), (size, size)):
+                        requests.append(
+                            (base_x, base_y, 2 * (x0 - base_x) + fx, 2 * (y0 - base_y) + fy)
+                        )
+    bx, by, mvx, mvy = (np.array(col, dtype=np.int64) for col in zip(*requests))
+    got = _predict_plane_batch(plane, bx, by, mvx, mvy, size)
+    assert got.shape == (len(requests), size, size)
+    for i, (x, y, vx, vy) in enumerate(requests):
+        want = predict_plane(plane, x, y, size, size, vx, vy)
+        assert np.array_equal(got[i], want), requests[i]
+    # one sample past any edge is the reference path's ValueError; here the
+    # plan-time check owns it, and the gather itself refuses the index
+    with pytest.raises(IndexError):
+        _predict_plane_batch(
+            plane, np.array([w - size]), np.array([0]), np.array([1]), np.array([0]), size
+        )

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.mpeg2 import plan_codec
 from repro.mpeg2.batch_reconstruct import plan_from_columns
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.decoder import decode_stream, reconstruct_picture
@@ -28,9 +27,12 @@ from repro.mpeg2.reconstruct import QuantMatrices
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import GENERATORS
-from tests.oracles import builder_plan, compile_plans_reference, object_parse_picture
-
-_PLAN_ARRAYS = plan_codec._BLOCK_ARRAYS + plan_codec._MB_ARRAYS
+from tests.oracles import (
+    assert_same_plan,
+    builder_plan,
+    compile_plans_reference,
+    object_parse_picture,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -62,17 +64,6 @@ def assert_same_parse(columnar, reference, lean):
             assert a.state_before is None and b.state_before is None
         else:
             assert a.state_before == b.state_before
-
-
-def assert_same_plan(a, b):
-    assert (a.picture_type, a.mb_width, a.dc_scaler) == (
-        b.picture_type, b.mb_width, b.dc_scaler,
-    )
-    assert (a.n_intra_blocks, a.n_res) == (b.n_intra_blocks, b.n_res)
-    for name, dtype, _shape in _PLAN_ARRAYS:
-        va, vb = getattr(a, name), getattr(b, name)
-        assert va.dtype == vb.dtype == dtype, name
-        assert va.shape == vb.shape and np.array_equal(va, vb), name
 
 
 def assert_same_split(a, b, layout):

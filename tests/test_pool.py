@@ -24,7 +24,7 @@ from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
-from tests.oracles import compile_plans_reference, object_parse_picture
+from tests.oracles import assert_same_plan, compile_plans_reference, object_parse_picture
 
 
 @pytest.fixture
@@ -186,9 +186,7 @@ class TestPlanByHandle:
                 ref, _ = plan_codec.decode_plan(
                     plan_codec.encode_plan_bytes(tp), splitter.matrices
                 )
-                for name, _dtype, _s in (
-                    plan_codec._BLOCK_ARRAYS + plan_codec._MB_ARRAYS
-                ):
+                for name, *_ in plan_codec._ARRAYS:
                     assert np.array_equal(
                         getattr(out.plan, name), getattr(ref.plan, name)
                     ), name
@@ -196,6 +194,23 @@ class TestPlanByHandle:
                 consumer.release(lease.handle)
         consumer.close()
         pool.destroy()
+
+    def test_wire_size_is_exact_and_under_the_slab_bound(self, compiled_plans):
+        """Slabs are sized by ``plan_wire_bound`` and leased by
+        ``plan_nbytes``: the first must cover the second for every plan,
+        and no slab class may be larger than the dense (v1) rows made it —
+        256 coefficient bytes per block then, at most 64 * 3 + 1 now."""
+        _, layout, results = compiled_plans
+        for r in results:
+            for tp in r.plans.values():
+                p = tp.plan
+                nb = plan_codec.plan_nbytes(tp)
+                assert nb == len(plan_codec.encode_plan_bytes(tp))
+                assert nb <= plan_codec.plan_wire_bound(p.n_macroblocks, p.n_blocks)
+        v1_block, v1_mb, v1_head = 64 * 4 + 3 * 8, 8 + 8 + 1 + 2 + 32 + 8, 36
+        for n in (1, 24, 8160):
+            v1_bound = v1_head + 6 * n * v1_block + n * v1_mb
+            assert plan_codec.plan_wire_bound(n, 6 * n) < v1_bound
 
     def test_vectorized_compiler_matches_scalar_reference(self, compiled_plans):
         """compile_plans (vectorized) is bit-identical to the macroblock-
@@ -217,15 +232,7 @@ class TestPlanByHandle:
                 assert pa.sends == pb.sends and pa.recvs == pb.recvs
                 a, b = ref.plans[tid], vec.plans[tid]
                 assert (a.n_coded, a.n_skipped) == (b.n_coded, b.n_skipped)
-                assert a.plan.n_intra_blocks == b.plan.n_intra_blocks
-                assert a.plan.n_res == b.plan.n_res
-                for name, dtype, _s in (
-                    plan_codec._BLOCK_ARRAYS + plan_codec._MB_ARRAYS
-                ):
-                    va = getattr(a.plan, name)
-                    vb = getattr(b.plan, name)
-                    assert va.dtype == vb.dtype == dtype, name
-                    assert np.array_equal(va, vb), (i, tid, name)
+                assert_same_plan(a.plan, b.plan, where=(i, tid))
 
     def test_bad_motion_vector_raises_like_reference(self, compiled_plans):
         """A corrupt record fails with the same ValueError in both paths."""
