@@ -12,7 +12,7 @@ from conftest import print_table, run_once
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.parallel.system import TimedSystem
 from repro.perf.costmodel import build_picture_work
-from repro.perf.trace import compare_trace_to_model, extract_trace, scaling_for
+from repro.perf.trace_workload import compare_trace_to_model, extract_trace, scaling_for
 from repro.wall.layout import TileLayout
 from repro.workloads.streams import stream_by_id
 

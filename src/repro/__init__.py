@@ -17,17 +17,18 @@ Run ``python -m repro --help`` for the command-line tools.
 
 __version__ = "1.0.0"
 
-from repro.mpeg2 import Decoder, Encoder, EncoderConfig, decode_stream, psnr
-from repro.parallel import ParallelDecoder
-from repro.wall import TileLayout
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "Decoder",
-    "Encoder",
-    "EncoderConfig",
-    "decode_stream",
-    "psnr",
-    "ParallelDecoder",
-    "TileLayout",
-]
+_EXPORTS = {
+    "Decoder": "repro.mpeg2.decoder",
+    "Encoder": "repro.mpeg2.encoder",
+    "EncoderConfig": "repro.mpeg2.encoder",
+    "decode_stream": "repro.mpeg2.decoder",
+    "psnr": "repro.mpeg2.frames",
+    "ParallelDecoder": "repro.parallel.pipeline",
+    "TileLayout": "repro.wall.layout",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = ["__version__", *_EXPORTS]

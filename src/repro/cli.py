@@ -25,20 +25,20 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.mpeg2.decoder import Decoder, decode_stream
-from repro.mpeg2.encoder import Encoder, EncoderConfig
-from repro.mpeg2.parser import PictureScanner
-from repro.mpeg2.ratecontrol import RateControlConfig, RateControlledEncoder
-from repro.mpeg2.video_io import read_y4m, write_y4m
-from repro.parallel.pipeline import ParallelDecoder
-from repro.wall.layout import TileLayout
-from repro.workloads.streams import stream_by_id
-from repro.workloads.synthetic import GENERATORS
+# Each subcommand imports what it runs: building the parser (``--help``)
+# loads neither numpy nor the codec.  The generator names are spelled out
+# for that reason; tests/test_cli.py holds them to
+# ``repro.workloads.synthetic.GENERATORS``.
+SYNTHETIC_CHOICES = ("broadcast", "detail", "fish", "pattern")
 
 
 def _load_frames(args) -> list:
     if args.input:
+        from repro.mpeg2.video_io import read_y4m
+
         return read_y4m(args.input)
+    from repro.workloads.synthetic import GENERATORS
+
     gen = GENERATORS[args.synthetic]
     return gen(args.width, args.height, args.frames, seed=args.seed)
 
@@ -54,11 +54,15 @@ def _load_stream(path: str) -> bytes:
 
 
 def cmd_encode(args) -> int:
+    from repro.mpeg2.encoder import Encoder, EncoderConfig
+
     frames = _load_frames(args)
     base = EncoderConfig(
         gop_size=args.gop, b_frames=args.b_frames, search_range=args.search_range
     )
     if args.bpp:
+        from repro.mpeg2.ratecontrol import RateControlConfig, RateControlledEncoder
+
         enc = RateControlledEncoder(base, RateControlConfig(target_bpp=args.bpp))
         data = enc.encode(frames)
     else:
@@ -73,6 +77,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from repro.mpeg2.decoder import decode_stream
+    from repro.mpeg2.video_io import write_y4m
+
     stream = _load_stream(args.input)
     frames = decode_stream(stream)
     write_y4m(args.output, frames, fps=args.fps)
@@ -93,6 +100,11 @@ def _wall_spec(args):
 
 
 def cmd_wall(args) -> int:
+    from repro.mpeg2.decoder import decode_stream
+    from repro.mpeg2.parser import PictureScanner
+    from repro.mpeg2.video_io import write_y4m
+    from repro.parallel.pipeline import ParallelDecoder
+
     stream = _load_stream(args.input)
     sequence, _ = PictureScanner(stream).scan()
     spec = _wall_spec(args)
@@ -137,6 +149,9 @@ def cmd_wall_broadcast(args) -> int:
     if args.input:
         stream = _load_stream(args.input)
     else:
+        from repro.mpeg2.encoder import Encoder, EncoderConfig
+        from repro.workloads.streams import stream_by_id
+
         spec = stream_by_id(args.stream)
         frames = spec.synthetic_frames(args.frames, max_width=args.max_width)
         cfg = EncoderConfig(gop_size=spec.gop_size, b_frames=spec.b_frames)
@@ -222,6 +237,8 @@ def cmd_wall_receive(args) -> int:
 
 def cmd_run_cluster(args) -> int:
     from repro.cluster.runtime import ClusterError, ClusterSupervisor, WallConfig
+    from repro.mpeg2.decoder import decode_stream
+    from repro.mpeg2.video_io import write_y4m
 
     stream = _load_stream(args.input)
     cfg = WallConfig(
@@ -339,6 +356,8 @@ def cmd_top(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.parallel.system import TimedSystem
+    from repro.wall.layout import TileLayout
+    from repro.workloads.streams import stream_by_id
 
     spec = stream_by_id(args.stream)
     layout = TileLayout(
@@ -367,16 +386,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from repro.mpeg2.parser import MacroblockParser, PictureScanner
+
     stream = _load_stream(args.input)
-    dec = Decoder()
     sequence, pictures = PictureScanner(stream).scan()
     print(
         f"{sequence.width}x{sequence.height} @ {sequence.frame_rate:g} fps, "
         f"{len(pictures)} coded pictures, {len(stream)} bytes"
     )
     if args.pictures:
-        from repro.mpeg2.parser import MacroblockParser
-
         parser = MacroblockParser(sequence)
         for unit in pictures:
             p = parser.parse_picture(unit.data)
@@ -456,6 +474,7 @@ def cmd_submit(args) -> int:
     import json as _json
 
     from repro.service import ServiceClient
+    from repro.workloads.streams import stream_by_id
 
     spec = stream_by_id(args.stream)
     stream = _load_stream(args.input) if args.input else b""
@@ -622,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("encode", help="encode y4m or synthetic content")
     e.add_argument("-i", "--input", help=".y4m input (default: synthetic)")
     e.add_argument("-o", "--output", required=True, help="output .m2v path")
-    e.add_argument("--synthetic", choices=sorted(GENERATORS), default="pattern")
+    e.add_argument("--synthetic", choices=SYNTHETIC_CHOICES, default="pattern")
     e.add_argument("--width", type=int, default=192)
     e.add_argument("--height", type=int, default=128)
     e.add_argument("--frames", type=int, default=24)

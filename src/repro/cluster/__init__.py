@@ -1,5 +1,14 @@
 """Simulated PC-cluster node model."""
 
-from repro.cluster.node import Node, NodeSpec, ClusterSpec, PRINCETON_WALL
+from repro._lazy import lazy_exports
 
-__all__ = ["Node", "NodeSpec", "ClusterSpec", "PRINCETON_WALL"]
+_EXPORTS = {
+    "Node": "repro.cluster.node",
+    "NodeSpec": "repro.cluster.node",
+    "ClusterSpec": "repro.cluster.node",
+    "PRINCETON_WALL": "repro.cluster.node",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

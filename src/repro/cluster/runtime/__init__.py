@@ -9,7 +9,14 @@ socket transport in :mod:`repro.net.channel`, supervised from the
 calling process by :class:`ClusterSupervisor`.
 """
 
-from repro.cluster.runtime.config import WallConfig
-from repro.cluster.runtime.supervisor import ClusterError, ClusterSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = ["WallConfig", "ClusterSupervisor", "ClusterError"]
+_EXPORTS = {
+    "WallConfig": "repro.cluster.runtime.config",
+    "ClusterSupervisor": "repro.cluster.runtime.supervisor",
+    "ClusterError": "repro.cluster.runtime.supervisor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -12,6 +12,10 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
+#: What the supervisor leaves in the run directory for every worker to read.
+STREAM_FILE = "stream.m2v"
+CONFIG_FILE = "cluster.json"
+
 
 @dataclass
 class WallConfig:

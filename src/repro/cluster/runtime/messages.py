@@ -24,11 +24,10 @@ from repro.mpeg2 import plan_codec
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.motion import Rect
 from repro.mpeg2.parser import PictureUnit
+from repro.mpeg2.plan import QuantMatrices
 from repro.mpeg2.plan_codec import Buffers, TilePlan
-from repro.mpeg2.reconstruct import QuantMatrices
 from repro.mpeg2.structures import SequenceHeader
-from repro.parallel.mei import BlockXfer, MEIProgram
-from repro.parallel.pdecoder import PixelBlock
+from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
 
 # ---------------------------- message types ----------------------------- #
 # (repro.net.channel.HEARTBEAT is 0; application types start at 1.)

@@ -5,7 +5,10 @@ one decode it:
 
 1. materializes a *run directory* (the rendezvous root): the encoded
    stream, ``cluster.json``, per-process trace/log files, and — for the
-   Unix transport — the socket files themselves;
+   Unix transport — the socket files themselves.  It is ``trace_dir`` if
+   the caller named one; otherwise a temporary directory that is removed
+   after a successful decode and kept, its path in the error, after a
+   failed one;
 2. binds the collector listener, then spawns ``1 + k + m*n`` worker
    processes (``python -m repro.cluster.runtime.worker``);
 3. accepts one channel per tile decoder and collects displayed tile
@@ -13,8 +16,9 @@ one decode it:
    whole time — a crashed worker becomes a :class:`ClusterError` with a
    per-process diagnostic report, never a hang;
 4. drains EOS, waits for children to exit (escalating terminate → kill
-   past the deadline), and merges every per-process trace into one
-   wall-clock timeline (``merged.trace.jsonl``).
+   past the deadline), and merges every per-process trace of a run
+   directory that stays into one wall-clock timeline
+   (``merged.trace.jsonl``).
 
 The output is bit-identical to the sequential decoder — the same golden
 assertion the threaded runner carries, now across process boundaries.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -33,7 +38,7 @@ import uuid
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.cluster.runtime.config import WallConfig
+from repro.cluster.runtime.config import CONFIG_FILE, STREAM_FILE, WallConfig
 from repro.cluster.runtime.messages import (
     MSG_EOS,
     MSG_ERROR,
@@ -43,14 +48,8 @@ from repro.cluster.runtime.messages import (
     decode_tile_frame,
     decode_tile_frame_hmsg,
 )
+from repro.cluster.runtime.rendezvous import Rendezvous, accept_labeled, pump
 from repro.mem import PoolRegistry, purge_pools
-from repro.cluster.runtime.roles import (
-    CONFIG_FILE,
-    STREAM_FILE,
-    Rendezvous,
-    accept_labeled,
-    _pump,
-)
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
 from repro.net.channel import Channel, ChannelTimeout, Listener
@@ -130,6 +129,9 @@ class ClusterSupervisor:
             rundir = Path(self.trace_dir).resolve()
             rundir.mkdir(parents=True, exist_ok=True)
         else:
+            # Ours to remove: it holds a copy of the whole stream plus every
+            # trace, and nobody asked for either.  A failed run keeps it —
+            # the logs and traces in it are the post-mortem.
             rundir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
         self.rundir = rundir
         # Mint the run's pool token: workers name their shm segments
@@ -147,6 +149,7 @@ class ClusterSupervisor:
         channels: Dict[int, Channel] = {}
         shm_dir = Path(cfg.shm_dir) if cfg.shm_dir else None
         pools = PoolRegistry(shm_dir) if cfg.pool_enabled else None
+        discard = False
         try:
             self._spawn(rundir, tracer)
             frames = self._collect(
@@ -154,6 +157,7 @@ class ClusterSupervisor:
                 pools,
             )
             self._shutdown(timeout, tracer)
+            discard = self.trace_dir is None
             return frames
         except Exception:
             self._teardown(tracer)
@@ -177,12 +181,17 @@ class ClusterSupervisor:
             # against releases across the whole process tree.
             emit_stats(tracer)
             tracer.close()
-            # Lenient merge: a crashed worker may leave a torn final line;
-            # the post-mortem must still see everything that did flush.
-            self.merged_trace_path = rundir / MERGED_TRACE
-            events = merge_traces(rundir, self.merged_trace_path, strict=False)
-            self.perfetto_path = rundir / PERFETTO_TRACE
-            write_chrome_trace(events, self.perfetto_path)
+            if discard:
+                shutil.rmtree(rundir, ignore_errors=True)
+                self.rundir = None
+            else:
+                # Lenient merge: a crashed worker may leave a torn final
+                # line; the post-mortem must still see everything that did
+                # flush.
+                self.merged_trace_path = rundir / MERGED_TRACE
+                events = merge_traces(rundir, self.merged_trace_path, strict=False)
+                self.perfetto_path = rundir / PERFETTO_TRACE
+                write_chrome_trace(events, self.perfetto_path)
 
     # ------------------------------------------------------------------ #
 
@@ -244,15 +253,13 @@ class ClusterSupervisor:
         def check(what: str) -> None:
             dead = self._poll_children()
             if dead is not None:
-                raise ClusterError(
+                raise self._error(
                     f"worker {dead!r} exited with status "
-                    f"{self.processes[dead].returncode} while {what}",
-                    self._diagnostics(),
+                    f"{self.processes[dead].returncode} while {what}"
                 )
             if time.monotonic() >= deadline:
-                raise ClusterError(
-                    f"cluster timed out after {timeout:.0f}s while {what}",
-                    self._diagnostics(),
+                raise self._error(
+                    f"cluster timed out after {timeout:.0f}s while {what}"
                 )
 
         # Accept one channel per tile decoder, polling liveness throughout.
@@ -263,13 +270,13 @@ class ClusterSupervisor:
             except ChannelTimeout:
                 continue
             if not peer.startswith("dec"):
-                raise ClusterError(f"unexpected connection from {peer!r}")
+                raise self._error(f"unexpected connection from {peer!r}")
             channels[int(peer[3:])] = ch
             tracer.emit("accept", peer=peer)
 
         frame_q: "queue.Queue" = queue.Queue()
         for tid, ch in channels.items():
-            _pump(ch, frame_q, f"dec{tid}")
+            pump(ch, frame_q, f"dec{tid}")
 
         buckets: Dict[int, Dict[int, tuple]] = {}
         frames: Dict[int, Frame] = {}
@@ -284,22 +291,18 @@ class ClusterSupervisor:
             if kind == "closed":
                 if label in eos_from:
                     continue
-                raise ClusterError(
-                    f"{label} disconnected mid-stream", self._diagnostics()
-                )
+                raise self._error(f"{label} disconnected mid-stream")
             if kind == "error":
-                raise ClusterError(f"{label}: {msg}", self._diagnostics())
+                raise self._error(f"{label}: {msg}")
             if msg.type == MSG_ERROR:
                 proc_name, err = decode_error(msg.payload)
-                raise ClusterError(
-                    f"worker {proc_name!r} reported: {err}", self._diagnostics()
-                )
+                raise self._error(f"worker {proc_name!r} reported: {err}")
             if msg.type == MSG_EOS:
                 eos_from.add(label)
                 continue
             if msg.type == MSG_FRAME_H:
                 if pools is None:
-                    raise ClusterError(
+                    raise self._error(
                         f"{label} sent a frame handle but the pool is off"
                     )
                 tid, rect, y, cb, cr, handle, stamps = decode_tile_frame_hmsg(
@@ -309,7 +312,7 @@ class ClusterSupervisor:
                 tid, rect, y, cb, cr, stamps = decode_tile_frame(msg.payload)
                 handle = None
             else:
-                raise ClusterError(f"unexpected message {msg.type} from {label}")
+                raise self._error(f"unexpected message {msg.type} from {label}")
             buckets.setdefault(msg.picture, {})[tid] = (
                 rect, y, cb, cr, handle, stamps,
             )
@@ -459,11 +462,15 @@ class ClusterSupervisor:
             if proc.startswith("dec"):
                 self.stage_times.merge(st)
 
+    def _error(self, message: str) -> ClusterError:
+        return ClusterError(message, self._diagnostics())
+
     def _diagnostics(self) -> str:
-        """Per-process post-mortem: exit codes, log tails, and the last few
-        trace events — a SIGKILLed worker's open span begins say *where*
-        in the pipeline it died."""
-        lines = []
+        """Per-process post-mortem: where the run directory is (a failed
+        run's is kept), exit codes, log tails, and the last few trace
+        events — a SIGKILLed worker's open span begins say *where* in the
+        pipeline it died."""
+        lines = [f"run directory (kept): {self.rundir}"]
         for name, proc in self.processes.items():
             rc = proc.poll()
             state = "running" if rc is None else f"exit {rc}"

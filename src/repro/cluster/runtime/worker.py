@@ -1,10 +1,19 @@
 """Worker process entrypoint: ``python -m repro.cluster.runtime.worker``.
 
 The supervisor spawns one of these per cluster role.  The worker reads
-the run directory's ``cluster.json``, opens its own JSONL trace stream,
-and runs its role; any uncaught exception is traced, printed to stderr
-(which the supervisor captures to ``{name}.log``), and converted to a
-nonzero exit code — the supervisor's authoritative failure signal.
+the run directory's ``cluster.json``, imports the one role it was named
+for, opens its own JSONL trace stream, and runs the role; any uncaught
+exception is traced, printed to stderr (which the supervisor captures to
+``{name}.log``), and converted to a nonzero exit code — the supervisor's
+authoritative failure signal.
+
+A one-GOP job is mostly cold start, and cold start is mostly imports, so
+this module dispatches first and imports second: what it needs before it
+knows its role is the standard library, the config and the trace writer.
+A root never loads the splitter's plan compiler, neither loads the
+decoder's transform (``scipy.fft``), and none of them loads the encoder,
+the simulator or the supervisor (``tests/test_import_graph.py`` holds the
+line).
 """
 
 from __future__ import annotations
@@ -13,17 +22,12 @@ import argparse
 import json
 import os
 import sys
+import time
 import traceback
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.cluster.runtime.config import WallConfig
-from repro.cluster.runtime.roles import (
-    CONFIG_FILE,
-    run_decoder,
-    run_root,
-    run_splitter,
-)
+from repro.cluster.runtime.config import CONFIG_FILE, WallConfig
 from repro.perf.trace import TRACE_SUFFIX, TraceWriter
 
 
@@ -49,6 +53,41 @@ def _pin(cfg: WallConfig, name: str) -> None:
     os.sched_setaffinity(0, {cores[idx % len(cores)]})
 
 
+def load_role(name: str) -> Callable[[WallConfig, Path, TraceWriter], None]:
+    """Import the role process ``name`` runs — and nothing the others need —
+    and return it as ``run(cfg, rundir, tracer)``."""
+    kind = name.rstrip("0123456789")
+    index = name[len(kind):]
+    if name == "root":
+        from repro.cluster.runtime.root import run_root
+
+        return run_root
+    if kind == "split" and index:
+        from repro.cluster.runtime.splitter import run_splitter
+
+        return lambda cfg, rundir, tracer: run_splitter(cfg, rundir, int(index), tracer)
+    if kind == "dec" and index:
+        from repro.cluster.runtime.decoder import run_decoder
+
+        return lambda cfg, rundir, tracer: run_decoder(cfg, rundir, int(index), tracer)
+    raise ValueError(f"unknown worker name {name!r}")
+
+
+def _process_age_s() -> Optional[float]:
+    """Seconds since this process was created, or None where the kernel
+    does not say (``/proc/self/stat`` field 22 against ``CLOCK_BOOTTIME``,
+    so Linux only, in clock ticks — 10 ms)."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the command name (field 2) may contain spaces: count from ")"
+            start_ticks = int(fh.read().rsplit(b")", 1)[1].split()[19])
+        return time.clock_gettime(time.CLOCK_BOOTTIME) - start_ticks / os.sysconf(
+            "SC_CLK_TCK"
+        )
+    except (OSError, ValueError, IndexError, AttributeError):
+        return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(prog="repro-cluster-worker")
     ap.add_argument("--dir", required=True, help="run directory (rendezvous root)")
@@ -68,16 +107,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     with TraceWriter(
         rundir / f"{name}{TRACE_SUFFIX}", name, spans=cfg.telemetry
     ) as tracer:
-        tracer.emit("start", pid=os.getpid(), role=name.rstrip("0123456789"))
         try:
-            if name == "root":
-                run_root(cfg, rundir, tracer)
-            elif name.startswith("split"):
-                run_splitter(cfg, rundir, int(name[5:]), tracer)
-            elif name.startswith("dec"):
-                run_decoder(cfg, rundir, int(name[3:]), tracer)
-            else:
-                raise ValueError(f"unknown worker name {name!r}")
+            run = load_role(name)
+            # ``start`` means "imported and about to connect": the time from
+            # the supervisor's ``spawn`` event to this one is the worker's
+            # cold start, and ``import_s`` is how much of it this process
+            # can account for itself (interpreter boot + every import).
+            started = {"pid": os.getpid(), "role": name.rstrip("0123456789")}
+            age = _process_age_s()
+            if age is not None:
+                started["import_s"] = round(age, 3)
+            tracer.emit("start", **started)
+            run(cfg, rundir, tracer)
             tracer.emit("exit")
         except Exception as exc:
             tracer.emit("error", error=repr(exc))

@@ -30,18 +30,19 @@ fall back to escape coding.  The encoder and all decoders in this
 repository are mutually consistent.
 """
 
-from repro.mpeg2.frames import Frame, psnr
-from repro.mpeg2.encoder import Encoder, EncoderConfig
-from repro.mpeg2.decoder import Decoder, decode_stream
-from repro.mpeg2.parser import PictureScanner, MacroblockParser
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Frame",
-    "psnr",
-    "Encoder",
-    "EncoderConfig",
-    "Decoder",
-    "decode_stream",
-    "PictureScanner",
-    "MacroblockParser",
-]
+_EXPORTS = {
+    "Frame": "repro.mpeg2.frames",
+    "psnr": "repro.mpeg2.frames",
+    "Encoder": "repro.mpeg2.encoder",
+    "EncoderConfig": "repro.mpeg2.encoder",
+    "Decoder": "repro.mpeg2.decoder",
+    "decode_stream": "repro.mpeg2.decoder",
+    "PictureScanner": "repro.mpeg2.parser",
+    "MacroblockParser": "repro.mpeg2.parser",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -15,11 +15,12 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import execute_plan, plan_from_columns
+from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture, PictureScanner
-from repro.mpeg2.reconstruct import QuantMatrices, reconstruct_macroblock
+from repro.mpeg2.plan import QuantMatrices, plan_from_columns
+from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.structures import SequenceHeader
 from repro.perf.metrics import StageTimes
 

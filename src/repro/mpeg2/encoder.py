@@ -35,7 +35,8 @@ from repro.mpeg2.macroblock import (
     make_skipped,
 )
 from repro.mpeg2.motion import estimate_mv, predict_macroblock
-from repro.mpeg2.reconstruct import QuantMatrices, reconstruct_macroblock
+from repro.mpeg2.plan import QuantMatrices
+from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.structures import GOPHeader, PictureHeader, SequenceHeader
 from repro.mpeg2.tables import (
     DEFAULT_INTRA_QUANT_MATRIX,

@@ -28,9 +28,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import ReconstructionPlan
 from repro.mpeg2.constants import SLICE_START_CODE_MAX, PictureType
-from repro.mpeg2.reconstruct import QuantMatrices
+from repro.mpeg2.plan import QuantMatrices, ReconstructionPlan
 
 #: Bump on any layout change; decoders reject every other version.
 #: 2: sparse coefficients (per-block entry counts + scan position / level
@@ -205,7 +204,7 @@ def decode_plan(
     counts, scan positions, slots, residual rows — is range-checked here;
     a record that fails raises ``ValueError`` naming the field.  The record
     carries no raster, so whether a macroblock lands and a motion vector
-    reads inside it is the consumer's check, ``batch_reconstruct.check_plan``
+    reads inside it is the consumer's check, ``plan.check_plan``
     (``TileDecoder.decode_plan`` runs it before executing).
     """
     _require_little_endian()

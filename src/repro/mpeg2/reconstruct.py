@@ -8,8 +8,6 @@ parallel==sequential integration tests then verify end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,51 +17,8 @@ from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.motion import predict_macroblock
-from repro.mpeg2.tables import (
-    DEFAULT_INTRA_QUANT_MATRIX,
-    DEFAULT_NON_INTRA_QUANT_MATRIX,
-    quantiser_scale_from_code,
-)
-
-
-@dataclass(frozen=True)
-class QuantMatrices:
-    """The quantization matrices in effect (from the sequence header)."""
-
-    intra: np.ndarray = field(
-        default_factory=lambda: DEFAULT_INTRA_QUANT_MATRIX
-    )
-    non_intra: np.ndarray = field(
-        default_factory=lambda: DEFAULT_NON_INTRA_QUANT_MATRIX
-    )
-
-    @cached_property
-    def intra_scan(self) -> np.ndarray:
-        """``intra`` as 64 int64 weights in scan order (sparse dequantiser)."""
-        return dct.block_to_scan(self.intra.astype(np.int64))
-
-    @cached_property
-    def non_intra_scan(self) -> np.ndarray:
-        """``non_intra`` as 64 int64 weights in scan order."""
-        return dct.block_to_scan(self.non_intra.astype(np.int64))
-
-    @classmethod
-    def from_sequence(cls, sequence) -> "QuantMatrices":
-        return cls(
-            intra=(
-                sequence.intra_matrix
-                if sequence.intra_matrix is not None
-                else DEFAULT_INTRA_QUANT_MATRIX
-            ),
-            non_intra=(
-                sequence.non_intra_matrix
-                if sequence.non_intra_matrix is not None
-                else DEFAULT_NON_INTRA_QUANT_MATRIX
-            ),
-        )
-
-
-DEFAULT_MATRICES = QuantMatrices()
+from repro.mpeg2.plan import DEFAULT_MATRICES, QuantMatrices
+from repro.mpeg2.tables import quantiser_scale_from_code
 
 
 def _residuals(

@@ -21,13 +21,15 @@ Layers:
   GOP/picture/slice-level baselines and the Table 1 cost model.
 """
 
-from repro.parallel.pipeline import ParallelDecoder
-from repro.parallel.threaded import ThreadedParallelDecoder
-from repro.parallel.config import optimal_k, predicted_frame_rate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ParallelDecoder",
-    "ThreadedParallelDecoder",
-    "optimal_k",
-    "predicted_frame_rate",
-]
+_EXPORTS = {
+    "ParallelDecoder": "repro.parallel.pipeline",
+    "ThreadedParallelDecoder": "repro.parallel.threaded",
+    "optimal_k": "repro.parallel.config",
+    "predicted_frame_rate": "repro.parallel.config",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -20,16 +20,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import (
+from repro.mpeg2.constants import PictureType
+from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
+from repro.mpeg2.parser import MacroblockParser, ParsedMB, ParsedPicture, PictureUnit
+from repro.mpeg2.plan import (
+    QuantMatrices,
     assemble_plan,
     check_staging,
     reference_rects,
 )
-from repro.mpeg2.constants import PictureType
-from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
-from repro.mpeg2.parser import MacroblockParser, ParsedMB, ParsedPicture, PictureUnit
 from repro.mpeg2.plan_codec import TilePlan
-from repro.mpeg2.reconstruct import QuantMatrices
 from repro.mpeg2.structures import SequenceHeader
 from repro.parallel.mei import BWD, FWD, BlockXfer, MEIBatch
 from repro.parallel.subpicture import SPH, RunRecord, SkipRecord, SubPicture

@@ -15,9 +15,12 @@ decoded pictures, so they are available), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.mpeg2.motion import Rect
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reference-picture selector for a transfer: which anchor the pixels come
 # from relative to the picture about to be decoded.
@@ -41,6 +44,22 @@ class BlockXfer:
     def payload_bytes(self) -> int:
         """Transferred pixel bytes: one luma + two chroma planes."""
         return self.luma.area + 2 * self.chroma.area
+
+
+@dataclass
+class PixelBlock:
+    """Pixels of one MEI transfer in flight."""
+
+    xfer: BlockXfer
+    src: int
+    dest: int
+    y: Optional[np.ndarray]
+    cb: Optional[np.ndarray]
+    cr: Optional[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        return self.xfer.payload_bytes
 
 
 @dataclass

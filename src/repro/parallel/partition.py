@@ -272,6 +272,12 @@ class PartitionPolicy:
     ) -> Optional[Tuple[List[int], List[int]]]:
         return None
 
+    def snapshot(self) -> dict:
+        """The observations the next :meth:`propose` works from, as JSON
+        types — what a trace needs to say *why* a boundary did or did not
+        move."""
+        return {}
+
 
 class StaticPolicy(PartitionPolicy):
     """The paper's fixed grid — never proposes a move."""
@@ -335,6 +341,11 @@ class ContentAwarePolicy(PartitionPolicy):
             equalize_pixel_bounds(weight(self._rows), self.n),
         )
 
+    def snapshot(self) -> dict:
+        if self._cols is None or self._rows is None:
+            return {}
+        return {"cols": self._cols.tolist(), "rows": self._rows.tolist()}
+
 
 class FeedbackPolicy(PartitionPolicy):
     """Equalize an EWMA of *observed* per-tile busy time.
@@ -385,6 +396,9 @@ class FeedbackPolicy(PartitionPolicy):
             equalize_pixel_bounds(field.sum(axis=1), self.n),
         )
 
+    def snapshot(self) -> dict:
+        return {"busy": {str(tile): s for tile, s in sorted(self._busy.items())}}
+
 
 def make_policy(
     name: str, mb_width: int, mb_height: int, m: int, n: int, **kwargs
@@ -411,6 +425,28 @@ def is_repartition_point(unit) -> bool:
         and getattr(unit, "gop", None) is not None
         and unit.gop.closed_gop
     )
+
+
+@dataclass(frozen=True)
+class PartitionEval:
+    """One decision of a :class:`PartitionController` at a repartition
+    point: what the policy had seen, what it proposed (None: nothing yet),
+    and the update that issued (None: the proposal is already in force)."""
+
+    picture: int
+    inputs: dict
+    proposal: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+    update: Optional[LayoutUpdate]
+
+    def as_event(self) -> dict:
+        """Payload of the root's ``partition_eval`` trace event."""
+        x_bounds, y_bounds = self.proposal or (None, None)
+        return {
+            "inputs": self.inputs,
+            "x_bounds": x_bounds and list(x_bounds),
+            "y_bounds": y_bounds and list(y_bounds),
+            "version": self.update.version if self.update else None,
+        }
 
 
 class PartitionController:
@@ -446,28 +482,35 @@ class PartitionController:
             self.observe_content(rec["picture"], rec["cols"], rec["rows"])
 
     def maybe_update(self, picture: int, unit) -> Optional[LayoutUpdate]:
-        """Issue an update effective at ``picture``, if the policy wants
-        one and ``picture`` is a closed-GOP boundary (never picture 0 —
-        the base layout is already in force there)."""
+        """The update :meth:`evaluate` issues at ``picture``, if any."""
+        decision = self.evaluate(picture, unit)
+        return decision.update if decision is not None else None
+
+    def evaluate(self, picture: int, unit) -> Optional[PartitionEval]:
+        """At a closed-GOP boundary (never picture 0 — the base layout is
+        already in force there) ask the policy for boundaries effective at
+        ``picture`` and issue the update if they differ from the ones in
+        force; anywhere else, None.  The result carries the policy's
+        observations as they stood at the decision, so a trace of it
+        explains the decision whichever way it went."""
         if picture == 0 or not is_repartition_point(unit):
             return None
         with self._lock:
             current = self.schedule.current()
+            inputs = self.policy.snapshot()
             proposal = self.policy.propose(current)
-            if proposal is None:
-                return None
-            x_bounds, y_bounds = proposal
-            if list(x_bounds) == list(current.x_bounds) and list(y_bounds) == list(
-                current.y_bounds
-            ):
-                return None
-            self._version += 1
-            upd = LayoutUpdate(
-                self._version, picture, tuple(x_bounds), tuple(y_bounds)
-            )
-            self.schedule.apply(upd)
-            self.updates.append(upd)
-            return upd
+            upd = None
+            if proposal is not None:
+                x_bounds, y_bounds = (tuple(axis) for axis in proposal)
+                if (x_bounds, y_bounds) != (
+                    tuple(current.x_bounds), tuple(current.y_bounds)
+                ):
+                    self._version += 1
+                    upd = LayoutUpdate(self._version, picture, x_bounds, y_bounds)
+                    self.schedule.apply(upd)
+                    self.updates.append(upd)
+                proposal = (x_bounds, y_bounds)
+            return PartitionEval(picture, inputs, proposal, upd)
 
 
 def build_controller(
@@ -521,6 +564,7 @@ __all__ = [
     "ContentAwarePolicy",
     "FeedbackPolicy",
     "PartitionController",
+    "PartitionEval",
     "make_policy",
     "build_controller",
     "is_repartition_point",

@@ -16,11 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc, vlc
-from repro.mpeg2.batch_reconstruct import PlanBuilder, check_plan, execute_plan
+from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import (
@@ -29,30 +27,15 @@ from repro.mpeg2.macroblock import (
     make_skipped,
     parse_macroblock_body,
 )
+from repro.mpeg2.plan import PlanBuilder, QuantMatrices, check_plan
 from repro.mpeg2.plan_codec import TilePlan
-from repro.mpeg2.reconstruct import QuantMatrices, reconstruct_macroblock
+from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.structures import SequenceHeader
 from repro.perf.metrics import StageTimes
 from repro.perf.telemetry import registry
-from repro.parallel.mei import BWD, FWD, BlockXfer, MEIProgram
+from repro.parallel.mei import BWD, FWD, MEIProgram, PixelBlock
 from repro.parallel.subpicture import RunRecord, SkipRecord, SubPicture
 from repro.wall.layout import Tile, TileLayout
-
-
-@dataclass
-class PixelBlock:
-    """Pixels of one MEI transfer in flight."""
-
-    xfer: BlockXfer
-    src: int
-    dest: int
-    y: Optional[np.ndarray]
-    cb: Optional[np.ndarray]
-    cr: Optional[np.ndarray]
-
-    @property
-    def nbytes(self) -> int:
-        return self.xfer.payload_bytes
 
 
 @dataclass

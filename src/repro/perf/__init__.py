@@ -1,15 +1,17 @@
 """Performance layer: cost model, DES experiment runners, metrics, and
 the cluster telemetry stack (registry, trace spans, timeline export)."""
 
-from repro.perf.costmodel import CostModel, PictureWork, build_picture_work
-from repro.perf.metrics import RuntimeBreakdown
-from repro.perf.telemetry import MetricsRegistry, registry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "PictureWork",
-    "build_picture_work",
-    "RuntimeBreakdown",
-    "MetricsRegistry",
-    "registry",
-]
+_EXPORTS = {
+    "CostModel": "repro.perf.costmodel",
+    "PictureWork": "repro.perf.costmodel",
+    "build_picture_work": "repro.perf.costmodel",
+    "RuntimeBreakdown": "repro.perf.metrics",
+    "MetricsRegistry": "repro.perf.telemetry",
+    "registry": "repro.perf.telemetry",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -209,6 +209,7 @@ class TraceReport:
     # adaptive repartitioning: the root's versioned layout_update events,
     # the decoders' repartition (applied) events, and the GOP boundaries
     partition_updates: List[Dict] = field(default_factory=list)
+    partition_evals: List[Dict] = field(default_factory=list)
     repartitions: List[Dict] = field(default_factory=list)
     gops: List[Dict] = field(default_factory=list)
     # end-to-end picture latency: the collector's per-picture ``e2e``
@@ -216,6 +217,11 @@ class TraceReport:
     e2e: List[Dict] = field(default_factory=list)
     # SLO burn-rate alerts emitted by wall-service sessions
     slo_burns: List[Dict] = field(default_factory=list)
+    # cluster workers' lifecycle stamps (wall clock), per process: the
+    # supervisor's ``spawn`` and ``child_exit``, the worker's ``start``
+    # (with its ``import_s``) and its first per-picture event
+    lifecycle: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    last_frame_ts: Optional[float] = None  # the collector's last paste
 
     # -- derived views ------------------------------------------------- #
 
@@ -337,6 +343,28 @@ class TraceReport:
             )
         return out
 
+    def cold_start(self) -> Dict[str, Dict[str, Optional[float]]]:
+        """Where a job's fixed cost goes, per worker: ``spawn_to_start_s``
+        (fork, interpreter boot and imports — ``import_s`` is the part the
+        worker measured itself), ``start_to_first_picture_s`` (connect,
+        handshakes, waiting for upstream) and ``last_frame_to_exit_s`` (the
+        collector's last paste until the supervisor reaped the child:
+        drain, trace flush, interpreter exit)."""
+
+        def gap(a: Optional[float], b: Optional[float]) -> Optional[float]:
+            return None if a is None or b is None else b - a
+
+        return {
+            proc: {
+                "spawn_to_start_s": gap(st["spawn"], st.get("start")),
+                "import_s": st.get("import_s"),
+                "start_to_first_picture_s": gap(st.get("start"), st.get("first_picture")),
+                "last_frame_to_exit_s": gap(self.last_frame_ts, st.get("child_exit")),
+            }
+            for proc, st in self.lifecycle.items()
+            if "spawn" in st
+        }
+
     def e2e_stats(self) -> Dict[str, object]:
         """Percentiles and critical-path attribution of the end-to-end
         picture latency.  The per-hop totals are telescoping (the stamps
@@ -383,10 +411,13 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
     rejects: List[Dict] = []
     failovers: List[Dict] = []
     partition_updates: List[Dict] = []
+    partition_evals: List[Dict] = []
     repartitions: List[Dict] = []
     gops: List[Dict] = []
     e2e: List[Dict] = []
     slo_burns: List[Dict] = []
+    lifecycle: Dict[str, Dict[str, float]] = {}
+    last_frame_ts: Optional[float] = None
     t_lo, t_hi = float("inf"), float("-inf")
 
     def session(sid) -> SessionAgg:
@@ -397,6 +428,8 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
         t_lo, t_hi = min(t_lo, ev.ts), max(t_hi, ev.ts)
         ph = ev.data.get("ph")
         key = (ev.proc, ev.data.get("tid", ""), ev.event, ev.picture)
+        if ev.picture >= 0 and ev.proc != "supervisor":
+            lifecycle.setdefault(ev.proc, {}).setdefault("first_picture", ev.ts)
         if ph == "B":
             open_begins[key] = open_begins.get(key, 0) + 1
             if "sid" in ev.data:
@@ -449,10 +482,21 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
             agg = session(ev.data["sid"])
             agg.summary = dict(ev.data)
             agg.proc = ev.proc  # the summary's stream is authoritative
+        elif ev.event in ("spawn", "child_exit") and "proc_name" in ev.data:
+            lifecycle.setdefault(ev.data["proc_name"], {})[ev.event] = ev.ts
+        elif ev.event == "start":
+            stamps = lifecycle.setdefault(ev.proc, {})
+            stamps["start"] = ev.ts
+            if "import_s" in ev.data:
+                stamps["import_s"] = float(ev.data["import_s"])
+        elif ev.event == "frame_assembled":
+            last_frame_ts = ev.ts
         elif ev.event == "failover":
             failovers.append(dict(ev.data))
         elif ev.event == "layout_update":
             partition_updates.append({"picture": ev.picture, **ev.data})
+        elif ev.event == "partition_eval":
+            partition_evals.append({"picture": ev.picture, **ev.data})
         elif ev.event == "repartition":
             repartitions.append(
                 {"proc": ev.proc, "picture": ev.picture, **ev.data}
@@ -502,10 +546,13 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
         admission_rejects=rejects,
         failovers=failovers,
         partition_updates=partition_updates,
+        partition_evals=partition_evals,
         repartitions=repartitions,
         gops=gops,
         e2e=e2e,
         slo_burns=slo_burns,
+        lifecycle=lifecycle,
+        last_frame_ts=last_frame_ts,
     )
 
 
@@ -600,6 +647,30 @@ def render_report(report: TraceReport) -> str:
         )
         L.append("")
 
+    # ---- cold start and exit -------------------------------------------- #
+    cold = report.cold_start()
+    if cold:
+
+        def secs(v: Optional[float]) -> str:
+            return "-" if v is None else f"{v:.3f}"
+
+        L.append("Cold start and exit (seconds; the job's fixed cost, per worker):")
+        L += _table(
+            ["proc", "spawn->start", "(import_s)", "start->first picture",
+             "last frame->child_exit"],
+            [
+                [
+                    proc,
+                    secs(c["spawn_to_start_s"]),
+                    secs(c["import_s"]),
+                    secs(c["start_to_first_picture_s"]),
+                    secs(c["last_frame_to_exit_s"]),
+                ]
+                for proc, c in sorted(cold.items(), key=lambda kv: _proc_rank(kv[0]))
+            ],
+        )
+        L.append("")
+
     # ---- waits and flow control --------------------------------------- #
     wait_rows = []
     for proc in sorted(report.procs, key=_proc_rank):
@@ -635,6 +706,15 @@ def render_report(report: TraceReport) -> str:
         L.append("")
 
     # ---- adaptive repartitioning ---------------------------------------- #
+    if report.partition_evals:
+        moved = sum(e.get("version") is not None for e in report.partition_evals)
+        L.append(
+            f"Repartition points evaluated: {len(report.partition_evals)} "
+            f"(pictures {[e['picture'] for e in report.partition_evals]}), "
+            f"{moved} moved a boundary"
+        )
+        if not report.partition_updates:
+            L.append("")
     if report.partition_updates:
         L.append("Partition updates (adaptive repartitioning):")
         applied: Dict[int, List[str]] = {}

@@ -32,7 +32,7 @@ from repro.mpeg2.constants import PICTURE_START_CODE, PictureType
 from repro.mpeg2.decoder import reconstruct_picture
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
-from repro.mpeg2.reconstruct import QuantMatrices
+from repro.mpeg2.plan import QuantMatrices
 from repro.mpeg2.structures import PictureHeader
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.perf.metrics import families

@@ -8,17 +8,18 @@ stream in, N tune-in-capable tile receivers releasing frames on a shared
 clock.
 """
 
-from repro.wall.layout import TileLayout, Tile
-from repro.wall.display import assemble_wall, edge_blend_weights
-from repro.wall.config import TileCrop, WallSpec
-from repro.wall.clock import PresentationClock
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TileLayout",
-    "Tile",
-    "assemble_wall",
-    "edge_blend_weights",
-    "TileCrop",
-    "WallSpec",
-    "PresentationClock",
-]
+_EXPORTS = {
+    "TileLayout": "repro.wall.layout",
+    "Tile": "repro.wall.layout",
+    "assemble_wall": "repro.wall.display",
+    "edge_blend_weights": "repro.wall.display",
+    "TileCrop": "repro.wall.config",
+    "WallSpec": "repro.wall.config",
+    "PresentationClock": "repro.wall.clock",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

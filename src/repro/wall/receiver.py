@@ -30,12 +30,12 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import execute_plan, plan_from_columns
+from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import MB_SIZE, PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.motion import Rect, mb_rect
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture
-from repro.mpeg2.reconstruct import QuantMatrices
+from repro.mpeg2.plan import QuantMatrices, plan_from_columns
 from repro.mpeg2.structures import SequenceHeader
 from repro.net.bcast import BroadcastReceiver, GapNotice
 from repro.net.channel import Address, ChannelError

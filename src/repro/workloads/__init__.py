@@ -14,18 +14,17 @@ package provides both:
   detail distribution), used by the timed DES system at full resolution.
 """
 
-from repro.workloads.streams import StreamSpec, TABLE4_STREAMS, stream_by_id
-from repro.workloads.synthetic import (
-    moving_pattern_frames,
-    localized_detail_frames,
-    fish_tank_frames,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StreamSpec",
-    "TABLE4_STREAMS",
-    "stream_by_id",
-    "moving_pattern_frames",
-    "localized_detail_frames",
-    "fish_tank_frames",
-]
+_EXPORTS = {
+    "StreamSpec": "repro.workloads.streams",
+    "TABLE4_STREAMS": "repro.workloads.streams",
+    "stream_by_id": "repro.workloads.streams",
+    "moving_pattern_frames": "repro.workloads.synthetic",
+    "localized_detail_frames": "repro.workloads.synthetic",
+    "fish_tank_frames": "repro.workloads.synthetic",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

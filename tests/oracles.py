@@ -28,10 +28,10 @@ import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc, plan_codec, vlc
-from repro.mpeg2.batch_reconstruct import PlanBuilder, ReconstructionPlan
 from repro.mpeg2.constants import PICTURE_START_CODE, is_slice_start_code
 from repro.mpeg2.macroblock import CodingState, make_skipped, parse_macroblock_body
 from repro.mpeg2.parser import MacroblockParser, ParsedMB
+from repro.mpeg2.plan import PlanBuilder, ReconstructionPlan
 from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.structures import PictureHeader
 from repro.parallel.mb_splitter import MacroblockSplitter, PlanSplitResult

@@ -14,11 +14,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.mpeg2 import dct
 from repro.mpeg2.batch_reconstruct import (
-    PlanBuilder,
     _predict_plane_batch,
     _residual_stacks,
     execute_plan,
-    narrow_levels,
 )
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.decoder import Decoder
@@ -26,7 +24,7 @@ from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.motion import predict_plane
-from repro.mpeg2.reconstruct import QuantMatrices
+from repro.mpeg2.plan import PlanBuilder, QuantMatrices, narrow_levels
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
 

@@ -1,8 +1,11 @@
 """Command-line interface: every subcommand end to end."""
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import SYNTHETIC_CHOICES, main
 from repro.mpeg2.video_io import read_y4m
 
 
@@ -28,6 +31,34 @@ def encoded(tmp_path):
     )
     assert rc == 0
     return out
+
+
+class TestHelp:
+    def test_help_imports_neither_numpy_nor_the_codec(self):
+        """Each subcommand imports what it runs, so ``--help`` answers
+        without loading numpy (asserted as membership, not as a timing)."""
+        probe = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "heavy = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
+            "heavy += [m for m in sys.modules if m.startswith('repro.mpeg2.')]\n"
+            "print('LOADED', heavy)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        assert "run-cluster" in out and "trace-report" in out
+        assert out.splitlines()[-1] == "LOADED []"
+
+    def test_synthetic_choices_are_the_generators(self):
+        from repro.workloads.synthetic import GENERATORS
+
+        assert list(SYNTHETIC_CHOICES) == sorted(GENERATORS)
 
 
 class TestEncode:

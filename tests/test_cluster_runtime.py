@@ -62,12 +62,18 @@ class TestBitIdentical:
         assert sup.stage_times.pictures == 4 * len(frames)
         assert sup.stage_times.total > 0
 
-    def test_tcp_transport(self, clip_stream):
+    def test_tcp_transport(self, clip_stream, tmp_path, monkeypatch):
         _, stream = clip_stream
         ref = decode_stream(stream)
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
         sup = ClusterSupervisor(WallConfig(m=2, n=1, k=1, transport="tcp"))
         frames = sup.decode(stream, timeout=120.0)
         assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, frames))
+        # No trace_dir: the run directory (a copy of the stream plus every
+        # trace and log) was the supervisor's own, and it is gone.
+        assert os.listdir(tmp_path) == []
+        assert sup.rundir is None and sup.merged_trace_path is None
+        assert sup.stage_times.pictures == 2 * len(frames)  # harvested first
 
     def test_bitstream_fallback_matches_sequential(self, clip_stream):
         """ship_plans=False: decoders re-parse sub-picture bitstreams."""
@@ -137,6 +143,21 @@ class TestTraceTimeline:
         for stage in ("plan", "execute", "wire"):
             assert begins.get(stage, 0) > 0, f"no {stage} spans"
 
+    def test_every_worker_reports_its_role_and_import_time(self, wall_run):
+        """``start`` lands once the role is imported; ``import_s`` is the
+        process's age at that point (where the kernel tells: Linux)."""
+        sup, _, _ = wall_run
+        starts = {
+            ev.proc: ev.data
+            for ev in read_trace_file(sup.merged_trace_path)
+            if ev.event == "start"
+        }
+        assert set(starts) == set(sup.config.process_names)
+        for proc, data in starts.items():
+            assert data["role"] == proc.rstrip("0123456789")
+            if os.path.exists("/proc/self/stat"):
+                assert 0 < data["import_s"] < 60, (proc, data)
+
     def test_trace_lines_are_valid_jsonl(self, wall_run):
         sup, _, _ = wall_run
         for line in sup.merged_trace_path.read_text().splitlines():
@@ -186,17 +207,26 @@ class TestFailureHandling:
         assert purges and len(purges[0]) > 0
         assert [p for p in os.listdir(tmp_path) if p.startswith("repro-pool-")] == []
 
-    def test_failure_report_carries_diagnostics(self, clip_stream, tmp_path):
+    def test_failure_report_carries_diagnostics(
+        self, clip_stream, tmp_path, monkeypatch
+    ):
         _, stream = clip_stream
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
         sup = ClusterSupervisor(
-            WallConfig(m=2, n=1, k=1, transport="unix", fail_at="split0@1"),
-            trace_dir=str(tmp_path),
+            WallConfig(m=2, n=1, k=1, transport="unix", fail_at="split0@1")
         )
         with pytest.raises(ClusterError) as excinfo:
             sup.decode(stream, timeout=120.0)
         # the report names every process and its exit state
         for name in sup.config.process_names:
             assert name in str(excinfo.value)
+        # A failed run keeps even a run directory nobody asked for — its logs
+        # and traces are the post-mortem — and the error says where it is.
+        (kept,) = tmp_path.iterdir()
+        assert kept == sup.rundir and str(kept) in str(excinfo.value)
+        assert (kept / "split0.log").exists()
+        assert sup.merged_trace_path == kept / "merged.trace.jsonl"
+        assert sup.merged_trace_path.exists()
 
     def test_no_stale_sockets_after_success(self, wall_run):
         _, _, rundir = wall_run

@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.mpeg2.batch_reconstruct import plan_from_columns
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.decoder import decode_stream, reconstruct_picture
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
-from repro.mpeg2.reconstruct import QuantMatrices
+from repro.mpeg2.plan import QuantMatrices, plan_from_columns
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import GENERATORS

@@ -1,0 +1,169 @@
+"""What a process imports is a function of the role it runs.
+
+A cluster job's fixed cost is mostly four interpreters importing; these
+tests hold the import graph to *membership and count* (never a timing):
+each role is imported in a fresh interpreter that then prints
+``sys.modules``.  The other half — laziness must not change what the
+packages export — is checked in-process.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+# The packages whose ``__init__`` re-exports lazily (repro._lazy).
+LAZY_PACKAGES = [
+    "repro",
+    "repro.mpeg2",
+    "repro.parallel",
+    "repro.cluster",
+    "repro.cluster.runtime",
+    "repro.perf",
+    "repro.net",
+    "repro.wall",
+    "repro.workloads",
+]
+
+# What no worker of the process cluster has any business loading.
+NEVER_IN_A_WORKER = (
+    "repro.mpeg2.encoder",
+    "repro.parallel.pipeline",
+    "repro.parallel.threaded",
+    "repro.parallel.system",
+    "repro.perf.costmodel",
+    "repro.perf.experiments",
+    "repro.perf.export",
+    "repro.workloads",
+    "repro.cluster.runtime.supervisor",
+    "repro.cluster.node",
+    "repro.net.gm",
+    "repro.net.simtime",
+)
+
+
+def modules_after(statement: str) -> set:
+    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
+        ],
+        env={"PYTHONPATH": SRC, "PATH": ""},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def loaded(modules: set, prefix: str) -> list:
+    return sorted(m for m in modules if m == prefix or m.startswith(prefix + "."))
+
+
+@pytest.fixture(scope="module")
+def role_modules() -> dict:
+    """One subprocess per role, importing exactly what the worker would."""
+    load = "from repro.cluster.runtime.worker import load_role; load_role({!r})"
+    return {
+        role: modules_after(load.format(name))
+        for role, name in (("root", "root"), ("split", "split0"), ("dec", "dec3"))
+    }
+
+
+def test_bare_import_loads_neither_numpy_nor_scipy():
+    modules = modules_after("import repro")
+    assert not loaded(modules, "numpy") and not loaded(modules, "scipy")
+    # nothing of the package beyond itself and the lazy-export helper
+    assert loaded(modules, "repro") == ["repro", "repro._lazy"]
+
+
+@pytest.mark.parametrize("role", ["root", "split", "dec"])
+def test_no_worker_loads_what_only_the_driver_side_needs(role_modules, role):
+    modules = role_modules[role]
+    for forbidden in NEVER_IN_A_WORKER:
+        assert not loaded(modules, forbidden), f"{role} loaded {forbidden}"
+    # and it did load its own role, through the worker's dispatch
+    own = {"root": "root", "split": "splitter", "dec": "decoder"}[role]
+    assert f"repro.cluster.runtime.{own}" in modules
+    others = {"root", "splitter", "decoder"} - {own}
+    assert not any(f"repro.cluster.runtime.{o}" in modules for o in others)
+
+
+@pytest.mark.parametrize("role", ["root", "split"])
+def test_root_and_splitter_stay_off_scipy_and_small(role_modules, role):
+    """Neither ever runs an IDCT: no ``scipy``, no execute side, and about
+    250 modules where importing everything was 601."""
+    modules = role_modules[role]
+    assert not loaded(modules, "scipy"), loaded(modules, "scipy")[:5]
+    assert "repro.mpeg2.dct" not in modules
+    assert "repro.mpeg2.batch_reconstruct" not in modules
+    assert len(modules) <= 300, len(modules)
+
+
+def test_decoder_is_the_role_that_loads_the_transform(role_modules):
+    assert "repro.mpeg2.batch_reconstruct" in role_modules["dec"]
+    assert "scipy.fft" in role_modules["dec"]
+
+
+def test_plan_side_needs_numpy_only():
+    modules = modules_after(
+        "import repro.mpeg2.plan, repro.mpeg2.plan_codec, repro.parallel.mb_splitter"
+    )
+    assert not loaded(modules, "scipy")
+    assert "repro.mpeg2.dct" not in modules
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_exported_name_is_the_submodules_object(package):
+    pkg = importlib.import_module(package)
+    exports = pkg._EXPORTS
+    assert set(pkg.__all__) - {"__version__"} == set(exports)
+    for name, home in exports.items():
+        assert getattr(pkg, name) is getattr(importlib.import_module(home), name)
+        assert name in dir(pkg)
+
+
+def test_submodule_attribute_access_without_an_explicit_import():
+    modules_after("import repro; repro.mpeg2.fast_vlc.parse_slice_columns")
+    modules_after("import repro.perf; repro.perf.trace.TraceWriter")
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_thing"):
+        repro.mpeg2.no_such_thing
+    assert not hasattr(repro, "__wrapped__")
+    with pytest.raises(ImportError):
+        from repro.parallel import no_such_name  # noqa: F401
+
+
+def test_documented_import_lines_run_unchanged():
+    from repro import (  # noqa: F401
+        Decoder,
+        Encoder,
+        EncoderConfig,
+        ParallelDecoder,
+        TileLayout,
+        decode_stream,
+        psnr,
+    )
+
+    assert repro.__version__
+    readme = Path(SRC).parent / "README.md"
+    lines = [
+        ln.strip()
+        for ln in readme.read_text().splitlines()
+        if ln.strip().startswith(("from repro", "import repro"))
+    ]
+    assert lines, "README shows no import lines any more?"
+    for line in lines:
+        exec(line, {})

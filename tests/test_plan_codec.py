@@ -17,19 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.runtime.messages import decode_plan_msg, encode_plan_msg
 from repro.mpeg2 import plan_codec
-from repro.mpeg2.batch_reconstruct import (
-    PlanBuilder,
-    ReconstructionPlan,
-    check_plan,
-    execute_plan,
-)
+from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
+from repro.mpeg2.plan import PlanBuilder, QuantMatrices, ReconstructionPlan, check_plan
 from repro.mpeg2.plan_codec import TilePlan, buffers_nbytes, decode_plan, encode_plan, encode_plan_bytes
-from repro.mpeg2.reconstruct import QuantMatrices
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.threaded import ThreadedParallelDecoder

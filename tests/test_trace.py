@@ -5,7 +5,7 @@ import pytest
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.perf.costmodel import build_picture_work
-from repro.perf.trace import (
+from repro.perf.trace_workload import (
     TraceScaling,
     compare_trace_to_model,
     extract_trace,

@@ -168,6 +168,37 @@ class TestReport:
         ):
             assert needle in text, f"report missing {needle!r}"
 
+    def test_cold_start_decomposes_a_workers_fixed_cost(self):
+        """spawn -> start -> first picture, and last paste -> child_exit,
+        from the supervisor's and the worker's own events."""
+        ev = TraceEvent
+        events = [
+            ev(ts=10.0, proc="supervisor", event="spawn", data={"proc_name": "dec0"}),
+            ev(ts=10.6, proc="dec0", event="start", data={"import_s": 0.58, "pid": 1}),
+            ev(ts=10.7, proc="dec0", event="connect", data={"peer": "collector"}),
+            ev(ts=11.0, proc="dec0", event="decode", picture=0, data={"ph": "B"}),
+            ev(ts=11.1, proc="dec0", event="decode", picture=0,
+               data={"ph": "E", "dur_s": 0.1}),
+            ev(ts=11.4, proc="supervisor", event="frame_assembled", picture=0),
+            ev(ts=11.9, proc="supervisor", event="frame_assembled", picture=1),
+            ev(ts=12.0, proc="supervisor", event="child_exit",
+               data={"proc_name": "dec0", "returncode": 0}),
+        ]
+        rep = build_report(events)
+        cold = rep.cold_start()
+        assert set(cold) == {"dec0"}  # the supervisor is not a worker
+        assert cold["dec0"]["spawn_to_start_s"] == pytest.approx(0.6)
+        assert cold["dec0"]["import_s"] == pytest.approx(0.58)
+        assert cold["dec0"]["start_to_first_picture_s"] == pytest.approx(0.4)
+        assert cold["dec0"]["last_frame_to_exit_s"] == pytest.approx(0.1)
+        assert "Cold start and exit" in render_report(rep)
+        # a run that is not a cluster job (no spawn events) has no such section
+        assert "Cold start" not in render_report(build_report(_span_events()))
+        # a worker killed before it started leaves gaps, not a crash
+        rep = build_report(events[:1] + events[-1:])
+        assert rep.cold_start()["dec0"]["spawn_to_start_s"] is None
+        assert "Cold start and exit" in render_report(rep)
+
     def test_span_tail_formats_last_events(self):
         lines = span_tail(_span_events(), n=3)
         assert len(lines) == 3
@@ -250,3 +281,18 @@ class TestClusterReportEndToEnd:
         text = render_report(rep)
         assert "Cross-tile imbalance" in text
         assert "Credit stalls" in text
+
+        # the fixed cost decomposes per worker: every one of the six was
+        # spawned, started (reporting how long it took to import), saw a
+        # picture and was reaped after the last paste
+        cold = rep.cold_start()
+        assert sorted(cold) == ["dec0", "dec1", "dec2", "dec3", "root", "split0"]
+        for proc, c in cold.items():
+            assert c["spawn_to_start_s"] > 0, proc
+            assert c["start_to_first_picture_s"] >= 0, proc
+            assert c["last_frame_to_exit_s"] > 0, proc
+            if c["import_s"] is not None:  # /proc-less hosts do not report it
+                # process age at ``start`` (10 ms ticks): the same interval
+                # seen from inside, give or take when ``spawn`` was stamped
+                assert 0 < c["import_s"] < c["spawn_to_start_s"] + 0.5, (proc, c)
+        assert "Cold start and exit" in text
