@@ -237,7 +237,6 @@ def cmd_wall_receive(args) -> int:
 
 def cmd_run_cluster(args) -> int:
     from repro.cluster.runtime import ClusterError, ClusterSupervisor, WallConfig
-    from repro.mpeg2.decoder import decode_stream
     from repro.mpeg2.video_io import write_y4m
 
     stream = _load_stream(args.input)
@@ -257,6 +256,8 @@ def cmd_run_cluster(args) -> int:
         print(f"cluster failed: {exc}", file=sys.stderr)
         return 1
     if args.verify:
+        from repro.mpeg2.decoder import decode_stream
+
         reference = decode_stream(stream)
         worst = max(a.max_abs_diff(b) for a, b in zip(reference, frames))
         status = "bit-exact" if worst == 0 else f"MISMATCH (max diff {worst})"

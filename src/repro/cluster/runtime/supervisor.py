@@ -9,16 +9,19 @@ one decode it:
    the caller named one; otherwise a temporary directory that is removed
    after a successful decode and kept, its path in the error, after a
    failed one;
-2. binds the collector listener, then spawns ``1 + k + m*n`` worker
-   processes (``python -m repro.cluster.runtime.worker``);
+2. binds the collector listener, imports the role modules (once per
+   process: ``preload``) and forks ``1 + k + m*n`` workers off itself —
+   each child runs :func:`repro.cluster.runtime.worker.main`, having
+   imported nothing;
 3. accepts one channel per tile decoder and collects displayed tile
    crops until every picture is assembled, polling child liveness the
    whole time — a crashed worker becomes a :class:`ClusterError` with a
    per-process diagnostic report, never a hang;
-4. drains EOS, waits for children to exit (escalating terminate → kill
-   past the deadline), and merges every per-process trace of a run
-   directory that stays into one wall-clock timeline
-   (``merged.trace.jsonl``).
+4. drains EOS and waits for children to exit (escalating terminate → kill
+   past the deadline).  Every per-process trace of a run directory that
+   stays is merged into one wall-clock timeline (``merged.trace.jsonl``)
+   when :attr:`ClusterSupervisor.merged_trace_path` is first read — at
+   once after a failed run, whose post-mortem it is.
 
 The output is bit-identical to the sequential decoder — the same golden
 assertion the threaded runner carries, now across process boundaries.
@@ -30,9 +33,10 @@ import json
 import os
 import queue
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -49,6 +53,7 @@ from repro.cluster.runtime.messages import (
     decode_tile_frame_hmsg,
 )
 from repro.cluster.runtime.rendezvous import Rendezvous, accept_labeled, pump
+from repro.cluster.runtime.worker import load_role, role_kind, run_forked
 from repro.mem import PoolRegistry, purge_pools
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
@@ -80,13 +85,94 @@ class ClusterError(RuntimeError):
         self.report = report
 
 
-def _repro_pythonpath() -> str:
-    """PYTHONPATH that lets a bare interpreter import this package."""
-    import repro
+class WorkerProcess:
+    """A forked worker, reaped by this process (so its CPU time and peak
+    RSS land in this process's ``RUSAGE_CHILDREN``).
 
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    existing = os.environ.get("PYTHONPATH", "")
-    return src_root + (os.pathsep + existing if existing else "")
+    The slice of ``subprocess.Popen`` the supervisor needs — ``pid``,
+    ``poll``, ``wait``, ``terminate``, ``kill``, ``returncode`` (negative:
+    killed by that signal) — except that a ``wait`` that times out returns
+    None, like ``poll``, where Popen raises.  Safe to share between the
+    decode thread and a thread calling :meth:`ClusterSupervisor.shutdown`.
+    """
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def _reap(self, flags: int) -> Optional[int]:
+        """``waitpid`` once; the caller holds the lock."""
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, flags)
+            if pid == self.pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        with self._lock:
+            return self._reap(os.WNOHANG)
+
+    def wait(self, timeout: Optional[float] = None) -> Optional[int]:
+        if timeout is None:
+            with self._lock:
+                return self._reap(0)
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            delay = min(2 * delay, remaining, 0.005)
+            time.sleep(delay)
+        return self.returncode
+
+    def _signal(self, sig: int) -> None:
+        with self._lock:  # never signal a pid that has been reaped
+            if self._reap(os.WNOHANG) is None:
+                os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def stop(self, grace_s: float) -> int:
+        """Wait ``grace_s`` for the exit, then SIGKILL and reap."""
+        rc = self.wait(grace_s)
+        if rc is None:
+            self.kill()
+            rc = self.wait()
+        return rc
+
+
+def preload_roles(names: List[str]) -> Optional[dict]:
+    """Import the role modules of processes ``names`` into *this* process,
+    for its forks to start with.  Returns what that cost as the ``preload``
+    event's data — ``roles``, ``modules``, ``seconds`` — or None when
+    nothing was left to import (every job of a process but its first)."""
+    loaded = len(sys.modules)
+    t0 = time.perf_counter()
+    for name in names:
+        load_role(name)
+    if len(sys.modules) == loaded:
+        return None
+    return {
+        "roles": sorted({role_kind(name) for name in names}),
+        "modules": len(sys.modules) - loaded,
+        "seconds": round(time.perf_counter() - t0, 4),
+    }
+
+
+def _flush_stdio() -> None:
+    """Whatever sits in a stdio buffer at ``fork()`` would be the child's
+    to write a second time."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # detached or closed
+            pass
 
 
 class ClusterSupervisor:
@@ -96,11 +182,12 @@ class ClusterSupervisor:
         self.config = config
         self.trace_dir = trace_dir
         self.rundir: Optional[Path] = None
-        self.processes: Dict[str, subprocess.Popen] = {}
+        self.processes: Dict[str, WorkerProcess] = {}
         self.stage_times = StageTimes()  # aggregated from decoder traces
         self.stage_times_by_proc: Dict[str, StageTimes] = {}
-        self.merged_trace_path: Optional[Path] = None
-        self.perfetto_path: Optional[Path] = None
+        self._unmerged: Optional[Path] = None  # a kept rundir, not merged yet
+        self._merged_trace_path: Optional[Path] = None
+        self._perfetto_path: Optional[Path] = None
         self._tracer: Optional[TraceWriter] = None
         self._stopped = False
         self._death_hooks: List = []
@@ -114,6 +201,30 @@ class ClusterSupervisor:
         not when the decode eventually errors out.  Hooks run on the
         polling thread and must not block."""
         self._death_hooks.append(hook)
+
+    @property
+    def merged_trace_path(self) -> Optional[Path]:
+        """The kept run directory's one wall-clock timeline (JSONL), merged
+        when first asked for; None when the run directory is gone."""
+        self._merge_traces()
+        return self._merged_trace_path
+
+    @property
+    def perfetto_path(self) -> Optional[Path]:
+        """The same timeline as a Perfetto-loadable Chrome trace."""
+        self._merge_traces()
+        return self._perfetto_path
+
+    def _merge_traces(self) -> None:
+        if self._unmerged is None:
+            return
+        rundir, self._unmerged = self._unmerged, None
+        # Lenient merge: a crashed worker may leave a torn final line; the
+        # post-mortem must still see everything that did flush.
+        self._merged_trace_path = rundir / MERGED_TRACE
+        events = merge_traces(rundir, self._merged_trace_path, strict=False)
+        self._perfetto_path = rundir / PERFETTO_TRACE
+        write_chrome_trace(events, self._perfetto_path)
 
     # ------------------------------------------------------------------ #
 
@@ -149,7 +260,7 @@ class ClusterSupervisor:
         channels: Dict[int, Channel] = {}
         shm_dir = Path(cfg.shm_dir) if cfg.shm_dir else None
         pools = PoolRegistry(shm_dir) if cfg.pool_enabled else None
-        discard = False
+        done = False
         try:
             self._spawn(rundir, tracer)
             frames = self._collect(
@@ -157,7 +268,7 @@ class ClusterSupervisor:
                 pools,
             )
             self._shutdown(timeout, tracer)
-            discard = self.trace_dir is None
+            done = True
             return frames
         except Exception:
             self._teardown(tracer)
@@ -181,43 +292,41 @@ class ClusterSupervisor:
             # against releases across the whole process tree.
             emit_stats(tracer)
             tracer.close()
-            if discard:
+            if done and self.trace_dir is None:
                 shutil.rmtree(rundir, ignore_errors=True)
                 self.rundir = None
             else:
-                # Lenient merge: a crashed worker may leave a torn final
-                # line; the post-mortem must still see everything that did
-                # flush.
-                self.merged_trace_path = rundir / MERGED_TRACE
-                events = merge_traces(rundir, self.merged_trace_path, strict=False)
-                self.perfetto_path = rundir / PERFETTO_TRACE
-                write_chrome_trace(events, self.perfetto_path)
+                # Merging is the reader's cost, not the job's (1.5-3 % of
+                # a short one) — except after a failure, where the merged
+                # timeline is the post-mortem and must exist.
+                self._unmerged = rundir
+                if not done:
+                    self._merge_traces()
 
     # ------------------------------------------------------------------ #
 
     def _spawn(self, rundir: Path, tracer: TraceWriter) -> None:
-        env = os.environ.copy()
-        env["PYTHONPATH"] = _repro_pythonpath()
+        """Fork one worker per role off this process.
+
+        A worker needs nothing this process does not already have loaded —
+        an interpreter booted per worker spent its first 0.25-0.5 s
+        importing — so the roles are imported here, once, and every child
+        starts with them.  Not through a fork *server*: the children of a
+        helper process are not this process's children, and the CPU they
+        burn would vanish from its ``RUSAGE_CHILDREN``.
+        """
+        preloaded = preload_roles(self.config.process_names)
+        if preloaded is not None:
+            tracer.emit("preload", **preloaded)
         for name in self.config.process_names:
-            log = open(rundir / f"{name}.log", "wb")
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.cluster.runtime.worker",
-                    "--dir",
-                    str(rundir),
-                    "--name",
-                    name,
-                ],
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=env,
-                cwd=str(rundir),
-            )
-            log.close()  # the child holds its own descriptor
-            self.processes[name] = proc
-            tracer.emit("spawn", proc_name=name, pid=proc.pid)
+            _flush_stdio()
+            tracer.flush()
+            forked_at = time.time()
+            pid = os.fork()
+            if pid == 0:
+                run_forked(rundir, name)  # never returns
+            self.processes[name] = WorkerProcess(pid)
+            tracer.emit("spawn", ts=forked_at, proc_name=name, pid=pid)
 
     def _poll_children(self) -> Optional[str]:
         """Name of the first child that exited with a nonzero status."""
@@ -384,34 +493,28 @@ class ClusterSupervisor:
         cfg = self.config
         deadline = time.monotonic() + min(timeout, cfg.shutdown_drain_s)
         for name, proc in self.processes.items():
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                rc = proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            rc = proc.wait(max(0.1, deadline - time.monotonic()))
+            if rc is None:
                 proc.terminate()
-                try:
-                    rc = proc.wait(timeout=cfg.terminate_grace_s)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    rc = proc.wait()
+                rc = proc.stop(cfg.terminate_grace_s)
             tracer.emit("child_exit", proc_name=name, returncode=rc)
         self._harvest_stage_times()
         tracer.emit("shutdown")
 
     def _teardown(self, tracer: TraceWriter) -> None:
         """Failure path: kill every child so nothing outlives the error."""
-        for name, proc in self.processes.items():
-            if proc.poll() is None:
-                proc.terminate()
+        for name, rc in self._terminate_all():
+            tracer.emit("child_killed", proc_name=name, returncode=rc)
+        tracer.emit("teardown")
+
+    def _terminate_all(self):
+        """SIGTERM every child, SIGKILL what outlives ``teardown_kill_s``;
+        yields ``(name, returncode)`` as each is reaped."""
+        for proc in self.processes.values():
+            proc.terminate()
         deadline = time.monotonic() + self.config.teardown_kill_s
         for name, proc in self.processes.items():
-            try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            tracer.emit("child_killed", proc_name=name, returncode=proc.returncode)
-        tracer.emit("teardown")
+            yield name, proc.stop(max(0.1, deadline - time.monotonic()))
 
     def shutdown(self, reason: str = "requested") -> None:
         """Stop *this* run's process tree cleanly, recording why.
@@ -432,20 +535,9 @@ class ClusterSupervisor:
         tracer = self._tracer
         if tracer is not None:
             tracer.emit("shutdown_requested", reason=reason)
-        for proc in self.processes.values():
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + self.config.teardown_kill_s
-        for name, proc in self.processes.items():
-            try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        for name, rc in self._terminate_all():
             if tracer is not None:
-                tracer.emit(
-                    "child_stopped", proc_name=name, returncode=proc.returncode
-                )
+                tracer.emit("child_stopped", proc_name=name, returncode=rc)
         if tracer is not None:
             tracer.emit("shutdown_complete", reason=reason)
 

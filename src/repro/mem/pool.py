@@ -51,7 +51,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.perf.telemetry import registry
 
@@ -206,8 +206,14 @@ class FramePool:
             )
             self._offsets.append(off)
             self._sizes.append(size)
-        # Owner's rotating scan cursor so slab reuse spreads writes out.
-        self._cursor = 0
+        # Slabs lie class by class, ascending: the slab numbers of each size
+        # class, and per class the owner's rotating scan cursor, so slab
+        # reuse spreads writes out.
+        self._classes: Dict[int, range] = {}
+        for s, size in enumerate(self._sizes):
+            first = self._classes[size].start if size in self._classes else s
+            self._classes[size] = range(first, s + 1)
+        self._cursor = {size: slabs.start for size, slabs in self._classes.items()}
 
     # ------------------------------------------------------------------ #
     # creation / attach
@@ -298,10 +304,7 @@ class FramePool:
             raise ValueError("alloc needs nbytes > 0 and leases >= 1")
         mm = self._mm
         n = self.n_slabs
-        for probe in range(n):
-            s = (self._cursor + probe) % n
-            if self._sizes[s] < nbytes:
-                continue
+        for s in self._candidates(nbytes):
             _off, _size, gen, refcount, _used = struct.unpack_from(
                 _SLAB_REC, mm, self._rec_off(s)
             )
@@ -312,7 +315,7 @@ class FramePool:
                 _SLAB_REC, mm, self._rec_off(s),
                 self._offsets[s], self._sizes[s], gen, leases, nbytes,
             )
-            self._cursor = (s + 1) % n
+            self._cursor[self._sizes[s]] = s + 1
             self.stats.leases += 1
             self.stats.lease_bytes += nbytes
             in_use = self.slabs_in_use()
@@ -332,6 +335,18 @@ class FramePool:
         raise PoolExhausted(
             f"{self.name}: no free slab >= {nbytes} bytes ({n} slabs, all leased)"
         )
+
+    def _candidates(self, nbytes: int) -> Iterator[int]:
+        """Slabs that fit ``nbytes``, in the order to try them: the smallest
+        class that fits first, a larger one only once that is all leased,
+        each class from its cursor round.  (A small payload that took
+        whichever slab came next would exhaust the big class for the
+        payloads that fit nowhere else: boundary blocks ate frame slabs.)"""
+        for size, slabs in self._classes.items():
+            if size >= nbytes:
+                start = self._cursor[size] - slabs.start
+                for probe in range(len(slabs)):
+                    yield slabs[(start + probe) % len(slabs)]
 
     def cancel(self, lease: Lease) -> None:
         """Owner-side unwind of an unsent lease (send failed / fell back)."""

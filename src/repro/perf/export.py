@@ -221,6 +221,9 @@ class TraceReport:
     # supervisor's ``spawn`` and ``child_exit``, the worker's ``start``
     # (with its ``import_s``) and its first per-picture event
     lifecycle: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # the supervisor's ``preload`` (roles, modules, seconds): the imports
+    # the first job of a process pays before it forks its workers
+    preload: Optional[Dict] = None
     last_frame_ts: Optional[float] = None  # the collector's last paste
 
     # -- derived views ------------------------------------------------- #
@@ -345,11 +348,11 @@ class TraceReport:
 
     def cold_start(self) -> Dict[str, Dict[str, Optional[float]]]:
         """Where a job's fixed cost goes, per worker: ``spawn_to_start_s``
-        (fork, interpreter boot and imports — ``import_s`` is the part the
-        worker measured itself), ``start_to_first_picture_s`` (connect,
-        handshakes, waiting for upstream) and ``last_frame_to_exit_s`` (the
-        collector's last paste until the supervisor reaped the child:
-        drain, trace flush, interpreter exit)."""
+        (the fork, or interpreter boot and imports for a worker run by hand
+        — ``import_s`` is the worker's own age at ``start``),
+        ``start_to_first_picture_s`` (connect, handshakes, waiting for
+        upstream) and ``last_frame_to_exit_s`` (the collector's last paste
+        until the supervisor reaped the child: drain, trace flush, exit)."""
 
         def gap(a: Optional[float], b: Optional[float]) -> Optional[float]:
             return None if a is None or b is None else b - a
@@ -417,6 +420,7 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
     e2e: List[Dict] = []
     slo_burns: List[Dict] = []
     lifecycle: Dict[str, Dict[str, float]] = {}
+    preload: Optional[Dict] = None
     last_frame_ts: Optional[float] = None
     t_lo, t_hi = float("inf"), float("-inf")
 
@@ -489,6 +493,8 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
             stamps["start"] = ev.ts
             if "import_s" in ev.data:
                 stamps["import_s"] = float(ev.data["import_s"])
+        elif ev.event == "preload":
+            preload = dict(ev.data)
         elif ev.event == "frame_assembled":
             last_frame_ts = ev.ts
         elif ev.event == "failover":
@@ -552,6 +558,7 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
         e2e=e2e,
         slo_burns=slo_burns,
         lifecycle=lifecycle,
+        preload=preload,
         last_frame_ts=last_frame_ts,
     )
 
@@ -654,20 +661,29 @@ def render_report(report: TraceReport) -> str:
         def secs(v: Optional[float]) -> str:
             return "-" if v is None else f"{v:.3f}"
 
+        rows = [
+            [
+                proc,
+                secs(c["spawn_to_start_s"]),
+                secs(c["import_s"]),
+                secs(c["start_to_first_picture_s"]),
+                secs(c["last_frame_to_exit_s"]),
+            ]
+            for proc, c in sorted(cold.items(), key=lambda kv: _proc_rank(kv[0]))
+        ]
+        if report.preload:
+            # what the workers no longer import: the supervisor did, once
+            # in its process, before the first fork
+            roles = "+".join(report.preload.get("roles", []))
+            rows.insert(
+                0,
+                [f"preload {roles}", "-", secs(report.preload.get("seconds")), "-", "-"],
+            )
         L.append("Cold start and exit (seconds; the job's fixed cost, per worker):")
         L += _table(
             ["proc", "spawn->start", "(import_s)", "start->first picture",
              "last frame->child_exit"],
-            [
-                [
-                    proc,
-                    secs(c["spawn_to_start_s"]),
-                    secs(c["import_s"]),
-                    secs(c["start_to_first_picture_s"]),
-                    secs(c["last_frame_to_exit_s"]),
-                ]
-                for proc, c in sorted(cold.items(), key=lambda kv: _proc_rank(kv[0]))
-            ],
+            rows,
         )
         L.append("")
 

@@ -23,6 +23,7 @@ serve.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -334,6 +335,17 @@ _FAMILIES = FamilyRegistry()
 def families() -> FamilyRegistry:
     """The process-global family registry (one per worker process)."""
     return _FAMILIES
+
+
+def _fresh_families_in_child() -> None:
+    """After ``fork()`` the child gets an empty registry with a new lock
+    (replaced, never acquired: the parent's may have been held at the fork)."""
+    global _FAMILIES
+    _FAMILIES = FamilyRegistry()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_families_in_child)
 
 
 # --------------------------------------------------------------------- #

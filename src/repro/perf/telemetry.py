@@ -21,6 +21,7 @@ transport) may import it without dragging in the decoder stack.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import weakref
@@ -276,6 +277,22 @@ _CHANNELS: "weakref.WeakSet" = weakref.WeakSet()
 #: connection that didn't survive to the last snapshot.
 _CLOSED: Dict[str, Dict[str, float]] = {}
 _CLOSED_LOCK = threading.Lock()
+
+
+def _fresh_state_in_child() -> None:
+    """A forked child starts with its own counters: *replace* the registry,
+    the channel sets and their locks, never acquire them — a lock another
+    thread of the parent held at ``fork()`` stays locked forever in the
+    child, and the parent's counters are not the child's to report."""
+    global _REGISTRY, _CHANNELS, _CLOSED, _CLOSED_LOCK
+    _REGISTRY = MetricsRegistry()
+    _CHANNELS = weakref.WeakSet()
+    _CLOSED = {}
+    _CLOSED_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_state_in_child)
 
 
 def register_channel(ch) -> None:

@@ -136,9 +136,9 @@ class TraceWriter:
         ts: Optional[float] = None,
         **data,
     ) -> TraceEvent:
-        thread = threading.current_thread().name
-        if thread != "MainThread":
-            data.setdefault("tid", thread)
+        thread = threading.current_thread()
+        if thread is not threading.main_thread():
+            data.setdefault("tid", thread.name)
         ev = TraceEvent(
             ts=time.time() if ts is None else ts,
             proc=self.proc,
@@ -158,6 +158,13 @@ class TraceWriter:
         if not self.spans:
             return _NULL_SPAN
         return Span(self, event, picture, data)
+
+    def flush(self) -> None:
+        """Empty the file buffer (before a ``fork()``: a child would write
+        its copy of a buffered line a second time)."""
+        with self._lock:
+            if not self._fh.closed:
+                self._fh.flush()
 
     def close(self) -> None:
         with self._lock:

@@ -1,10 +1,13 @@
 """Command-line interface: every subcommand end to end."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import SYNTHETIC_CHOICES, main
 from repro.mpeg2.video_io import read_y4m
 
@@ -145,6 +148,34 @@ class TestRunCluster:
         )
         assert rc == 0
         assert len(read_y4m(out)) == 8
+
+
+    @pytest.mark.integration
+    def test_run_cluster_forks_single_threaded(self, tmp_path, encoded):
+        """The supervisor forks its workers, and a fork only carries the
+        forking thread: anything another thread held is lost in the child
+        (Python 3.12 warns).  ``run-cluster`` must have started none."""
+        script = (
+            "import os, sys, threading\n"
+            "fork, seen = os.fork, []\n"
+            "def counting_fork():\n"
+            "    seen.append(threading.active_count())\n"
+            "    return fork()\n"
+            "os.fork = counting_fork\n"
+            "from repro.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('forks', seen)\n"
+            "sys.exit(rc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", script,
+             "run-cluster", "-i", str(encoded), "-m", "2", "-n", "1",
+             "--trace-dir", str(tmp_path / "run")],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "forks [1, 1, 1, 1]" in out.stdout
 
 
 class TestSimulate:

@@ -1,20 +1,28 @@
 """The multi-process cluster runtime, end to end.
 
-These tests spawn real worker processes (``1 + k + m*n`` interpreters)
-talking over the socket transport, so they are marked ``integration``
-and run in a dedicated CI job rather than the default matrix.
+These tests spawn real worker processes (``1 + k + m*n`` forks of the
+test process) talking over the socket transport, so they are marked
+``integration`` and run in a dedicated CI job rather than the default
+matrix.
 """
 
 import json
 import os
+import resource
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster.runtime import ClusterError, ClusterSupervisor, WallConfig
 from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
-from repro.perf.trace import read_trace_file
+from repro.perf import metrics, telemetry
+from repro.perf.trace import TRACE_SUFFIX, TraceWriter, read_trace_file
 from repro.workloads.synthetic import moving_pattern_frames
 
 pytestmark = pytest.mark.integration
@@ -94,6 +102,172 @@ class TestBitIdentical:
         for proc, st in decs.items():
             assert st.parse == 0.0, f"{proc} spent {st.parse}s in VLC"
             assert st.execute > 0.0
+
+
+def worker_events(rundir, event):
+    """``{proc: [data, ...]}`` of one event kind from the workers' own
+    trace files of a run directory."""
+    out = {}
+    for path in sorted(Path(rundir).glob(f"*{TRACE_SUFFIX}")):
+        for ev in read_trace_file(path):
+            if ev.event == event and ev.proc not in ("supervisor", "merged"):
+                out.setdefault(ev.proc, []).append(ev.data)
+    return out
+
+
+class TestForkContract:
+    """Workers are forks of the caller.  What must not show: the caller's
+    descriptors, buffers, locks, counters, exit handlers or stack."""
+
+    SMALL = dict(m=2, n=1, k=1, transport="unix")
+
+    def test_workers_inherit_no_descriptor_and_no_buffered_line(self, wall_run):
+        sup, _, rundir = wall_run
+        starts = worker_events(rundir, "start")
+        assert set(starts) == set(sup.config.process_names)
+        if os.path.exists("/proc/self/fd"):
+            # the collector listener, the supervisor's trace file and
+            # pytest's capture files were all open at the fork
+            assert {p: d[0]["inherited_fds"] for p, d in starts.items()} == {
+                p: [] for p in starts
+            }
+        # a trace buffer flushed on both sides of a fork would double a line
+        lines = (rundir / f"supervisor{TRACE_SUFFIX}").read_text().splitlines()
+        spawns = [json.loads(ln) for ln in lines if '"spawn"' in ln]
+        assert sorted(sp["data"]["proc_name"] for sp in spawns) == sorted(
+            sup.config.process_names
+        )
+        assert len(set(lines)) == len(lines)
+
+    def test_locks_held_by_another_thread_at_the_fork(self, clip_stream, tmp_path):
+        """A lock some other thread holds while the supervisor forks stays
+        locked for ever in the child.  The process-global registries must
+        come up replaced there, or the first counter a worker touches
+        hangs it."""
+        _, stream = clip_stream
+        sup = ClusterSupervisor(WallConfig(**self.SMALL), trace_dir=str(tmp_path))
+        bystander = TraceWriter(tmp_path / f"bystander{TRACE_SUFFIX}", "bystander")
+        locks = [
+            telemetry.registry()._lock,
+            telemetry._CLOSED_LOCK,
+            metrics.families()._lock,
+            bystander._lock,
+        ]
+        held = threading.Event()
+
+        def hold():
+            for lock in locks:
+                lock.acquire()
+            held.set()
+            deadline = time.monotonic() + 60.0
+            while len(sup.processes) < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)  # until the last fork: the parent needs them too
+            for lock in locks:
+                lock.release()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        try:
+            frames = sup.decode(stream, timeout=60.0)
+        finally:
+            holder.join(timeout=90.0)
+            bystander.close()
+        assert not holder.is_alive()
+        assert all(a.max_abs_diff(b) == 0 for a, b in zip(decode_stream(stream), frames))
+
+    def test_parent_exit_handlers_and_stack_run_once(self, tmp_path):
+        """Each child leaves through ``os._exit``: neither the caller's
+        ``atexit`` list nor a ``finally`` around ``decode()`` runs in it."""
+        marker = tmp_path / "marker"
+        script = f"""
+import atexit
+from repro.cluster.runtime import ClusterSupervisor, WallConfig
+from repro.mpeg2.encoder import Encoder, EncoderConfig
+from repro.workloads.synthetic import moving_pattern_frames
+
+def mark(what):
+    with open({str(marker)!r}, "a") as fh:
+        fh.write(what + "\\n")
+
+atexit.register(mark, "atexit")
+stream = Encoder(EncoderConfig(gop_size=3)).encode(moving_pattern_frames(96, 64, 3, seed=1))
+try:
+    frames = ClusterSupervisor(WallConfig(m=2, n=1, k=1)).decode(stream, timeout=60.0)
+finally:
+    mark("finally")
+print(len(frames), "frames", end="")  # stays in the stdio buffer until exit
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout == "3 frames"
+        assert sorted(marker.read_text().split()) == ["atexit", "finally"]
+
+    def test_second_job_starts_from_zero_counters(self, clip_stream, tmp_path):
+        """Job 2's workers are forked off a process whose registries hold
+        job 1's collector channels and counters; they must report their own
+        and nothing else."""
+        _, stream = clip_stream
+        # no heartbeat within the job: byte totals are the protocol's alone
+        cfg = dict(self.SMALL, heartbeat_interval=30.0, dead_after=120.0)
+        totals = []
+        for job in ("job1", "job2"):
+            sup = ClusterSupervisor(WallConfig(**cfg), trace_dir=str(tmp_path / job))
+            sup.decode(stream, timeout=60.0)
+            last = {p: d[-1] for p, d in worker_events(sup.rundir, "stats").items()}
+            assert set(last) == set(sup.config.process_names)
+            channels = {
+                name: c for d in last.values() for name, c in d["channels"].items()
+            }
+            assert not [n for n in channels if n.startswith("supervisor")], channels
+            totals.append(
+                {
+                    key: sum(c[key] for c in channels.values())
+                    for key in ("sent_bytes", "handle_bytes")
+                }
+            )
+            for proc, data in last.items():
+                assert "e2e.latency" not in data["metrics"]["histograms"], proc
+        assert totals[0] == totals[1] and totals[0]["handle_bytes"] > 0
+
+    def test_worker_cpu_reaches_the_callers_rusage(self, clip_stream, tmp_path):
+        """The harness charges a job ``RUSAGE_CHILDREN``: every worker must
+        be this process's own child, reaped by it."""
+        _, stream = clip_stream
+
+        def children_cpu():
+            ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return ru.ru_utime + ru.ru_stime
+
+        before = children_cpu()
+        sup = ClusterSupervisor(WallConfig(**self.SMALL), trace_dir=str(tmp_path))
+        sup.decode(stream, timeout=60.0)
+        charged = children_cpu() - before
+        exits = worker_events(tmp_path, "exit")
+        assert set(exits) == set(sup.config.process_names)
+        reported = sum(d[0]["cpu_s"] for d in exits.values())
+        assert reported > 0 and charged >= 0.9 * reported, (charged, reported)
+
+    def test_decode_from_a_worker_thread(self, clip_stream, tmp_path):
+        """The forking thread is the child's only thread — its main thread,
+        whatever it was called in the parent."""
+        _, stream = clip_stream
+        sup = ClusterSupervisor(WallConfig(**self.SMALL), trace_dir=str(tmp_path))
+        outcome = {}
+        t = threading.Thread(
+            target=lambda: outcome.update(frames=sup.decode(stream, timeout=60.0)),
+            name="session-7",
+        )
+        t.start()
+        t.join(timeout=90.0)
+        assert not t.is_alive()
+        ref = decode_stream(stream)
+        assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, outcome["frames"]))
+        for proc, starts in worker_events(tmp_path, "start").items():
+            assert "tid" not in starts[0], proc
 
 
 class TestTraceTimeline:
@@ -239,8 +413,6 @@ class TestShutdownAPI:
         """shutdown(reason=...) mid-decode: the decode thread surfaces a
         ClusterError, no child survives, the reason lands in the trace,
         and calling it again is a no-op."""
-        import threading
-
         clip = moving_pattern_frames(96, 64, 40, seed=7)
         stream = Encoder(EncoderConfig(gop_size=5, b_frames=2)).encode(clip)
         sup = ClusterSupervisor(

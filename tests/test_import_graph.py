@@ -1,10 +1,12 @@
 """What a process imports is a function of the role it runs.
 
-A cluster job's fixed cost is mostly four interpreters importing; these
-tests hold the import graph to *membership and count* (never a timing):
-each role is imported in a fresh interpreter that then prints
-``sys.modules``.  The other half — laziness must not change what the
-packages export — is checked in-process.
+A cluster job's workers are forks of the supervisor, so what it preloads
+is what every one of them carries, and ``python -m
+repro.cluster.runtime.worker`` still boots one role by hand; these tests
+hold the import graph to *membership and count* (never a timing): each
+role is imported in a fresh interpreter that then prints ``sys.modules``.
+The other half — laziness must not change what the packages export — is
+checked in-process.
 """
 
 import importlib
@@ -113,6 +115,35 @@ def test_root_and_splitter_stay_off_scipy_and_small(role_modules, role):
 def test_decoder_is_the_role_that_loads_the_transform(role_modules):
     assert "repro.mpeg2.batch_reconstruct" in role_modules["dec"]
     assert "scipy.fft" in role_modules["dec"]
+
+
+def test_supervisor_preload_is_the_three_roles_and_no_more():
+    """What the supervisor imports before it forks is the union of the
+    roles — not the encoder, the simulator, the cost model or the workload
+    generators, which every forked worker would then carry too."""
+    modules = modules_after(
+        "from repro.cluster.runtime.config import WallConfig\n"
+        "from repro.cluster.runtime.supervisor import preload_roles\n"
+        "cost = preload_roles(WallConfig().process_names)\n"
+        "assert cost['roles'] == ['dec', 'root', 'split'] and cost['modules'] > 0, cost\n"
+        "assert preload_roles(WallConfig(m=3, k=2).process_names) is None"
+    )
+    for role in ("root", "splitter", "decoder"):
+        assert f"repro.cluster.runtime.{role}" in modules
+    assert "scipy.fft" in modules
+    for forbidden in (
+        "repro.mpeg2.encoder",
+        "repro.parallel.system",
+        "repro.parallel.pipeline",
+        "repro.parallel.threaded",
+        "repro.net.simtime",
+        "repro.net.gm",
+        "repro.cluster.node",
+        "repro.perf.costmodel",
+        "repro.perf.experiments",
+        "repro.workloads",
+    ):
+        assert not loaded(modules, forbidden), f"supervisor loaded {forbidden}"
 
 
 def test_plan_side_needs_numpy_only():

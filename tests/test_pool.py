@@ -50,6 +50,19 @@ class TestFramePool:
         small = pool.alloc(10)
         assert pool._sizes[small.handle.slab] == 64
 
+    def test_small_payloads_leave_the_big_class_alone(self, pool):
+        """However the allocations interleave, a small payload takes a big
+        slab only once every small one is leased (boundary blocks used to
+        take whichever slab followed the last frame's)."""
+        big = pool.alloc(200)
+        small = [pool.alloc(10) for _ in range(2)]
+        assert [pool._sizes[s.handle.slab] for s in small] == [64, 64]
+        pool.alloc(200)  # both big slabs went to the payloads that need them
+        pool.release(big.handle)
+        spill = pool.alloc(10)  # the small class is full: degrade, not fail
+        assert pool._sizes[spill.handle.slab] == 256
+        assert pool.stats.exhausted == 0
+
     def test_exhaustion_raises_for_by_value_fallback(self, pool):
         leases = [pool.alloc(200) for _ in range(2)]
         # the two 64-byte slabs cannot fit 200 bytes

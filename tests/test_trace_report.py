@@ -173,6 +173,8 @@ class TestReport:
         from the supervisor's and the worker's own events."""
         ev = TraceEvent
         events = [
+            ev(ts=9.99, proc="supervisor", event="preload",
+               data={"roles": ["dec", "root"], "modules": 330, "seconds": 0.3411}),
             ev(ts=10.0, proc="supervisor", event="spawn", data={"proc_name": "dec0"}),
             ev(ts=10.6, proc="dec0", event="start", data={"import_s": 0.58, "pid": 1}),
             ev(ts=10.7, proc="dec0", event="connect", data={"peer": "collector"}),
@@ -191,13 +193,18 @@ class TestReport:
         assert cold["dec0"]["import_s"] == pytest.approx(0.58)
         assert cold["dec0"]["start_to_first_picture_s"] == pytest.approx(0.4)
         assert cold["dec0"]["last_frame_to_exit_s"] == pytest.approx(0.1)
-        assert "Cold start and exit" in render_report(rep)
+        text = render_report(rep)
+        assert "Cold start and exit" in text
+        # what the supervisor imported for its forks, once, is a row of its own
+        (row,) = [ln for ln in text.splitlines() if ln.startswith("preload dec+root")]
+        assert row.split()[2:] == ["-", "0.341", "-", "-"]
         # a run that is not a cluster job (no spawn events) has no such section
         assert "Cold start" not in render_report(build_report(_span_events()))
         # a worker killed before it started leaves gaps, not a crash
-        rep = build_report(events[:1] + events[-1:])
+        rep = build_report(events[1:2] + events[-1:])
         assert rep.cold_start()["dec0"]["spawn_to_start_s"] is None
         assert "Cold start and exit" in render_report(rep)
+        assert "preload" not in render_report(rep)  # not the process's first job
 
     def test_span_tail_formats_last_events(self):
         lines = span_tail(_span_events(), n=3)
