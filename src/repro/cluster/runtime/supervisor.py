@@ -230,6 +230,8 @@ class ClusterSupervisor:
 
     def decode(self, stream: bytes, timeout: float = 120.0) -> List[Frame]:
         cfg = self.config
+        # The trace paths answer for this job, never for the one before it.
+        self._unmerged = self._merged_trace_path = self._perfetto_path = None
         sequence, pictures = PictureScanner(stream).scan()
         layout = TileLayout(sequence.width, sequence.height, cfg.m, cfg.n, cfg.overlap)
         n_pics, n_tiles = len(pictures), layout.n_tiles

@@ -23,6 +23,13 @@ operations, in narrower types where the ranges are bounded; same rounding,
 same clip order), so the output is bit-identical — the property the golden
 and hypothesis tests assert.
 
+The stacks between the steps live in an :class:`ExecuteScratch` that the
+decoding object owns and passes to every :func:`execute_plan` call, so a
+picture reuses the (already faulted-in) memory of the one before it: the
+IDCT runs over its own input, and the intermediates are as narrow as their
+ranges allow — uint8 predictions, uint16 half-pel sums, int16 residuals
+and sums.
+
 This module is the execute side.  The plan itself, its builders and its
 bounds checks live in :mod:`repro.mpeg2.plan`, which needs numpy only: a
 process that compiles or ships plans without executing them (a cluster
@@ -36,7 +43,8 @@ this engine vectorizes *within* one.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +61,38 @@ from repro.mpeg2.plan import (
 from repro.mpeg2.tables import RASTER_OF_SCAN
 
 
+class ExecuteScratch:
+    """Grow-only named buffers for the stacks of :func:`execute_plan`.
+
+    One per decoding object, passed to every ``execute_plan`` call that
+    object makes, and never shared: a call leaves its stacks behind in the
+    buffers, so two threads executing through one scratch would write each
+    other's.  Nothing is carried from one call to the next but the memory
+    itself — a call writes every region before it reads it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised ``shape``/``dtype`` view of the buffer ``name``,
+        which grows to fit and never shrinks.  Valid until the next
+        ``take`` of the same name."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+Planes = Tuple[np.ndarray, np.ndarray, np.ndarray]  # (y, cb, cr) stacks or views
+_PLANE_NAMES = ("y", "cb", "cr")
+
+#: Blocks transformed at a time: 2 MB of float64 coefficients.
+_IDCT_BLOCKS = 4096
+
+
 def _tiled_view(plane: np.ndarray, size: int) -> np.ndarray:
     """A ``(mb_h, mb_w, size, size)`` writable view of a frame plane."""
     if not plane.flags["C_CONTIGUOUS"]:
@@ -61,52 +101,85 @@ def _tiled_view(plane: np.ndarray, size: int) -> np.ndarray:
     return plane.reshape(h // size, size, w // size, size).transpose(0, 2, 1, 3)
 
 
-def _residual_stacks(plan: ReconstructionPlan) -> np.ndarray:
+def _residual_stacks(plan: ReconstructionPlan, scratch: ExecuteScratch) -> np.ndarray:
     """Dequantize + IDCT every coded block; scatter to ``(n_res, 6, 8, 8)``.
 
-    One dequantize per quantizer class over the coded entries only, one
-    scatter of them into the zeroed raster-order IDCT input, one ``idctn``
-    over the entire stack and one rounding of its output — this is the
-    kernel batching the module exists for.  The result is the *rounded*
+    One dequantize per quantizer class over the coded entries only; then,
+    ``_IDCT_BLOCKS`` blocks at a time, one scatter of the entries into the
+    zeroed raster-order IDCT input, one ``idctn`` over that stack, written
+    over its input, and one rounding of the output into the residual stack
+    — the kernel batching the module exists for, in pieces that stay in
+    cache from the zero fill to the rounding.  The result is the *rounded*
     residual, int16: both dequantisers saturate to 12 bits, and the
     orthonormal 8x8 IDCT of 64 such coefficients stays below 2**15 in
     magnitude (its absolute basis sum is 2.642**2 = 6.98 per sample, so at
     most 2048 * 6.98 = 14 294).  Uncoded blocks stay exactly zero, matching
     the reference path's zero scans.
     """
-    res6 = np.zeros((plan.n_res, 6, 8, 8), dtype=np.int16)
+    res6 = scratch.take("res", (plan.n_res, 6, 8, 8), np.int16)
     n_blocks = plan.n_blocks
     if n_blocks == 0:
+        res6.fill(0)
         return res6
+    # Block j is slot j % 6 of row j // 6 when every row has its six blocks,
+    # row after row (a picture that is all intra, or all fully coded): the
+    # rounding then writes the residual stack directly, and all of it.
+    order = plan.block_res * 6 + plan.block_slot
+    in_order = n_blocks == 6 * plan.n_res and _in_order(order, n_blocks)
+    if not in_order:
+        res6.fill(0)
     ncoef, scan, level = plan.block_ncoef, plan.coef_scan, plan.coef_level
     qscale = np.repeat(plan.block_qscale, ncoef)
     # Blocks were laid out intra-first at build time, so both dequantizers
     # run over plain slices of the entries.
     k = int(ncoef[: plan.n_intra_blocks].sum())
-    coeffs = np.zeros((n_blocks, 8, 8), dtype=np.float64)
-    dest = np.repeat(np.arange(0, 64 * n_blocks, 64), ncoef)
+    value = np.concatenate(
+        (
+            dct.dequantize_intra_sparse(
+                level[:k], scan[:k], qscale[:k], plan.matrices.intra_scan, plan.dc_scaler
+            ),
+            dct.dequantize_non_intra_sparse(
+                level[k:], scan[k:], qscale[k:], plan.matrices.non_intra_scan
+            ),
+        )
+    )
+    # Where each entry lands in its piece's flattened stack, and where each
+    # block's entries end.
+    dest = np.repeat(np.arange(n_blocks) % _IDCT_BLOCKS * 64, ncoef)
     dest += RASTER_OF_SCAN[scan]
-    flat = coeffs.reshape(-1)
-    flat[dest[:k]] = dct.dequantize_intra_sparse(
-        level[:k], scan[:k], qscale[:k], plan.matrices.intra_scan, plan.dc_scaler
-    )
-    flat[dest[k:]] = dct.dequantize_non_intra_sparse(
-        level[k:], scan[k:], qscale[k:], plan.matrices.non_intra_scan
-    )
-    res = dct.idct(coeffs)
-    res6[plan.block_res, plan.block_slot] = np.rint(res, out=res)
+    end = np.cumsum(ncoef, dtype=np.intp)
+    rounded = res6.reshape(-1, 8, 8)
+    coeffs = scratch.take("coeffs", (min(n_blocks, _IDCT_BLOCKS), 8, 8), np.float64)
+    c0 = 0
+    for b0 in range(0, n_blocks, _IDCT_BLOCKS):
+        b1 = min(b0 + _IDCT_BLOCKS, n_blocks)
+        c1 = int(end[b1 - 1])
+        piece = coeffs[: b1 - b0]
+        piece.fill(0)
+        piece.reshape(-1)[dest[c0:c1]] = value[c0:c1]
+        res = dct.idct(piece, overwrite=True)
+        if in_order:
+            np.rint(res, out=rounded[b0:b1], casting="unsafe")
+        else:
+            rounded[order[b0:b1]] = np.rint(res, out=res)
+        c0 = c1
     return res6
 
 
-def _assemble_luma_batch(res6: np.ndarray) -> np.ndarray:
+def _in_order(index: np.ndarray, n: int) -> bool:
+    """Whether ``index`` is ``0 .. n-1`` in order: a gather through it is
+    the stack itself."""
+    return len(index) == n and np.array_equal(index, np.arange(n))
+
+
+def _assemble_luma_batch(res6: np.ndarray, scratch: ExecuteScratch) -> np.ndarray:
     """``(R, 6, 8, 8)`` residuals -> ``(R, 16, 16)`` luma tiles."""
     m = len(res6)
-    return (
-        res6[:, :4]
-        .reshape(m, 2, 2, 8, 8)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(m, 16, 16)
+    res_y = scratch.take("res_y", (m, 16, 16), np.int16)
+    res_y.reshape(m, 2, 8, 2, 8)[...] = (
+        res6[:, :4].reshape(m, 2, 2, 8, 8).transpose(0, 1, 3, 2, 4)
     )
+    return res_y
 
 
 def _predict_plane_batch(
@@ -115,43 +188,46 @@ def _predict_plane_batch(
     base_y: np.ndarray,
     mvx: np.ndarray,
     mvy: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Batched half-pel prediction: ``(K, size, size)`` int32 samples.
+    out: np.ndarray,
+    scratch: ExecuteScratch,
+) -> None:
+    """Batched half-pel prediction into ``out``, ``(K, size, size)`` uint8.
 
     Groups requests by their half-pel fraction pair so each group is one
     gather of whole ``(size + fy, size + fx)`` reference windows followed by
     one vectorized interpolation — the same arithmetic as
-    :func:`repro.mpeg2.motion.predict_plane`, over a stack.
-    Bounds were validated at plan time.
+    :func:`repro.mpeg2.motion.predict_plane`, over a stack.  The sum of two
+    or four samples and its rounding term is formed in uint16 (at most
+    4 * 255 + 2 = 1022) and shifts back to a sample; a group with no
+    fraction is a copy of uint8 windows.  Bounds were validated at plan
+    time.
     """
-    k = len(base_x)
-    out = np.empty((k, size, size), dtype=np.int32)
-    ix, iy = mvx >> 1, mvy >> 1
-    fx, fy = mvx & 1, mvy & 1
-    x0, y0 = base_x + ix, base_y + iy
-    for gfy in (0, 1):
-        for gfx in (0, 1):
-            sel = (fx == gfx) & (fy == gfy)
-            if not sel.any():
-                continue
-            windows = sliding_window_view(plane, (size + gfy, size + gfx))
-            region = windows[y0[sel], x0[sel]].astype(np.int32)
-            if not gfx and not gfy:
-                out[sel] = region
-            elif gfx and not gfy:
-                out[sel] = (region[:, :, :-1] + region[:, :, 1:] + 1) >> 1
-            elif gfy and not gfx:
-                out[sel] = (region[:, :-1, :] + region[:, 1:, :] + 1) >> 1
-            else:
-                out[sel] = (
-                    region[:, :-1, :-1]
-                    + region[:, :-1, 1:]
-                    + region[:, 1:, :-1]
-                    + region[:, 1:, 1:]
-                    + 2
-                ) >> 2
-    return out
+    size = out.shape[1]
+    frac = (mvx & 1) | ((mvy & 1) << 1)
+    x0, y0 = base_x + (mvx >> 1), base_y + (mvy >> 1)
+    for group in range(4):
+        sel = np.flatnonzero(frac == group)
+        if not len(sel):
+            continue
+        gfx, gfy = group & 1, group >> 1
+        windows = sliding_window_view(plane, (size + gfy, size + gfx))
+        region = windows[y0[sel], x0[sel]]
+        if not group:
+            out[sel] = region
+            continue
+        acc = scratch.take("acc", (len(sel), size, size), np.uint16)
+        if not gfy:
+            np.add(region[:, :, :-1], region[:, :, 1:], out=acc, dtype=np.uint16)
+        elif not gfx:
+            np.add(region[:, :-1, :], region[:, 1:, :], out=acc, dtype=np.uint16)
+        else:
+            np.add(region[:, :-1, :-1], region[:, :-1, 1:], out=acc, dtype=np.uint16)
+            acc += region[:, 1:, :-1]
+            acc += region[:, 1:, 1:]
+        shift = gfx + gfy  # (a + b + 1) >> 1, or (a + b + c + d + 2) >> 2
+        acc += shift
+        acc >>= shift
+        out[sel] = acc
 
 
 def _predict_direction(
@@ -159,30 +235,93 @@ def _predict_direction(
     ref: Frame,
     idx: np.ndarray,
     direction: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    scratch: ExecuteScratch,
+) -> Planes:
     """Predictions ``(y, cb, cr)`` for the macroblocks ``idx`` from ``ref``."""
     mv = plan.mb_mv[idx, direction]
     cmv = chroma_mv_batch(mv)
-    y = _predict_plane_batch(
-        ref.y, plan.mb_x[idx] * 16, plan.mb_y[idx] * 16, mv[:, 0], mv[:, 1], 16
-    )
-    cb = _predict_plane_batch(
-        ref.cb, plan.mb_x[idx] * 8, plan.mb_y[idx] * 8, cmv[:, 0], cmv[:, 1], 8
-    )
-    cr = _predict_plane_batch(
-        ref.cr, plan.mb_x[idx] * 8, plan.mb_y[idx] * 8, cmv[:, 0], cmv[:, 1], 8
-    )
-    return y, cb, cr
+    mb_x, mb_y = plan.mb_x[idx], plan.mb_y[idx]
+    tag = "fwd" if direction == FWD else "bwd"
+    stacks = []
+    for name, plane, size, v in (
+        ("y", ref.y, 16, mv),
+        ("cb", ref.cb, 8, cmv),
+        ("cr", ref.cr, 8, cmv),
+    ):
+        out = scratch.take(f"{tag}_{name}", (len(idx), size, size), np.uint8)
+        _predict_plane_batch(
+            plane, mb_x * size, mb_y * size, v[:, 0], v[:, 1], out, scratch
+        )
+        stacks.append(out)
+    return tuple(stacks)
 
 
-def _gather_residual(res: np.ndarray, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """Residual tiles for macroblock rows (``-1`` rows come back zero)."""
+def _predict(
+    plan: ReconstructionPlan,
+    fwd: Optional[Frame],
+    bwd: Optional[Frame],
+    idx: np.ndarray,
+    use_f: np.ndarray,
+    use_b: np.ndarray,
+    scratch: ExecuteScratch,
+) -> Planes:
+    """uint8 predictions for the inter macroblocks ``idx``, each from the
+    directions ``use_f`` / ``use_b`` say it uses."""
+    if not use_b.any():
+        return _predict_direction(plan, fwd, idx, FWD, scratch)
+    if not use_f.any():
+        return _predict_direction(plan, bwd, idx, BWD, scratch)
+    from_f = _predict_direction(plan, fwd, idx[use_f], FWD, scratch)
+    from_b = _predict_direction(plan, bwd, idx[use_b], BWD, scratch)
+    only_f, only_b, both = use_f & ~use_b, use_b & ~use_f, use_f & use_b
+    only_f_sel, only_b_sel = only_f[use_f], only_b[use_b]
+    both_f_sel, both_b_sel = both[use_f], both[use_b]
+    n_both = int(both.sum())
+    merged = []
+    for name, pf, pb in zip(_PLANE_NAMES, from_f, from_b):
+        pred = scratch.take(f"pred_{name}", (len(idx),) + pf.shape[1:], np.uint8)
+        pred[only_f] = pf[only_f_sel]
+        pred[only_b] = pb[only_b_sel]
+        if n_both:
+            # Bidirectional: rounded average of the two directions
+            # (§7.6.7.1), at most 255 + 255 + 1 = 511 before the shift.
+            acc = scratch.take("acc", (n_both,) + pf.shape[1:], np.uint16)
+            np.add(pf[both_f_sel], pb[both_b_sel], out=acc, dtype=np.uint16)
+            acc += 1
+            acc >>= 1
+            pred[both] = acc
+        merged.append(pred)
+    return tuple(merged)
+
+
+def _gather_residual(
+    res: Planes, rows: np.ndarray, scratch: ExecuteScratch
+) -> Planes:
+    """Residual tiles for macroblock rows (``-1`` rows come back zero), for
+    the caller to overwrite: scratch copies, or the stacks themselves when
+    ``rows`` is every row in order, which nothing else then reads."""
+    n = len(rows)
+    if _in_order(rows, len(res[0])):
+        return res
     valid = rows >= 0
-    if valid.all():
-        return res[rows]
-    out = np.zeros((len(rows),) + shape, dtype=res.dtype)
-    out[valid] = res[rows[valid]]
-    return out
+    all_valid = bool(valid.all())
+    tiles = []
+    for name, r in zip(_PLANE_NAMES, res):
+        t = scratch.take(f"tile_{name}", (n,) + r.shape[1:], np.int16)
+        if all_valid:
+            t[...] = r[rows]
+        else:
+            t.fill(0)
+            t[valid] = r[rows[valid]]
+        tiles.append(t)
+    return tuple(tiles)
+
+
+def _store(view: np.ndarray, mb_y: np.ndarray, mb_x: np.ndarray, tiles: np.ndarray) -> None:
+    """Clip int16 sums to samples in place and scatter them (narrowing to
+    uint8 in the assignment) into a tiled plane view."""
+    np.clip(tiles, 0, 255, out=tiles)
+    view[mb_y, mb_x] = tiles
 
 
 def execute_plan(
@@ -190,28 +329,27 @@ def execute_plan(
     out: Frame,
     fwd: Optional[Frame],
     bwd: Optional[Frame],
+    scratch: Optional[ExecuteScratch] = None,
 ) -> None:
-    """Reconstruct every planned macroblock into ``out`` in place."""
+    """Reconstruct every planned macroblock into ``out`` in place.
+
+    ``scratch`` is the caller's :class:`ExecuteScratch`; without one the
+    call builds its own and drops it.
+    """
     if plan.n_macroblocks == 0:
         return
-    res6 = _residual_stacks(plan)
-    res_y = _assemble_luma_batch(res6)
-    res_cb, res_cr = res6[:, 4], res6[:, 5]
-
-    vy = _tiled_view(out.y, 16)
-    vcb = _tiled_view(out.cb, 8)
-    vcr = _tiled_view(out.cr, 8)
+    if scratch is None:
+        scratch = ExecuteScratch()
+    res6 = _residual_stacks(plan, scratch)
+    res = (_assemble_luma_batch(res6, scratch), res6[:, 4], res6[:, 5])
+    views = (_tiled_view(out.y, 16), _tiled_view(out.cb, 8), _tiled_view(out.cr, 8))
 
     intra_idx = np.flatnonzero(plan.mb_intra)
     if len(intra_idx):
-        rows = plan.mb_res_row[intra_idx]
         ix, iy = plan.mb_x[intra_idx], plan.mb_y[intra_idx]
-        ty = _gather_residual(res_y, rows, (16, 16))
-        tcb = _gather_residual(res_cb, rows, (8, 8))
-        tcr = _gather_residual(res_cr, rows, (8, 8))
-        vy[iy, ix] = np.clip(ty, 0, 255).astype(np.uint8)
-        vcb[iy, ix] = np.clip(tcb, 0, 255).astype(np.uint8)
-        vcr[iy, ix] = np.clip(tcr, 0, 255).astype(np.uint8)
+        tiles = _gather_residual(res, plan.mb_res_row[intra_idx], scratch)
+        for view, t in zip(views, tiles):
+            _store(view, iy, ix, t)
 
     inter_idx = np.flatnonzero(~plan.mb_intra)
     if not len(inter_idx):
@@ -224,54 +362,25 @@ def execute_plan(
     for use, ref, name in ((use_f, fwd, "forward"), (use_b, bwd, "backward")):
         if use.any() and ref is None:
             raise ValueError(f"prediction requested without {name} reference")
-
-    m = len(inter_idx)
-    py = np.empty((m, 16, 16), dtype=np.int32)
-    pcb = np.empty((m, 8, 8), dtype=np.int32)
-    pcr = np.empty((m, 8, 8), dtype=np.int32)
-    only_f, only_b, both = use_f & ~use_b, use_b & ~use_f, use_f & use_b
-    if use_f.any():
-        yf, cbf, crf = _predict_direction(plan, fwd, inter_idx[use_f], FWD)
-        py[only_f], pcb[only_f], pcr[only_f] = (
-            yf[only_f[use_f]],
-            cbf[only_f[use_f]],
-            crf[only_f[use_f]],
-        )
-    if use_b.any():
-        yb, cbb, crb = _predict_direction(plan, bwd, inter_idx[use_b], BWD)
-        py[only_b], pcb[only_b], pcr[only_b] = (
-            yb[only_b[use_b]],
-            cbb[only_b[use_b]],
-            crb[only_b[use_b]],
-        )
-    if both.any():
-        # Bidirectional: rounded average of the two directions (§7.6.7.1).
-        fsel, bsel = both[use_f], both[use_b]
-        py[both] = (yf[fsel] + yb[bsel] + 1) >> 1
-        pcb[both] = (cbf[fsel] + cbb[bsel] + 1) >> 1
-        pcr[both] = (crf[fsel] + crb[bsel] + 1) >> 1
-
-    rows = plan.mb_res_row[inter_idx]
-    hasres = rows >= 0
-    y8 = np.empty((m, 16, 16), dtype=np.uint8)
-    cb8 = np.empty((m, 8, 8), dtype=np.uint8)
-    cr8 = np.empty((m, 8, 8), dtype=np.uint8)
-    if hasres.any():
-        # Residual add + clip, as the per-MB path: integer sum -> clip.
-        rr = rows[hasres]
-        y8[hasres] = np.clip(py[hasres] + res_y[rr], 0, 255).astype(np.uint8)
-        cb8[hasres] = np.clip(pcb[hasres] + res_cb[rr], 0, 255).astype(np.uint8)
-        cr8[hasres] = np.clip(pcr[hasres] + res_cr[rr], 0, 255).astype(np.uint8)
-    nores = ~hasres
-    if nores.any():
-        # Pure predictions are averages of uint8 samples, already in
-        # [0, 255]; the reference path's clip is a no-op there, so a plain
-        # cast is bit-identical.
-        y8[nores] = py[nores].astype(np.uint8)
-        cb8[nores] = pcb[nores].astype(np.uint8)
-        cr8[nores] = pcr[nores].astype(np.uint8)
+    pred = _predict(plan, fwd, bwd, inter_idx, use_f, use_b, scratch)
 
     ex, ey = plan.mb_x[inter_idx], plan.mb_y[inter_idx]
-    vy[ey, ex] = y8
-    vcb[ey, ex] = cb8
-    vcr[ey, ex] = cr8
+    rows = plan.mb_res_row[inter_idx]
+    hasres = np.flatnonzero(rows >= 0)
+    if len(hasres) < len(rows):
+        # Pure predictions are averages of uint8 samples, already in
+        # [0, 255]; the reference path's clip is a no-op there.
+        nores = np.flatnonzero(rows < 0)
+        ny, nx = ey[nores], ex[nores]
+        for view, p in zip(views, pred):
+            view[ny, nx] = p[nores]
+        if not len(hasres):
+            return
+        ey, ex, rows = ey[hasres], ex[hasres], rows[hasres]
+        pred = tuple(p[hasres] for p in pred)
+    # Residual add + clip, as the per-MB path: integer sum -> clip.  A
+    # sample plus a residual is within -14 294 .. 14 549, an int16.
+    tiles = _gather_residual(res, rows, scratch)
+    for view, t, p in zip(views, tiles, pred):
+        t += p
+        _store(view, ey, ex, t)

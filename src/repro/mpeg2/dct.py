@@ -32,10 +32,18 @@ def fdct(blocks: np.ndarray) -> np.ndarray:
     return scipy.fft.dctn(x, type=2, axes=(-2, -1), norm="ortho")
 
 
-def idct(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fdct`; returns float64 spatial samples."""
+def idct(coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Inverse of :func:`fdct`; returns float64 spatial samples.
+
+    ``overwrite=True`` gives the transform ``coeffs`` to work in: a float64
+    stack is then transformed in its own memory (the same passes, the same
+    bits, no second stack) and the caller reads the returned array, not
+    ``coeffs``.
+    """
     c = np.asarray(coeffs, dtype=np.float64)
-    return scipy.fft.idctn(c, type=2, axes=(-2, -1), norm="ortho")
+    return scipy.fft.idctn(
+        c, type=2, axes=(-2, -1), norm="ortho", overwrite_x=overwrite
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import execute_plan
+from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture, PictureScanner
@@ -85,6 +85,7 @@ class Decoder:
             pictures = pictures[starts[start_gop] :]
         parser = MacroblockParser(sequence)
         matrices = QuantMatrices.from_sequence(sequence)
+        scratch = ExecuteScratch()
         self.stats = DecodeStats()
         self.stage_times = StageTimes()
         timers = self.stage_times
@@ -104,6 +105,7 @@ class Decoder:
                 frame = reconstruct_picture(
                     parsed, sequence, prev_anchor, held,
                     batch=self.batch_reconstruct, timers=timers, matrices=matrices,
+                    scratch=scratch,
                 )
                 yield frame
             else:
@@ -116,6 +118,7 @@ class Decoder:
                     batch=self.batch_reconstruct,
                     timers=timers,
                     matrices=matrices,
+                    scratch=scratch,
                 )
                 if held is not None:
                     yield held
@@ -133,20 +136,31 @@ def reconstruct_picture(
     batch: bool = True,
     timers: Optional[StageTimes] = None,
     matrices: Optional[QuantMatrices] = None,
+    scratch: Optional[ExecuteScratch] = None,
 ) -> Frame:
     """Reconstruct every macroblock of a parsed picture into a new frame.
 
     ``batch=True`` runs the two-phase batched engine
     (:mod:`repro.mpeg2.batch_reconstruct`); ``batch=False`` runs the
     per-macroblock reference path.  Both produce bit-identical frames.
-    ``matrices`` is ``QuantMatrices.from_sequence(sequence)``, for a caller
-    that decodes many pictures to build once.
+    ``matrices`` is ``QuantMatrices.from_sequence(sequence)`` and
+    ``scratch`` the batched engine's arena, for a caller that decodes many
+    pictures to build once (and, the arena, to keep to itself).
     """
     ptype = parsed.header.picture_type
     if ptype == PictureType.P and fwd is None:
         raise ValueError("P-picture without forward reference")
     if ptype == PictureType.B and (fwd is None or bwd is None):
         raise ValueError("B-picture without two references")
+    # Before any pixel work: the picture covers its raster exactly once.
+    expected = parsed.mb_width * parsed.mb_height
+    covered = np.bincount(parsed.columns.address, minlength=expected)
+    repeated = int((covered > 1).sum())
+    if repeated:
+        raise ValueError(f"picture codes {repeated} macroblock addresses more than once")
+    missing = expected - int(covered[:expected].sum())
+    if missing:
+        raise ValueError(f"picture is missing {missing} macroblocks")
     out = Frame.blank(sequence.width, sequence.height)
     matrices = matrices or QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
@@ -154,7 +168,7 @@ def reconstruct_picture(
         with timers.stage("plan"):
             plan = plan_from_columns(parsed, sequence.width, sequence.height, matrices)
         with timers.stage("execute"):
-            execute_plan(plan, out, fwd, bwd)
+            execute_plan(plan, out, fwd, bwd, scratch)
     else:
         with timers.stage("execute"):
             for item in parsed.items:
@@ -162,10 +176,6 @@ def reconstruct_picture(
                     item.mb, ptype, out, fwd, bwd, parsed.mb_width, matrices,
                     parsed.header.dc_scaler,
                 )
-    expected = parsed.mb_width * parsed.mb_height
-    seen = len(np.unique(parsed.columns.address))
-    if seen != expected:
-        raise ValueError(f"picture is missing {expected - seen} macroblocks")
     return out
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc, vlc
-from repro.mpeg2.batch_reconstruct import execute_plan
+from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import (
@@ -76,6 +76,7 @@ class TileDecoder:
         self.conceal_errors = conceal_errors
         self.batch_reconstruct = batch_reconstruct
         self.matrices = QuantMatrices.from_sequence(sequence)
+        self._scratch = ExecuteScratch()
         self.held: Optional[Frame] = None  # newest decoded anchor
         self.prev_anchor: Optional[Frame] = None
         self.stats = TileDecoderStats()
@@ -223,7 +224,7 @@ class TileDecoder:
             # the wire record has no raster: landing sites and vectors are
             # held to this decoder's before they index its planes
             check_plan(tp.plan, self.sequence.width, self.sequence.height)
-            execute_plan(tp.plan, frame, fwd, bwd)
+            execute_plan(tp.plan, frame, fwd, bwd, self._scratch)
         self.stats.macroblocks_decoded += tp.n_coded
         self.stats.macroblocks_skipped += tp.n_skipped
         self.picture_hist.observe(time.perf_counter() - t0)
@@ -318,7 +319,7 @@ class TileDecoder:
             self.stats.macroblocks_decoded += len(mbs) - n_skipped
             self.stats.macroblocks_skipped += n_skipped
         with timers.stage("execute"):
-            execute_plan(builder.build(), frame, fwd, bwd)
+            execute_plan(builder.build(), frame, fwd, bwd, self._scratch)
 
     def _parse_run(self, rec: RunRecord, header) -> Tuple[List[Macroblock], int]:
         """Entropy-parse a partial slice into macroblocks (no pixels)."""

@@ -28,6 +28,7 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from repro.bitstream import BitReader
+from repro.mpeg2.batch_reconstruct import ExecuteScratch
 from repro.mpeg2.constants import PICTURE_START_CODE, PictureType
 from repro.mpeg2.decoder import reconstruct_picture
 from repro.mpeg2.frames import Frame
@@ -87,6 +88,7 @@ class PacedStreamDecoder:
         self.sequence, self.pictures = PictureScanner(stream).scan()
         self.parser = MacroblockParser(self.sequence)
         self.matrices = QuantMatrices.from_sequence(self.sequence)
+        self._scratch = ExecuteScratch()
         self.batch_reconstruct = batch_reconstruct
         self.meta: List[PictureMeta] = self._scan_meta()
         if start_at and not 0 <= start_at < len(self.pictures):
@@ -161,12 +163,14 @@ class PacedStreamDecoder:
                 self._held,
                 batch=self.batch_reconstruct,
                 matrices=self.matrices,
+                scratch=self._scratch,
             )
             return StepResult(index=i, ptype=ptype, decoded=True, frame=frame)
         fwd = self._held if ptype == PictureType.P else None
         frame = reconstruct_picture(
             parsed, self.sequence, fwd, None,
             batch=self.batch_reconstruct, matrices=self.matrices,
+            scratch=self._scratch,
         )
         out = self._held
         self._prev_anchor = self._held

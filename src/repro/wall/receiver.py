@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import execute_plan
+from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import MB_SIZE, PictureType
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.motion import Rect, mb_rect
@@ -72,6 +72,7 @@ def reconstruct_rect(
     bwd: Optional[Frame],
     rect: Rect,
     matrices: Optional[QuantMatrices] = None,
+    scratch: Optional[ExecuteScratch] = None,
 ) -> Frame:
     """Reconstruct only the macroblocks intersecting ``rect``.
 
@@ -90,7 +91,7 @@ def reconstruct_rect(
     plan = plan_from_columns(
         parsed, sequence.width, sequence.height, matrices, parsed.rows_in(rect)
     )
-    execute_plan(plan, out, fwd, bwd)
+    execute_plan(plan, out, fwd, bwd, scratch)
     return out
 
 
@@ -164,6 +165,7 @@ class WallReceiver:
         self.sequence: Optional[SequenceHeader] = None
         self.parser: Optional[MacroblockParser] = None
         self.matrices: Optional[QuantMatrices] = None
+        self._scratch = ExecuteScratch()
         if clock is not None:
             self.clock = clock
         elif use_clock:
@@ -256,14 +258,14 @@ class WallReceiver:
         if pic.ptype == PictureType.B:
             frame = reconstruct_rect(
                 parsed, self.sequence, self._prev_anchor, self._held, rect,
-                self.matrices,
+                self.matrices, self._scratch,
             )
             self.decoded += 1
             self._emit(frame)
             return
         fwd = self._held if pic.ptype == PictureType.P else None
         frame = reconstruct_rect(
-            parsed, self.sequence, fwd, None, rect, self.matrices
+            parsed, self.sequence, fwd, None, rect, self.matrices, self._scratch
         )
         self.decoded += 1
         out = self._held

@@ -8,12 +8,16 @@ macroblocks from frozen content, partial slices wherever a 2x2 tiling cuts
 a slice mid-row) through both the sequential decoder and the tiled wall.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.mpeg2 import dct
+from repro.mpeg2 import batch_reconstruct, dct
 from repro.mpeg2.batch_reconstruct import (
+    ExecuteScratch,
     _predict_plane_batch,
     _residual_stacks,
     execute_plan,
@@ -24,7 +28,11 @@ from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.motion import predict_plane
-from repro.mpeg2.plan import PlanBuilder, QuantMatrices, narrow_levels
+from repro.mpeg2.parser import MacroblockParser, PictureScanner
+from repro.mpeg2.plan import PlanBuilder, QuantMatrices, narrow_levels, plan_from_columns
+from repro.mpeg2.reconstruct import reconstruct_macroblock
+from repro.parallel.mb_splitter import MacroblockSplitter
+from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
 
@@ -125,6 +133,7 @@ def test_random_gop_batched_identical(seed, mbw, mbh, gop, b_frames):
     ref, bat = _decode_both(stream)
     for i, (a, b) in enumerate(zip(ref, bat)):
         assert_frames_equal(a, b, f"sequential frame {i}")
+    _assert_scratch_never_shows(stream)
 
     # a 2x2 wall cuts every slice into partial-slice records
     layout = TileLayout(w, h, 2, 2)
@@ -252,7 +261,7 @@ def test_sparse_dequantiser_matches_dense(case):
     plan.block_slot = np.arange(n) % 6
     plan.n_intra_blocks = n_intra
     plan.n_res = -(-n // 6)
-    res6 = _residual_stacks(plan)
+    res6 = _residual_stacks(plan, ExecuteScratch())
     assert res6.dtype == np.int16
     flat = res6.reshape(-1, 8, 8)
     assert np.array_equal(flat[:n], dense_res)
@@ -294,8 +303,8 @@ def test_windowed_gather_matches_predict_plane_at_every_edge(size, shape):
                             (base_x, base_y, 2 * (x0 - base_x) + fx, 2 * (y0 - base_y) + fy)
                         )
     bx, by, mvx, mvy = (np.array(col, dtype=np.int64) for col in zip(*requests))
-    got = _predict_plane_batch(plane, bx, by, mvx, mvy, size)
-    assert got.shape == (len(requests), size, size)
+    got = np.empty((len(requests), size, size), dtype=np.uint8)
+    _predict_plane_batch(plane, bx, by, mvx, mvy, got, ExecuteScratch())
     for i, (x, y, vx, vy) in enumerate(requests):
         want = predict_plane(plane, x, y, size, size, vx, vy)
         assert np.array_equal(got[i], want), requests[i]
@@ -303,5 +312,186 @@ def test_windowed_gather_matches_predict_plane_at_every_edge(size, shape):
     # plan-time check owns it, and the gather itself refuses the index
     with pytest.raises(IndexError):
         _predict_plane_batch(
-            plane, np.array([w - size]), np.array([0]), np.array([1]), np.array([0]), size
+            plane, np.array([w - size]), np.array([0]), np.array([1]), np.array([0]),
+            got[:1], ExecuteScratch(),
         )
+
+
+# ---------------------------------------------------------------------- #
+# the scratch contract: an arena carries memory between calls, never data
+# ---------------------------------------------------------------------- #
+
+
+class PoisonedScratch(ExecuteScratch):
+    """Hands out every view full of 0x5A bytes — on top of whatever the
+    call before left there — so a region read before it is written shows."""
+
+    def take(self, name, shape, dtype):
+        view = super().take(name, shape, dtype)
+        view.reshape(-1).view(np.uint8).fill(0x5A)
+        return view
+
+
+def _stream_plans(stream):
+    """``(sequence, plans)``: one full-picture plan per coded picture."""
+    sequence, pictures = PictureScanner(stream).scan()
+    parser = MacroblockParser(sequence)
+    matrices = QuantMatrices.from_sequence(sequence)
+    return sequence, [
+        plan_from_columns(
+            parser.parse_picture(unit.data), sequence.width, sequence.height, matrices
+        )
+        for unit in pictures
+    ]
+
+
+def _execute_all(sequence, plans, *scratch):
+    """Frames in coded order, every ``execute_plan`` given ``*scratch``
+    (nothing: the four-argument call)."""
+    held = prev = None
+    frames = []
+    for plan in plans:
+        out = Frame.blank(sequence.width, sequence.height)
+        if plan.picture_type == PictureType.B:
+            execute_plan(plan, out, prev, held, *scratch)
+        else:
+            fwd = held if plan.picture_type == PictureType.P else None
+            execute_plan(plan, out, fwd, None, *scratch)
+            prev, held = held, out
+        frames.append(out)
+    return frames
+
+
+def _assert_scratch_never_shows(stream):
+    sequence, plans = _stream_plans(stream)
+    want = _execute_all(sequence, plans)  # a throw-away scratch per call
+    assert _execute_all(sequence, plans, ExecuteScratch()) == want
+    assert _execute_all(sequence, plans, PoisonedScratch()) == want
+
+
+@pytest.mark.parametrize("name", ["small_stream", "ip_stream", "i_only_stream", "detail_stream"])
+def test_scratch_contents_never_reach_the_output(name, request):
+    """No scratch argument, one warm scratch and one poisoned at every
+    ``take`` all give the same frames."""
+    _assert_scratch_never_shows(request.getfixturevalue(name))
+
+
+def test_idct_in_pieces_matches_reference(small_stream, monkeypatch):
+    """Pictures of more blocks than one transform takes (here 7, so a piece
+    boundary falls inside macroblocks and inside the intra/inter split)."""
+    monkeypatch.setattr(batch_reconstruct, "_IDCT_BLOCKS", 7)
+    ref, bat = _decode_both(small_stream)
+    assert ref == bat
+    _assert_scratch_never_shows(small_stream)
+
+
+def test_one_scratch_through_changing_pictures_and_rasters(
+    small_stream, detail_stream, ip_stream
+):
+    """I, P and B pictures, then a larger raster, then a smaller one (what
+    ``TileDecoder.retile`` does to a tile's share): the buffers grow and
+    are reused at other shapes, and every picture equals its fresh-scratch
+    result."""
+    scratch = PoisonedScratch()
+    for stream in (small_stream, detail_stream, ip_stream):  # 96x64, 128x96, 96x64
+        sequence, plans = _stream_plans(stream)
+        types = [plan.picture_type for plan in plans]
+        assert PictureType.I in types and PictureType.P in types
+        assert _execute_all(sequence, plans, scratch) == _execute_all(sequence, plans)
+
+
+def _saturating_macroblocks(intra_first: bool):
+    """One B-picture's worth of macroblocks whose every coefficient
+    dequantises to a 12-bit limit: each half-pel fraction pair x (forward,
+    backward, both) x (+2047, -2048), and an intra pair."""
+    mb_w, mb_h = 7, 4
+    inter = []
+    for fy in (0, 1):
+        for fx in (0, 1):
+            for forward, backward in ((True, False), (False, True), (True, True)):
+                for level in (2047, -2047):
+                    inter.append((fx, fy, forward, backward, level))
+    first_inter = 2 if intra_first else 0
+    mbs = []
+    for i, (fx, fy, forward, backward, level) in enumerate(inter):
+        address = first_inter + i
+        mb_x, mb_y = address % mb_w, address // mb_w
+        # half-pel reads one sample past the tile: point inward at the edges
+        mv = (fx if mb_x < mb_w - 1 else -fx, fy if mb_y < mb_h - 1 else -fy)
+        mbs.append(
+            Macroblock(
+                address=address, motion_forward=forward, motion_backward=backward,
+                mv_fwd=mv if forward else None, mv_bwd=mv if backward else None,
+                pattern=True, cbp=63, qscale_code=31,
+                blocks=[np.full(64, level, dtype=np.int32) for _ in range(6)],
+            )
+        )
+    first_intra = 0 if intra_first else len(inter)
+    for i, level in enumerate((2047, -2047)):
+        mbs.append(
+            Macroblock(
+                address=first_intra + i, intra=True, qscale_code=31,
+                blocks=[np.full(64, level, dtype=np.int32) for _ in range(6)],
+            )
+        )
+    return mb_w, mb_h, sorted(mbs, key=lambda mb: mb.address)
+
+
+@pytest.mark.parametrize("intra_first", [True, False])  # identity block order or not
+@pytest.mark.parametrize("fwd_level,bwd_level", [(0, 0), (0, 255), (255, 0), (255, 255)])
+def test_range_ends_match_the_per_macroblock_oracle(intra_first, fwd_level, bwd_level):
+    """The widest values each narrow intermediate must hold — four 255s and
+    a rounding 2 in a half-pel sum, 255 + 255 + 1 in an average, +-14 29x
+    residuals over predictions of 0 and 255 — against the per-macroblock
+    path's int64 arithmetic, so a uint16 or int16 wrap cannot hide."""
+    mb_w, mb_h, mbs = _saturating_macroblocks(intra_first)
+    w, h = 16 * mb_w, 16 * mb_h
+    fwd = Frame.blank(w, h, y=fwd_level, c=fwd_level)
+    bwd = Frame.blank(w, h, y=bwd_level, c=bwd_level)
+    builder = PlanBuilder(PictureType.B, mb_w, w, h)
+    builder.add_all(mbs)
+    plan = builder.build()
+    in_order = np.array_equal(plan.block_res * 6 + plan.block_slot, np.arange(plan.n_blocks))
+    assert in_order == intra_first
+    res = _residual_stacks(plan, ExecuteScratch())
+    assert res.max() > 14200 and res.min() < -14200
+
+    want = Frame.blank(w, h)
+    for mb in mbs:
+        reconstruct_macroblock(mb, PictureType.B, want, fwd, bwd, mb_w)
+    got = Frame.blank(w, h)
+    execute_plan(plan, got, fwd, bwd, PoisonedScratch())
+    assert_frames_equal(got, want, "saturating picture")
+
+
+def test_two_tile_decoders_on_two_threads_share_nothing(small_stream):
+    """Each ``TileDecoder`` owns its scratch: two of them decoding the same
+    sub-pictures on two threads, switched as often as the interpreter
+    allows, both produce the frames one of them produces alone."""
+    sequence, pictures = PictureScanner(small_stream).scan()
+    layout = TileLayout(sequence.width, sequence.height, 1, 1)
+    splitter = MacroblockSplitter(sequence, layout)
+    subpictures = [splitter.split(u, i).subpictures[0] for i, u in enumerate(pictures)]
+
+    def decode_all(sink):
+        for _ in range(8):  # long enough for the two threads to overlap
+            dec = TileDecoder(layout.tile(0), layout, sequence)
+            frames = [dec.decode_subpicture(sp) for sp in subpictures] + [dec.flush()]
+            sink.append([f for f in frames if f is not None])
+
+    alone = []
+    decode_all(alone)
+    results = ([], [])
+    threads = [threading.Thread(target=decode_all, args=(sink,)) for sink in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for sink in results:
+        assert sink == alone

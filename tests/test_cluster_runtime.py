@@ -233,6 +233,19 @@ print(len(frames), "frames", end="")  # stays in the stdio buffer until exit
                 assert "e2e.latency" not in data["metrics"]["histograms"], proc
         assert totals[0] == totals[1] and totals[0]["handle_bytes"] > 0
 
+    def test_trace_paths_answer_for_the_last_job_only(self, clip_stream, tmp_path):
+        """One supervisor, a kept job and then a discarded one: the second
+        job's run directory is gone, and so are the paths into the first's."""
+        _, stream = clip_stream
+        sup = ClusterSupervisor(WallConfig(**self.SMALL), trace_dir=str(tmp_path))
+        sup.decode(stream, timeout=60.0)
+        assert sup.merged_trace_path == tmp_path / "merged.trace.jsonl"
+        assert sup.perfetto_path is not None and sup.perfetto_path.exists()
+        sup.trace_dir = None
+        sup.decode(stream, timeout=60.0)
+        assert sup.rundir is None
+        assert sup.merged_trace_path is None and sup.perfetto_path is None
+
     def test_worker_cpu_reaches_the_callers_rusage(self, clip_stream, tmp_path):
         """The harness charges a job ``RUSAGE_CHILDREN``: every worker must
         be this process's own child, reaped by it."""

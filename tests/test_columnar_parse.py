@@ -281,6 +281,14 @@ def test_missing_macroblocks_are_reported(small_stream):
         with pytest.raises(ValueError, match=f"picture is missing {missing} macro"):
             reconstruct_picture(parsed, sequence, None, None, batch=batch)
 
+    # the last slice twice: nothing is missing, its addresses are coded twice
+    twice = parser.parse_picture(data + data[last:])
+    for batch in (True, False):
+        with pytest.raises(
+            ValueError, match=f"picture codes {missing} macroblock addresses more than once"
+        ):
+            reconstruct_picture(twice, sequence, None, None, batch=batch)
+
 
 def test_rect_plan_matches_builder_over_the_same_macroblocks(small_stream):
     """``reconstruct_rect``'s box mask: the plan over a rect's macroblocks

@@ -36,6 +36,14 @@ class TestTransform:
         for i in range(5):
             assert np.allclose(batch[i], dct.fdct(blocks[i]))
 
+    def test_idct_over_its_input_gives_the_same_bits(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.integers(-2048, 2048, (300, 8, 8)).astype(np.float64)
+        kept = coeffs.copy()
+        want = dct.idct(coeffs)
+        assert np.array_equal(coeffs, kept)  # the default leaves its input alone
+        assert np.array_equal(dct.idct(kept, overwrite=True), want)
+
 
 class TestQuantization:
     def test_intra_roundtrip_bounded_error(self):

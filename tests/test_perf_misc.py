@@ -1,11 +1,20 @@
 """Odds and ends of the perf layer: config tables, helpers, invariants."""
 
+import tracemalloc
+
 import pytest
 
+from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
+from repro.mpeg2.constants import PictureType
+from repro.mpeg2.encoder import Encoder, EncoderConfig
+from repro.mpeg2.frames import Frame
+from repro.mpeg2.parser import MacroblockParser, PictureScanner
+from repro.mpeg2.plan import QuantMatrices, plan_from_columns
 from repro.perf import experiments as E
 from repro.perf.costmodel import CostModel
 from repro.wall.layout import TileLayout
 from repro.workloads.streams import TABLE4_STREAMS, stream_by_id
+from repro.workloads.synthetic import moving_pattern_frames
 
 
 class TestExperimentConfigTables:
@@ -84,3 +93,47 @@ class TestCostModelSanity:
             spec.mbs_per_frame, bits
         )
         assert 0.15 < ratio < 0.4
+
+
+class TestExecuteAllocations:
+    """The execute phase reuses its scratch: a count of bytes, not a timing."""
+
+    # what a warm call still allocates: the dequantisers' per-entry
+    # temporaries, index arrays and one group's gathered windows
+    SLACK = 128 * 1024
+
+    def test_warm_scratch_allocates_a_fraction_of_a_cold_one(self):
+        w, h = 320, 192
+        # a fine quantiser: most blocks of the P picture are coded
+        stream = Encoder(
+            EncoderConfig(gop_size=2, b_frames=0, qscale_code_inter=4)
+        ).encode(moving_pattern_frames(w, h, 2, seed=1))
+        sequence, pictures = PictureScanner(stream).scan()
+        parser = MacroblockParser(sequence)
+        matrices = QuantMatrices.from_sequence(sequence)
+        intra, inter = (
+            plan_from_columns(parser.parse_picture(u.data), w, h, matrices)
+            for u in pictures
+        )
+        assert inter.picture_type == PictureType.P
+        assert inter.n_blocks > 3 * inter.n_macroblocks
+        ref, out = Frame.blank(w, h), Frame.blank(w, h)
+        execute_plan(intra, ref, None, None)
+
+        def traced(scratch):
+            """Peak traced bytes of one call above where it started."""
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            execute_plan(inter, out, ref, None, scratch)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        scratch = ExecuteScratch()
+        tracemalloc.start()
+        try:
+            cold = traced(scratch)
+            warm = traced(scratch)
+        finally:
+            tracemalloc.stop()
+        frame_bytes = out.y.nbytes + out.cb.nbytes + out.cr.nbytes
+        assert 4 * warm < cold, (warm, cold)
+        assert warm < frame_bytes + self.SLACK, (warm, frame_bytes)
