@@ -25,7 +25,9 @@ class WallConfig:
     splitter (two); the root holds that many send credits per splitter.
     ``ship_plans`` selects what splitters send decoders: compiled
     reconstruction plans (decoders never run VLC) or sub-picture
-    bitstreams (the fallback path, which decoders re-parse).
+    bitstreams, which decoders re-parse — the losing side of a settled
+    ablation, kept (like ``use_shm_pool`` and ``telemetry``) because the
+    spine's ``--ablations`` pass it.
     ``fail_at`` is a fault-injection hook for teardown tests: a spec like
     ``"dec1@2"`` makes that worker kill itself (SIGKILL) when it is about
     to handle picture 2.
@@ -41,7 +43,6 @@ class WallConfig:
     overlap: int = 0
     transport: str = "unix"  # "unix" | "tcp"
     queue_depth: int = 2
-    batch_reconstruct: bool = True
     ship_plans: bool = True
     connect_timeout: float = 15.0
     recv_timeout: float = 60.0

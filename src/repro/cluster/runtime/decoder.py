@@ -56,7 +56,7 @@ from repro.cluster.runtime.rendezvous import (
 )
 from repro.mem import PoolExhausted, PoolRegistry
 from repro.mpeg2 import plan_codec
-from repro.mpeg2.constants import PictureType
+from repro.mpeg2.decoder import ReferenceChain
 from repro.mpeg2.motion import Rect
 from repro.mpeg2.plan_codec import buffers_nbytes
 from repro.net.channel import Channel, ChannelClosed, ChannelError, Listener
@@ -160,20 +160,15 @@ def _decoder_body(
     adaptive = cfg.partition_policy != "static"
     schedule = LayoutSchedule(layout)
     cur_layout = layout
-    dec = TileDecoder(
-        layout.tile(tid),
-        layout,
-        sequence,
-        batch_reconstruct=cfg.batch_reconstruct,
-    )
+    dec = TileDecoder(layout.tile(tid), layout, sequence)
     partition = layout.tile(tid).partition
     # The partition a frame ships with is the one in force when it was
     # *decoded*: the held anchor may ship after a repartition boundary,
     # so its crop geometry travels with it.  Latency stamps follow the
     # same rule — a held anchor ships with the (t_root, t_split) of the
-    # picture it *is*, not of the B picture that released it.
-    held_partition = partition
-    held_stamps = (0.0, 0.0)
+    # picture it *is*, not of the B picture that released it.  So both
+    # ride a second chain, pushed in step with the decoder's.
+    shipping: ReferenceChain[tuple] = ReferenceChain()  # (partition, stamps)
     display_idx = 0
 
     # Shared-memory plumbing: ``pools`` attaches to peers' segments on the
@@ -445,23 +440,16 @@ def _decoder_body(
             )
         # A B picture ships immediately under the current partition; an
         # anchor releases the *previous* held anchor, which was decoded
-        # under ``held_partition`` (possibly one repartition ago).
-        if ptype == PictureType.B:
-            out_part = partition
-            out_stamps = in_stamps
-        else:
-            out_part = held_partition
-            held_partition = partition
-            out_stamps = held_stamps
-            held_stamps = in_stamps
+        # under its own partition (possibly one repartition ago).
+        out = shipping.push(ptype, (partition, in_stamps))
         if ready is not None:
-            ship(ready, out_part, out_stamps)
+            ship(ready, *out)
         maybe_emit_stats(tracer)
         i += 1
 
     tail = dec.flush()
     if tail is not None:
-        ship(tail, held_partition, held_stamps)
+        ship(tail, *shipping.flush())
     dec.stage_times.pictures = dec.stats.pictures_decoded
     if tracer.spans:
         emit_stats(tracer)

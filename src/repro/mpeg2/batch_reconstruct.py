@@ -1,9 +1,10 @@
 """Two-phase batched picture reconstruction (parse -> plan -> execute).
 
-The per-macroblock reference path (:mod:`repro.mpeg2.reconstruct`) pays a
-separate numpy dispatch, ``scipy.fft.idctn``, ``rint``, and ``clip`` for
-every 8x8 block, so a picture reconstructs at Python-loop speed.  This
-module restructures the work the way a hardware decoder's memory system
+The per-macroblock reference (:mod:`repro.mpeg2.reconstruct`: the encoder's
+local reconstruction, and through ``tests/oracles.py`` the decoders' test
+oracle) pays a separate numpy dispatch, ``scipy.fft.idctn``, ``rint``, and
+``clip`` for every 8x8 block, so a picture reconstructs at Python-loop
+speed.  This module restructures the work the way a hardware decoder's memory system
 does: the entropy phase emits a flat *reconstruction plan* — coefficient
 stacks, per-block quantiser scales, intra/inter flags, motion vectors, and
 destination offsets — and the execute phase then runs **one** dequantize +

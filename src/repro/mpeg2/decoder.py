@@ -3,26 +3,30 @@
 This is the correctness oracle: the parallel 1-k-(m,n) system must produce
 bit-exactly the frames this decoder produces.  It is deliberately built from
 the same parts the parallel system uses — :class:`PictureScanner` for
-picture boundaries, :class:`MacroblockParser` for the VLC layer, and
-:mod:`repro.mpeg2.reconstruct` for pixels — so a mismatch isolates a bug in
-the *parallel* machinery (SPH, MEI, ordering), not in duplicated codec code.
+picture boundaries, :class:`MacroblockParser` for the VLC layer,
+:class:`ReferenceChain` for the anchor/B reorder and
+:mod:`repro.mpeg2.batch_reconstruct` for pixels — so a mismatch isolates a
+bug in the *parallel* machinery (SPH, MEI, ordering), not in duplicated
+codec code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
+from repro.mpeg2.motion import Rect
 from repro.mpeg2.parser import MacroblockParser, ParsedPicture, PictureScanner
 from repro.mpeg2.plan import QuantMatrices, plan_from_columns
-from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.structures import SequenceHeader
 from repro.perf.metrics import StageTimes
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -35,19 +39,65 @@ class DecodeStats:
     picture_bytes: List[int] = field(default_factory=list)
 
 
-class Decoder:
-    """Decode a full stream; frames come out in display order.
+def check_references(ptype: PictureType, fwd: object, bwd: object) -> None:
+    """A P picture predicts from one decoded anchor, a B picture from two."""
+    if ptype == PictureType.P and fwd is None:
+        raise ValueError("P-picture without forward reference")
+    if ptype == PictureType.B and (fwd is None or bwd is None):
+        raise ValueError("B-picture without two references")
 
-    ``batch_reconstruct`` selects the two-phase batched reconstruction
-    engine (the default); ``False`` keeps the per-macroblock reference
-    path.  Both are bit-identical — the flag exists so the reference
-    implementation stays runnable for golden comparisons and debugging.
+
+class ReferenceChain(Generic[T]):
+    """The anchor/B reorder: which references the next coded picture reads,
+    and frames out in display order.
+
+    Coded order puts an anchor (I or P) before the B pictures that display
+    ahead of it, so the newest anchor is *held* until the next one arrives
+    and a B picture displays at once.  A B picture reads the held anchor as
+    its backward reference and the anchor before it as its forward one —
+    across a GOP boundary too, which is what an open GOP's leading B
+    pictures need.  Every decode loop in ``src/`` owns one chain; what it
+    chains is the caller's (frames, or anything that travels with them).
     """
 
-    def __init__(self, batch_reconstruct: bool = True) -> None:
+    def __init__(self) -> None:
+        self.held: Optional[T] = None  # newest anchor, not yet displayed
+        self.prev_anchor: Optional[T] = None
+
+    def refs(self, ptype: PictureType) -> Tuple[Optional[T], Optional[T]]:
+        """``(fwd, bwd)`` for a picture of ``ptype``; ``ValueError`` when a
+        reference it needs has not been decoded."""
+        if ptype == PictureType.B:
+            fwd, bwd = self.prev_anchor, self.held
+        else:
+            fwd, bwd = (self.held if ptype == PictureType.P else None), None
+        check_references(ptype, fwd, bwd)
+        return fwd, bwd
+
+    def push(self, ptype: PictureType, frame: T) -> Optional[T]:
+        """Take the decoded picture; returns what became displayable."""
+        if ptype == PictureType.B:
+            return frame
+        shown = self.held
+        self.prev_anchor, self.held = self.held, frame
+        return shown
+
+    def flush(self) -> Optional[T]:
+        """End of stream: the held anchor becomes displayable."""
+        shown, self.held = self.held, None
+        return shown
+
+    def reset(self) -> None:
+        """Forget both anchors: nothing predicts until the next I picture."""
+        self.held = self.prev_anchor = None
+
+
+class Decoder:
+    """Decode a full stream; frames come out in display order."""
+
+    def __init__(self) -> None:
         self.sequence: Optional[SequenceHeader] = None
         self.stats = DecodeStats()
-        self.batch_reconstruct = batch_reconstruct
         self.stage_times = StageTimes()
 
     def decode(self, stream: bytes) -> List[Frame]:
@@ -90,42 +140,28 @@ class Decoder:
         self.stage_times = StageTimes()
         timers = self.stage_times
 
-        held: Optional[Frame] = None  # most recent anchor, not yet displayed
-        prev_anchor: Optional[Frame] = None
+        chain: ReferenceChain[Frame] = ReferenceChain()
         for unit in pictures:
             with timers.stage("parse"):
                 parsed = parser.parse_picture(unit.data, lean=True)
             timers.pictures += 1
-            self.stats.picture_types.append(parsed.header.picture_type)
+            ptype = parsed.header.picture_type
+            self.stats.picture_types.append(ptype)
             self.stats.coded_macroblocks.append(parsed.n_coded)
             self.stats.skipped_macroblocks.append(parsed.n_skipped)
             self.stats.picture_bytes.append(len(unit.data))
 
-            if parsed.header.picture_type == PictureType.B:
-                frame = reconstruct_picture(
-                    parsed, sequence, prev_anchor, held,
-                    batch=self.batch_reconstruct, timers=timers, matrices=matrices,
-                    scratch=scratch,
-                )
-                yield frame
-            else:
-                fwd = held  # anchor available when this picture was coded
-                frame = reconstruct_picture(
-                    parsed,
-                    sequence,
-                    fwd if parsed.header.picture_type == PictureType.P else None,
-                    None,
-                    batch=self.batch_reconstruct,
-                    timers=timers,
-                    matrices=matrices,
-                    scratch=scratch,
-                )
-                if held is not None:
-                    yield held
-                prev_anchor = held
-                held = frame
-        if held is not None:
-            yield held
+            fwd, bwd = chain.refs(ptype)
+            frame = reconstruct_picture(
+                parsed, sequence, fwd, bwd,
+                matrices=matrices, scratch=scratch, timers=timers,
+            )
+            shown = chain.push(ptype, frame)
+            if shown is not None:
+                yield shown
+        tail = chain.flush()
+        if tail is not None:
+            yield tail
 
 
 def reconstruct_picture(
@@ -133,49 +169,46 @@ def reconstruct_picture(
     sequence: SequenceHeader,
     fwd: Optional[Frame],
     bwd: Optional[Frame],
-    batch: bool = True,
-    timers: Optional[StageTimes] = None,
+    rect: Optional[Rect] = None,
     matrices: Optional[QuantMatrices] = None,
     scratch: Optional[ExecuteScratch] = None,
+    timers: Optional[StageTimes] = None,
 ) -> Frame:
-    """Reconstruct every macroblock of a parsed picture into a new frame.
+    """Reconstruct a parsed picture into a new frame: plan, then execute
+    (:mod:`repro.mpeg2.batch_reconstruct`).
 
-    ``batch=True`` runs the two-phase batched engine
-    (:mod:`repro.mpeg2.batch_reconstruct`); ``batch=False`` runs the
-    per-macroblock reference path.  Both produce bit-identical frames.
+    Without ``rect`` the picture must cover its raster exactly once and
+    every macroblock is reconstructed.  With one, only the macroblocks
+    intersecting ``rect`` are: the frame is full-raster but valid only
+    inside it (outside stays blank) — the contract of a tile's coverage
+    reference frames, and bit-identical to the whole picture there.
     ``matrices`` is ``QuantMatrices.from_sequence(sequence)`` and
-    ``scratch`` the batched engine's arena, for a caller that decodes many
-    pictures to build once (and, the arena, to keep to itself).
+    ``scratch`` the execute arena, for a caller that decodes many pictures
+    to build once (and, the arena, to keep to itself).
     """
-    ptype = parsed.header.picture_type
-    if ptype == PictureType.P and fwd is None:
-        raise ValueError("P-picture without forward reference")
-    if ptype == PictureType.B and (fwd is None or bwd is None):
-        raise ValueError("B-picture without two references")
-    # Before any pixel work: the picture covers its raster exactly once.
-    expected = parsed.mb_width * parsed.mb_height
-    covered = np.bincount(parsed.columns.address, minlength=expected)
-    repeated = int((covered > 1).sum())
-    if repeated:
-        raise ValueError(f"picture codes {repeated} macroblock addresses more than once")
-    missing = expected - int(covered[:expected].sum())
-    if missing:
-        raise ValueError(f"picture is missing {missing} macroblocks")
+    check_references(parsed.header.picture_type, fwd, bwd)
+    if rect is None:
+        # Before any pixel work: the picture covers its raster exactly once.
+        expected = parsed.mb_width * parsed.mb_height
+        covered = np.bincount(parsed.columns.address, minlength=expected)
+        repeated = int((covered > 1).sum())
+        if repeated:
+            raise ValueError(
+                f"picture codes {repeated} macroblock addresses more than once"
+            )
+        missing = expected - int(covered[:expected].sum())
+        if missing:
+            raise ValueError(f"picture is missing {missing} macroblocks")
+        rows = None
+    else:
+        rows = parsed.rows_in(rect)
     out = Frame.blank(sequence.width, sequence.height)
     matrices = matrices or QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
-    if batch:
-        with timers.stage("plan"):
-            plan = plan_from_columns(parsed, sequence.width, sequence.height, matrices)
-        with timers.stage("execute"):
-            execute_plan(plan, out, fwd, bwd, scratch)
-    else:
-        with timers.stage("execute"):
-            for item in parsed.items:
-                reconstruct_macroblock(
-                    item.mb, ptype, out, fwd, bwd, parsed.mb_width, matrices,
-                    parsed.header.dc_scaler,
-                )
+    with timers.stage("plan"):
+        plan = plan_from_columns(parsed, sequence.width, sequence.height, matrices, rows)
+    with timers.stage("execute"):
+        execute_plan(plan, out, fwd, bwd, scratch)
     return out
 
 

@@ -18,14 +18,13 @@ sub-picture payloads and the tests keep as the columnar parser's oracle.
 
 ``repro.mpeg2.vlc`` stays untouched as the bit-exact reference oracle:
 every decoder here is differentially fuzzed against it
-(``tests/test_fast_vlc.py``), and the object parser falls back to the
-reference decoders when ``ENABLED`` is off (``set_enabled`` /
-``use_reference``) — a test hook, which the columnar parser ignores.
+(``tests/test_fast_vlc.py``), and ``tests/oracles.py`` can put its
+bit-at-a-time decoders under the object parser for a whole-picture
+comparison.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -34,31 +33,6 @@ from repro.mpeg2 import tables as T
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.structures import PictureHeader
 from repro.mpeg2.vlc import VLCError
-
-#: Module-level switch consulted by the object parser (``macroblock.py``,
-#: ``TileDecoder``).  Leave it on; flip off (via :func:`set_enabled` or
-#: :func:`use_reference`) to force the bit-at-a-time reference decoders for
-#: differential testing.
-ENABLED = True
-
-
-def set_enabled(on: bool) -> bool:
-    """Toggle the fast decode paths; returns the previous setting."""
-    global ENABLED
-    prev = ENABLED
-    ENABLED = bool(on)
-    return prev
-
-
-@contextmanager
-def use_reference():
-    """Run the enclosed block on the bit-at-a-time reference decoders."""
-    prev = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(prev)
-
 
 # ---------------------------------------------------------------------- #
 # LUT construction
@@ -226,8 +200,8 @@ def decode_mb_type(br: BitReader, picture_type: int):
 def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) -> None:
     """Decode a block's AC (run, level) symbols plus EOB straight into ``scan``.
 
-    Equivalent to ``vlc.decode_coefficients`` followed by the run/position
-    accumulation in ``macroblock._decode_block`` — including the non-intra
+    Equivalent to ``vlc.decode_coefficients`` followed by a run/position
+    accumulation — including the non-intra
     first-coefficient short form, the MPEG-2 escape (24 bits, handled
     inline), and the run-overrun :class:`BitstreamError` messages — but
     decodes against a local 256-bit window refilled once per ~29 bytes, so

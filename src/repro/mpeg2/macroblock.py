@@ -3,7 +3,7 @@
 This module is shared by three consumers with different needs:
 
 - the **encoder** serializes macroblocks (`encode_macroblock`);
-- the **reference decoder** parses and then reconstructs pixels;
+- the **tile decoders** parse sub-picture payloads into plans;
 - the **second-level splitter** parses *without* reconstruction, but needs
   the exact bit extent of every macroblock (``bit_start``/``body_start``/
   ``bit_end``) plus the predictor state at each macroblock boundary so it
@@ -158,22 +158,6 @@ def _encode_dc(bw: BitWriter, qdc: int, component: int, state: CodingState) -> N
             bw.write(diff + (1 << size) - 1, size)
 
 
-def _decode_dc(br: BitReader, component: int, state: CodingState) -> int:
-    if fast_vlc.ENABLED:
-        diff = fast_vlc.decode_dc_delta(br, component)
-    else:
-        table = vlc.DC_SIZE_LUMA if component == 0 else vlc.DC_SIZE_CHROMA
-        size = table.decode(br)
-        if size == 0:
-            diff = 0
-        else:
-            v = br.read(size)
-            diff = v if v >= (1 << (size - 1)) else v - (1 << size) + 1
-    qdc = state.dc_pred[component] + diff
-    state.dc_pred[component] = qdc
-    return qdc
-
-
 # ---------------------------------------------------------------------- #
 # motion vectors (§7.6.3)
 # ---------------------------------------------------------------------- #
@@ -203,12 +187,9 @@ def _encode_mv(
 
 def _decode_mv(br: BitReader, direction: int, state: CodingState) -> Tuple[int, int]:
     out = [0, 0]
-    decode_delta = (
-        fast_vlc.decode_motion_delta if fast_vlc.ENABLED else vlc.decode_motion_delta
-    )
     for comp in range(2):
         f_code = state.picture.f_code_for(direction, comp)
-        delta = decode_delta(br, f_code - 1)
+        delta = fast_vlc.decode_motion_delta(br, f_code - 1)
         f = 1 << (f_code - 1)
         low, high, rng = -16 * f, 16 * f - 1, 32 * f
         val = state.pmv[direction][comp] + delta
@@ -260,29 +241,11 @@ def _decode_block(
     scan = np.zeros(64, dtype=np.int32)
     table_one = False
     if intra:
-        if fast_vlc.ENABLED:
-            qdc = state.dc_pred[component] + fast_vlc.decode_dc_delta(br, component)
-            state.dc_pred[component] = qdc
-            scan[0] = qdc
-        else:
-            scan[0] = _decode_dc(br, component, state)
+        qdc = state.dc_pred[component] + fast_vlc.decode_dc_delta(br, component)
+        state.dc_pred[component] = qdc
+        scan[0] = qdc
         table_one = state.picture.intra_vlc_format == 1
-    if fast_vlc.ENABLED:
-        fast_vlc.decode_ac_into(br, scan, intra, table_one)
-    elif intra:
-        pos = 0
-        for run, level in vlc.decode_coefficients(br, intra=True, table_one=table_one):
-            pos += run + 1
-            if pos > 63:
-                raise BitstreamError("AC run overruns block")
-            scan[pos] = level
-    else:
-        pos = -1
-        for run, level in vlc.decode_coefficients(br, intra=False):
-            pos += run + 1
-            if pos > 63:
-                raise BitstreamError("run overruns block")
-            scan[pos] = level
+    fast_vlc.decode_ac_into(br, scan, intra, table_one)
     return scan
 
 
@@ -346,13 +309,9 @@ def parse_macroblock_body(br: BitReader, state: CodingState) -> Macroblock:
     """
     body_start = br.pos
     mb = Macroblock(address=-1, bit_start=body_start, body_start=body_start)
-    if fast_vlc.ENABLED:
-        quant, mf, mbk, pattern, intra = fast_vlc.decode_mb_type(
-            br, state.picture.picture_type
-        )
-    else:
-        table = vlc.mb_type_table(state.picture.picture_type)
-        quant, mf, mbk, pattern, intra = table.decode(br)
+    quant, mf, mbk, pattern, intra = fast_vlc.decode_mb_type(
+        br, state.picture.picture_type
+    )
     mb.quant, mb.motion_forward, mb.motion_backward = quant, mf, mbk
     mb.pattern, mb.intra = pattern, intra
     if mb.quant:
@@ -372,7 +331,7 @@ def parse_macroblock_body(br: BitReader, state: CodingState) -> Macroblock:
         for b in range(6):
             mb.blocks[b] = _decode_block(br, _COMPONENT_OF_BLOCK[b], True, state)
     elif mb.pattern:
-        mb.cbp = fast_vlc.decode_cbp(br) if fast_vlc.ENABLED else vlc.CBP.decode(br)
+        mb.cbp = fast_vlc.decode_cbp(br)
         for b in range(6):
             if mb.cbp & (1 << (5 - b)):
                 mb.blocks[b] = _decode_block(br, _COMPONENT_OF_BLOCK[b], False, state)
@@ -396,10 +355,7 @@ def parse_macroblock(br: BitReader, state: CodingState) -> Tuple[int, Macroblock
     caller's responsibility; used by tests and simple tools.
     """
     bit_start = br.pos
-    if fast_vlc.ENABLED:
-        increment = fast_vlc.decode_address_increment(br)
-    else:
-        increment = vlc.decode_address_increment(br)
+    increment = fast_vlc.decode_address_increment(br)
     mb = parse_macroblock_body(br, state)
     mb.bit_start = bit_start
     return increment, mb

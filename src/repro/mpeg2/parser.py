@@ -278,9 +278,9 @@ class ParsedPicture:
 
     ``columns`` is the store.  ``items`` is a compatibility view — one
     :class:`ParsedMB` (with a :class:`Macroblock`) per row, built on first
-    use — for the bitstream splitter, the validator, the per-macroblock
-    reference reconstruction and the tests; nothing on the plan path
-    touches it.
+    use — for the bitstream splitter, the validator, the slice-parallel
+    baseline's accounting and the tests; nothing on the plan path touches
+    it.
     """
 
     header: PictureHeader

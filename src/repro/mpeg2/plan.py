@@ -206,8 +206,7 @@ class PlanBuilder:
     picture or sub-picture (phase 2).  ``add_all`` is transactional: motion
     vectors are validated against the reference-plane bounds *before* any
     macroblock of the batch is committed, so a tile decoder can map a bad
-    record to concealment without poisoning the rest of the plan — the same
-    failure granularity the per-macroblock path has.
+    record to concealment without poisoning the rest of the plan.
     """
 
     def __init__(

@@ -1,9 +1,11 @@
-"""Pixel reconstruction shared by the encoder and every decoder.
+"""Pixel reconstruction a macroblock at a time: the encoder's local
+reconstruction, and the decoders' test oracle.
 
-Keeping dequantization, IDCT, prediction, and clipping in one place makes
-the encoder's local reconstruction, the reference sequential decoder, and
-the parallel tile decoders bit-identical by construction — the property the
-parallel==sequential integration tests then verify end to end.
+Dequantization, IDCT, prediction and clipping, one 8x8 block per numpy
+call.  The encoder reconstructs its own reference frames with it; no
+decoder does (they plan and execute whole pictures,
+:mod:`repro.mpeg2.batch_reconstruct`), and ``tests/oracles.py::
+reference_decode`` holds their frames bit-identical to this module's.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.mpeg2.constants import PictureType
-from repro.mpeg2.decoder import reconstruct_picture
+from repro.mpeg2.decoder import ReferenceChain, reconstruct_picture
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.mpeg2.motion import reference_rect, chroma_reference_rect
@@ -54,21 +53,33 @@ class BaselineAccounting:
         )
 
 
+def _decode_next(parser, sequence, unit, chain: ReferenceChain, out: List[Frame]):
+    """Decode one coded picture against ``chain``, append whatever became
+    displayable to ``out``; returns the parsed picture."""
+    parsed = parser.parse_picture(unit.data)
+    ptype = parsed.header.picture_type
+    fwd, bwd = chain.refs(ptype)
+    shown = chain.push(ptype, reconstruct_picture(parsed, sequence, fwd, bwd))
+    if shown is not None:
+        out.append(shown)
+    return parsed
+
+
+def _flush(chain: ReferenceChain, out: List[Frame]) -> None:
+    tail = chain.flush()
+    if tail is not None:
+        out.append(tail)
+
+
 class GopParallelDecoder:
     """GOP-level parallel decoding, functionally."""
 
-    def __init__(
-        self,
-        n_nodes: int,
-        layout: Optional[TileLayout] = None,
-        batch_reconstruct: bool = True,
-    ):
+    def __init__(self, n_nodes: int, layout: Optional[TileLayout] = None):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.layout = layout
         self.accounting = BaselineAccounting()
-        self.batch_reconstruct = batch_reconstruct
 
     def decode(self, stream: bytes) -> List[Frame]:
         sequence, pictures = PictureScanner(stream).scan()
@@ -90,27 +101,11 @@ class GopParallelDecoder:
             if group[0].gop is not None and not group[0].gop.closed_gop:
                 raise ValueError("GOP-level parallelism requires closed GOPs")
             # decode the GOP independently (closed: no external references)
-            held: Optional[Frame] = None
-            prev: Optional[Frame] = None
+            chain: ReferenceChain[Frame] = ReferenceChain()
             for unit in group:
-                parsed = parser.parse_picture(unit.data)
-                ptype = parsed.header.picture_type
-                if ptype == PictureType.B:
-                    frame = reconstruct_picture(
-                        parsed, sequence, prev, held, batch=self.batch_reconstruct
-                    )
-                    out.append(frame)
-                else:
-                    fwd = held if ptype == PictureType.P else None
-                    frame = reconstruct_picture(
-                        parsed, sequence, fwd, None, batch=self.batch_reconstruct
-                    )
-                    if held is not None:
-                        out.append(held)
-                    prev, held = held, frame
+                _decode_next(parser, sequence, unit, chain, out)
                 acct.per_node_frames[node] += 1
-            if held is not None:
-                out.append(held)
+            _flush(chain, out)
         # redistribution: every frame leaves its producer except the tile
         # share the producer itself displays
         mn = self.layout.n_tiles if self.layout else self.n_nodes
@@ -125,18 +120,12 @@ class GopParallelDecoder:
 class PictureParallelDecoder:
     """Picture-level parallel decoding, functionally."""
 
-    def __init__(
-        self,
-        n_nodes: int,
-        layout: Optional[TileLayout] = None,
-        batch_reconstruct: bool = True,
-    ):
+    def __init__(self, n_nodes: int, layout: Optional[TileLayout] = None):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.layout = layout
         self.accounting = BaselineAccounting()
-        self.batch_reconstruct = batch_reconstruct
 
     def decode(self, stream: bytes) -> List[Frame]:
         sequence, pictures = PictureScanner(stream).scan()
@@ -147,38 +136,19 @@ class PictureParallelDecoder:
         frame_bytes = int(sequence.width * sequence.height * _YUV)
 
         out: List[Frame] = []
-        held: Optional[Frame] = None
-        held_node: Optional[int] = None
-        prev: Optional[Frame] = None
-        prev_node: Optional[int] = None
+        chain: ReferenceChain[Frame] = ReferenceChain()
+        producers: ReferenceChain[int] = ReferenceChain()  # node of each anchor
         for i, unit in enumerate(pictures):
             node = i % self.n_nodes
             acct.per_node_frames[node] += 1
-            parsed = parser.parse_picture(unit.data)
+            parsed = _decode_next(parser, sequence, unit, chain, out)
             ptype = parsed.header.picture_type
             # reference fetches: whole pictures from their producing nodes
-            if ptype == PictureType.P and held_node is not None:
-                if held_node != node:
+            for rnode in producers.refs(ptype):
+                if rnode is not None and rnode != node:
                     acct.interdecoder_bytes += frame_bytes
-            if ptype == PictureType.B:
-                for rnode in (prev_node, held_node):
-                    if rnode is not None and rnode != node:
-                        acct.interdecoder_bytes += frame_bytes
-            if ptype == PictureType.B:
-                out.append(reconstruct_picture(
-                    parsed, sequence, prev, held, batch=self.batch_reconstruct
-                ))
-            else:
-                fwd = held if ptype == PictureType.P else None
-                frame = reconstruct_picture(
-                    parsed, sequence, fwd, None, batch=self.batch_reconstruct
-                )
-                if held is not None:
-                    out.append(held)
-                prev, prev_node = held, held_node
-                held, held_node = frame, node
-        if held is not None:
-            out.append(held)
+            producers.push(ptype, node)
+        _flush(chain, out)
 
         mn = self.layout.n_tiles if self.layout else self.n_nodes
         share = (mn - 1) / mn if mn > 1 else 0.0
@@ -197,18 +167,12 @@ class SliceParallelDecoder:
     pixels shown by other columns of the wall redistribute.
     """
 
-    def __init__(
-        self,
-        n_bands: int,
-        layout: Optional[TileLayout] = None,
-        batch_reconstruct: bool = True,
-    ):
+    def __init__(self, n_bands: int, layout: Optional[TileLayout] = None):
         if n_bands < 1:
             raise ValueError("need at least one band")
         self.n_bands = n_bands
         self.layout = layout
         self.accounting = BaselineAccounting()
-        self.batch_reconstruct = batch_reconstruct
 
     def decode(self, stream: bytes) -> List[Frame]:
         sequence, pictures = PictureScanner(stream).scan()
@@ -228,17 +192,9 @@ class SliceParallelDecoder:
             raise ValueError(row)
 
         out: List[Frame] = []
-        held: Optional[Frame] = None
-        prev: Optional[Frame] = None
+        chain: ReferenceChain[Frame] = ReferenceChain()
         for unit in pictures:
-            parsed = parser.parse_picture(unit.data)
-            ptype = parsed.header.picture_type
-            fwd = (
-                prev if ptype == PictureType.B
-                else held if ptype == PictureType.P
-                else None
-            )
-            bwd = held if ptype == PictureType.B else None
+            parsed = _decode_next(parser, sequence, unit, chain, out)
             # account cross-band reference fetches from real motion vectors
             for item in parsed.items:
                 mb = item.mb
@@ -260,17 +216,7 @@ class SliceParallelDecoder:
                     acct.interdecoder_bytes += above + below + 2 * (c_above + c_below)
             for b in range(self.n_bands):
                 acct.per_node_frames[b] += 1
-            frame = reconstruct_picture(
-                parsed, sequence, fwd, bwd, batch=self.batch_reconstruct
-            )
-            if ptype == PictureType.B:
-                out.append(frame)
-            else:
-                if held is not None:
-                    out.append(held)
-                prev, held = held, frame
-        if held is not None:
-            out.append(held)
+        _flush(chain, out)
 
         # display redistribution: bands are full-width, tiles are not
         m_cols = self.layout.m if self.layout else 1

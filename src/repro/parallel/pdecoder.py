@@ -3,8 +3,8 @@
 A tile decoder receives (MEI, SP) pairs in decode order.  For each picture
 it first executes the MEI SEND instructions (reading previously decoded
 reference frames), applies the received blocks into its local reference
-copies, then decodes the sub-picture one macroblock at a time via the same
-macroblock/reconstruction code paths as the sequential decoder.
+copies, then decodes the sub-picture through the same parse -> plan ->
+execute phases as the sequential decoder.
 
 No server thread and no blocking demand-fetch exist anywhere in this class
 — the pre-calculated exchange is the paper's central decoder-side idea.
@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bitstream import BitReader, BitstreamError
-from repro.mpeg2 import fast_vlc, vlc
+from repro.mpeg2 import fast_vlc
 from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import PictureType
+from repro.mpeg2.decoder import ReferenceChain
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import (
     CodingState,
@@ -29,7 +30,6 @@ from repro.mpeg2.macroblock import (
 )
 from repro.mpeg2.plan import PlanBuilder, QuantMatrices, check_plan
 from repro.mpeg2.plan_codec import TilePlan
-from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.structures import SequenceHeader
 from repro.perf.metrics import StageTimes
 from repro.perf.telemetry import registry
@@ -68,17 +68,14 @@ class TileDecoder:
         layout: TileLayout,
         sequence: SequenceHeader,
         conceal_errors: bool = False,
-        batch_reconstruct: bool = True,
     ):
         self.tile = tile
         self.layout = layout
         self.sequence = sequence
         self.conceal_errors = conceal_errors
-        self.batch_reconstruct = batch_reconstruct
         self.matrices = QuantMatrices.from_sequence(sequence)
         self._scratch = ExecuteScratch()
-        self.held: Optional[Frame] = None  # newest decoded anchor
-        self.prev_anchor: Optional[Frame] = None
+        self.chain: ReferenceChain[Frame] = ReferenceChain()
         self.stats = TileDecoderStats()
         self.stage_times = StageTimes()
         # per-picture decode latency distribution (p50/p95/p99 in the
@@ -92,12 +89,13 @@ class TileDecoder:
 
     def _ref_for_direction(self, direction: int, ptype: PictureType) -> Frame:
         """The reference frame a transfer direction denotes for ``ptype``."""
+        fwd, bwd = self.chain.refs(ptype)
         if direction == FWD:
-            ref = self.prev_anchor if ptype == PictureType.B else self.held
+            ref = fwd
         elif direction == BWD:
             if ptype != PictureType.B:
                 raise ValueError("backward reference outside a B picture")
-            ref = self.held
+            ref = bwd
         else:
             raise ValueError(f"bad direction {direction}")
         if ref is None:
@@ -158,12 +156,7 @@ class TileDecoder:
                 f"{self.tile.tid} (expected {self._expected_picture})"
             )
         self._expected_picture += 1
-        fwd = self.prev_anchor if ptype == PictureType.B else self.held
-        bwd = self.held if ptype == PictureType.B else None
-        if ptype != PictureType.I and fwd is None:
-            raise ValueError("missing forward reference")
-        if ptype == PictureType.B and bwd is None:
-            raise ValueError("missing backward reference")
+        fwd, bwd = self.chain.refs(ptype)
         frame = Frame.blank(self.sequence.width, self.sequence.height)
         return frame, fwd, bwd
 
@@ -171,12 +164,7 @@ class TileDecoder:
         """The usual anchor/B reorder: B frames display immediately, anchors
         release the previously held anchor."""
         self.stats.pictures_decoded += 1
-        if ptype == PictureType.B:
-            return frame
-        ready = self.held
-        self.prev_anchor = self.held
-        self.held = frame
-        return ready
+        return self.chain.push(ptype, frame)
 
     def decode_subpicture(self, sp: SubPicture) -> Optional[Frame]:
         """Decode one sub-picture; returns the next display-order frame for
@@ -184,32 +172,8 @@ class TileDecoder:
         t0 = time.perf_counter()
         ptype = sp.picture_type
         frame, fwd, bwd = self._begin_picture(sp.picture_index, sp.tile, ptype)
-        self.stats.subpicture_bytes += len(sp.serialize())
-
-        header = sp.picture_header()
-        mb_width = sp.mb_width
-        if self.batch_reconstruct:
-            self._decode_records_batched(sp, header, frame, fwd, bwd, mb_width)
-        else:
-            for rec in sp.records:
-                try:
-                    if isinstance(rec, RunRecord):
-                        self._decode_run(rec, header, frame, fwd, bwd, mb_width)
-                    elif isinstance(rec, SkipRecord):
-                        self._decode_skip(rec, ptype, frame, fwd, bwd, mb_width)
-                    else:  # pragma: no cover - defensive
-                        raise TypeError(f"unknown record {type(rec)!r}")
-                except (BitstreamError, ValueError):
-                    if not self.conceal_errors:
-                        raise
-                    self.stats.records_failed += 1
-                    if isinstance(rec, RunRecord):
-                        addresses = range(
-                            rec.sph.address, rec.sph.address + rec.n_total
-                        )
-                    else:
-                        addresses = range(rec.address, rec.address + rec.count)
-                    self._conceal(addresses, frame, fwd, mb_width)
+        self.stats.subpicture_bytes += sp.wire_bytes
+        self._decode_records(sp, frame, fwd, bwd)
         self.picture_hist.observe(time.perf_counter() - t0)
         return self._finish_picture(ptype, frame)
 
@@ -232,8 +196,7 @@ class TileDecoder:
 
     def flush(self) -> Optional[Frame]:
         """End of stream: the held anchor becomes displayable."""
-        ready, self.held = self.held, None
-        return ready
+        return self.chain.flush()
 
     def retile(self, tile: Tile, layout: TileLayout) -> None:
         """Swap tile geometry at a closed-GOP boundary (adaptive partition).
@@ -270,25 +233,24 @@ class TileDecoder:
             self.stats.macroblocks_concealed += 1
 
     # ------------------------------------------------------------------ #
-    # two-phase batched path (parse -> plan -> execute)
+    # parse -> plan -> execute
     # ------------------------------------------------------------------ #
 
-    def _decode_records_batched(
+    def _decode_records(
         self,
         sp: SubPicture,
-        header,
         frame: Frame,
         fwd: Optional[Frame],
         bwd: Optional[Frame],
-        mb_width: int,
     ) -> None:
         """Phase 1: entropy-parse every record into the reconstruction plan
         (per-record, so concealment keeps its failure granularity);
         phase 2: one batched execute for the whole sub-picture."""
-        ptype = header.picture_type
+        header = sp.picture_header()
+        mb_width = sp.mb_width
         timers = self.stage_times
         builder = PlanBuilder(
-            ptype,
+            header.picture_type,
             mb_width,
             self.sequence.width,
             self.sequence.height,
@@ -332,15 +294,10 @@ class TileDecoder:
         mb = parse_macroblock_body(br, state)
         mb.address = rec.sph.address
         mbs.append(mb)
-        decode_increment = (
-            fast_vlc.decode_address_increment
-            if fast_vlc.ENABLED
-            else vlc.decode_address_increment
-        )
         coded = 1
         cur = rec.sph.address
         while coded < rec.n_coded:
-            inc = decode_increment(br)
+            inc = fast_vlc.decode_address_increment(br)
             for skip_addr in range(cur + 1, cur + inc):
                 mbs.append(make_skipped(skip_addr, state))
                 n_skipped += 1
@@ -369,70 +326,3 @@ class TileDecoder:
                 mb.mv_bwd = rec.mv_bwd
             mbs.append(mb)
         return mbs
-
-    # ------------------------------------------------------------------ #
-    # per-macroblock reference path
-    # ------------------------------------------------------------------ #
-
-    def _decode_run(
-        self,
-        rec: RunRecord,
-        header,
-        frame: Frame,
-        fwd: Optional[Frame],
-        bwd: Optional[Frame],
-        mb_width: int,
-    ) -> None:
-        ptype = header.picture_type
-        br = BitReader(rec.payload, start_bit=rec.sph.skip_bits)
-        state = CodingState(picture=header)
-        state.restore(rec.sph.to_state_snapshot())
-
-        dc_scaler = header.dc_scaler
-        mb = parse_macroblock_body(br, state)
-        mb.address = rec.sph.address
-        reconstruct_macroblock(
-            mb, ptype, frame, fwd, bwd, mb_width, self.matrices, dc_scaler
-        )
-        self.stats.macroblocks_decoded += 1
-        coded = 1
-        cur = rec.sph.address
-        while coded < rec.n_coded:
-            inc = vlc.decode_address_increment(br)
-            for skip_addr in range(cur + 1, cur + inc):
-                smb = make_skipped(skip_addr, state)
-                reconstruct_macroblock(smb, ptype, frame, fwd, bwd, mb_width, self.matrices)
-                self.stats.macroblocks_skipped += 1
-            mb = parse_macroblock_body(br, state)
-            mb.address = cur + inc
-            reconstruct_macroblock(
-                mb, ptype, frame, fwd, bwd, mb_width, self.matrices, dc_scaler
-            )
-            self.stats.macroblocks_decoded += 1
-            coded += 1
-            cur = mb.address
-        used = br.pos - rec.sph.skip_bits
-        if used != rec.nbits:
-            raise BitstreamError(
-                f"partial slice consumed {used} bits, header said {rec.nbits}"
-            )
-
-    def _decode_skip(
-        self,
-        rec: SkipRecord,
-        ptype: PictureType,
-        frame: Frame,
-        fwd: Optional[Frame],
-        bwd: Optional[Frame],
-        mb_width: int,
-    ) -> None:
-        for i in range(rec.count):
-            mb = Macroblock(address=rec.address + i, skipped=True)
-            mb.motion_forward = rec.forward
-            mb.motion_backward = rec.backward
-            if rec.forward:
-                mb.mv_fwd = rec.mv_fwd
-            if rec.backward:
-                mb.mv_bwd = rec.mv_bwd
-            reconstruct_macroblock(mb, ptype, frame, fwd, bwd, mb_width, self.matrices)
-            self.stats.macroblocks_skipped += 1

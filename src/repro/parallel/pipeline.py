@@ -58,13 +58,11 @@ class ParallelDecoder:
         k: int = 1,
         verify_overlaps: bool = False,
         conceal_errors: bool = False,
-        batch_reconstruct: bool = True,
     ):
         self.layout = layout
         self.k = k
         self.verify_overlaps = verify_overlaps
         self.conceal_errors = conceal_errors
-        self.batch_reconstruct = batch_reconstruct
         self.stats = PipelineStats()
 
     def decode(self, stream: bytes) -> List[Frame]:
@@ -74,11 +72,7 @@ class ParallelDecoder:
         splitters = [MacroblockSplitter(sequence, self.layout) for _ in range(self.k)]
         decoders = {
             tile.tid: TileDecoder(
-                tile,
-                self.layout,
-                sequence,
-                conceal_errors=self.conceal_errors,
-                batch_reconstruct=self.batch_reconstruct,
+                tile, self.layout, sequence, conceal_errors=self.conceal_errors
             )
             for tile in self.layout
         }

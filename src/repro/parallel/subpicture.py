@@ -190,6 +190,8 @@ class SubPicture:
     intra_dc_precision: int = 8
     intra_vlc_format: int = 0
     records: List[Record] = field(default_factory=list)
+    #: bytes :meth:`deserialize` read this from; 0 for one never on the wire
+    wire_bytes: int = 0
 
     _HEAD_FMT = "<HIHBH8BHH I".replace(" ", "")
 
@@ -289,4 +291,5 @@ class SubPicture:
             else:
                 raise ValueError(f"unknown sub-picture record type {kind}")
             sp.records.append(rec)
+        sp.wire_bytes = off
         return sp

@@ -35,13 +35,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.mpeg2 import plan_codec
-from repro.mpeg2.constants import PictureType
+from repro.mpeg2.decoder import ReferenceChain
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.partition import build_controller
 from repro.parallel.pdecoder import TileDecoder
-from repro.parallel.subpicture import SubPicture
 from repro.wall.layout import TileLayout
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.perf.trace
@@ -52,17 +51,8 @@ _POLL = 0.05
 
 
 @dataclass
-class _SPMessage:
-    picture_index: int
-    anid: int
-    sp_bytes: bytes
-    program: object  # MEIProgram
-    expected_recvs: int
-
-
-@dataclass
 class _PlanMessage:
-    """Plan-shipping counterpart of :class:`_SPMessage`.
+    """What a splitter thread hands a decoder thread for one picture.
 
     The plan travels through the queue in its wire encoding, exactly as it
     would cross a socket, so the threaded runner exercises the same codec
@@ -88,8 +78,6 @@ class ThreadedParallelDecoder:
         layout: TileLayout,
         k: int = 1,
         queue_depth: int = 2,
-        batch_reconstruct: bool = True,
-        ship_plans: bool = True,
         partition_policy: str = "static",
         partition_ewma: float = 0.5,
         tracer: Optional["TraceWriter"] = None,
@@ -99,8 +87,6 @@ class ThreadedParallelDecoder:
         self.layout = layout
         self.k = k
         self.queue_depth = queue_depth
-        self.batch_reconstruct = batch_reconstruct
-        self.ship_plans = ship_plans
         # Runtime partition policy (repro.parallel.partition): the same
         # controller the cluster root runs, minus the wire protocol —
         # threads share the LayoutSchedule object directly, and the
@@ -228,10 +214,7 @@ class ThreadedParallelDecoder:
                     if lay is not msplit.layout:
                         msplit.set_layout(lay)
                 with self._span("split", picture=i):
-                    if self.ship_plans:
-                        result = msplit.split_plans(unit, i)
-                    else:
-                        result = msplit.split(unit, i)
+                    result = msplit.split_plans(unit, i)
                 if msplit.last_content is not None:
                     cols, rows = msplit.last_content
                     controller.observe_content(i, cols, rows)
@@ -249,40 +232,25 @@ class ThreadedParallelDecoder:
                                 )
                 for tid in range(n_tiles):
                     prog = result.mei.program(tid)
-                    expected = len(prog.recvs)
-                    if self.ship_plans:
-                        msg = _PlanMessage(
+                    sp_q[tid].put(
+                        _PlanMessage(
                             picture_index=i,
                             anid=nsid,
-                            plan_bytes=plan_codec.encode_plan_bytes(
-                                result.plans[tid]
-                            ),
+                            plan_bytes=plan_codec.encode_plan_bytes(result.plans[tid]),
                             program=prog,
-                            expected_recvs=expected,
+                            expected_recvs=len(prog.recvs),
                         )
-                    else:
-                        msg = _SPMessage(
-                            picture_index=i,
-                            anid=nsid,
-                            sp_bytes=result.subpictures[tid].serialize(),
-                            program=prog,
-                            expected_recvs=expected,
-                        )
-                    sp_q[tid].put(msg)
+                    )
 
         # decoders -------------------------------------------------------- #
         def decoder(tid: int):
             cur_layout = self.layout
-            dec = TileDecoder(
-                self.layout.tile(tid),
-                self.layout,
-                sequence,
-                batch_reconstruct=self.batch_reconstruct,
-            )
+            dec = TileDecoder(self.layout.tile(tid), self.layout, sequence)
             partition = self.layout.tile(tid).partition
             # The crop a frame ships with is the partition in force when
-            # it was decoded — the held anchor may outlive a repartition.
-            held_partition = partition
+            # it was decoded — the held anchor may outlive a repartition —
+            # so partitions ride a second chain, in step with the decoder's.
+            partitions: ReferenceChain = ReferenceChain()
             held_back: Dict[int, List] = {}
             for i in range(n_pics):
                 msg = _get(sp_q[tid], f"sub-picture {i}")
@@ -310,13 +278,8 @@ class ThreadedParallelDecoder:
                                     partition.y1,
                                 ],
                             )
-                if isinstance(msg, _PlanMessage):
-                    sp = None
-                    tp, _ = plan_codec.decode_plan(msg.plan_bytes, dec.matrices)
-                    ptype = tp.picture_type
-                else:
-                    sp = SubPicture.deserialize(msg.sp_bytes)
-                    ptype = sp.picture_type
+                tp, _ = plan_codec.decode_plan(msg.plan_bytes, dec.matrices)
+                ptype = tp.picture_type
                 # ack to the *next* splitter (ANID), releasing picture i+1
                 ack_q[msg.anid].put(i)
                 c0 = time.thread_time()
@@ -339,9 +302,7 @@ class ThreadedParallelDecoder:
                             held_back.setdefault(pic_idx, []).append(block)
                 c0 = time.thread_time()
                 with self._span("decode", picture=i):
-                    ready = (
-                        dec.decode_plan(tp) if sp is None else dec.decode_subpicture(sp)
-                    )
+                    ready = dec.decode_plan(tp)
                 if self.partition_policy == "feedback":
                     # Thread CPU time, not wall time: with every tile
                     # sharing one GIL the wall span of each decode absorbs
@@ -349,16 +310,12 @@ class ThreadedParallelDecoder:
                     controller.observe_execute(
                         i, tid, serve_cpu + (time.thread_time() - c0)
                     )
-                if ptype == PictureType.B:
-                    out_part = partition
-                else:
-                    out_part = held_partition
-                    held_partition = partition
+                out_part = partitions.push(ptype, partition)
                 if ready is not None:
                     out_q.put(("frame", tid, ready, out_part))
             tail = dec.flush()
             if tail is not None:
-                out_q.put(("frame", tid, tail, held_partition))
+                out_q.put(("frame", tid, tail, partitions.flush()))
 
         threads = [threading.Thread(target=guard(root), name="root", daemon=True)]
         threads += [
@@ -378,21 +335,36 @@ class ThreadedParallelDecoder:
 
         # collect: every displayed picture produces one crop per tile,
         # stamped with the partition it was decoded under (the layout may
-        # have changed between decode and display for held anchors)
+        # have changed between decode and display for held anchors).  A crop
+        # is pasted when it arrives and the tile's full-raster frame let go,
+        # so what is alive is the output plus the pictures in flight.
         try:
             frames: List[Frame] = []
-            buckets: Dict[int, Dict[int, tuple]] = {}
+            walls: Dict[int, Frame] = {}  # display index -> wall being pasted
+            owed = [n_tiles] * n_pics  # crops each display index still lacks
             display_counter = [0] * n_tiles
-            collected = 0
-            while collected < n_pics * n_tiles:
+            while len(frames) < n_pics:
                 kind, *payload = out_q.get(timeout=timeout)
                 if kind == "error":
                     raise payload[0]
-                tid, frame, part = payload
+                tid, tile_frame, p = payload
                 idx = display_counter[tid]
                 display_counter[tid] += 1
-                buckets.setdefault(idx, {})[tid] = (frame, part)
-                collected += 1
+                if idx not in walls:
+                    walls[idx] = Frame.blank(self.layout.width, self.layout.height)
+                out = walls[idx]
+                out.y[p.y0 : p.y1, p.x0 : p.x1] = tile_frame.y[p.y0 : p.y1, p.x0 : p.x1]
+                out.cb[p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2] = tile_frame.cb[
+                    p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2
+                ]
+                out.cr[p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2] = tile_frame.cr[
+                    p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2
+                ]
+                owed[idx] -= 1
+                if not owed[idx]:
+                    # every tile emits in display order, so display indices
+                    # complete in order too
+                    frames.append(walls.pop(idx))
         finally:
             # Success or failure, poison and drain every worker: no thread
             # may outlive this call blocked on an unserviced queue.
@@ -402,18 +374,4 @@ class ThreadedParallelDecoder:
                 t.join(timeout=max(0.1, deadline - time.monotonic()))
         if self.errors:
             raise self.errors[0]
-
-        for idx in sorted(buckets):
-            out = Frame.blank(self.layout.width, self.layout.height)
-            for tile_frame, p in buckets[idx].values():
-                out.y[p.y0 : p.y1, p.x0 : p.x1] = tile_frame.y[
-                    p.y0 : p.y1, p.x0 : p.x1
-                ]
-                out.cb[p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2] = tile_frame.cb[
-                    p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2
-                ]
-                out.cr[p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2] = tile_frame.cr[
-                    p.y0 // 2 : p.y1 // 2, p.x0 // 2 : p.x1 // 2
-                ]
-            frames.append(out)
         return frames

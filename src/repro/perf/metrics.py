@@ -66,8 +66,7 @@ class StageTimes:
 
     - **parse** — VLC/entropy decoding (inherently serial);
     - **plan** — assembling the flat reconstruction plan;
-    - **execute** — the batched dequant/IDCT/MC/scatter phase (or the whole
-      per-macroblock reconstruction when the reference path runs);
+    - **execute** — the batched dequant/IDCT/MC/scatter phase;
     - **wire** — encoding/decoding messages at the process boundary (plan
       and frame codecs; zero for in-process decoders).
     """

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.bitstream import BitReader
 from repro.mpeg2.batch_reconstruct import ExecuteScratch
 from repro.mpeg2.constants import PICTURE_START_CODE, PictureType
-from repro.mpeg2.decoder import reconstruct_picture
+from repro.mpeg2.decoder import ReferenceChain, reconstruct_picture
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.mpeg2.plan import QuantMatrices
@@ -82,14 +82,11 @@ class PacedStreamDecoder:
     clean decode from the same point.
     """
 
-    def __init__(
-        self, stream: bytes, batch_reconstruct: bool = True, start_at: int = 0
-    ):
+    def __init__(self, stream: bytes, start_at: int = 0):
         self.sequence, self.pictures = PictureScanner(stream).scan()
         self.parser = MacroblockParser(self.sequence)
         self.matrices = QuantMatrices.from_sequence(self.sequence)
         self._scratch = ExecuteScratch()
-        self.batch_reconstruct = batch_reconstruct
         self.meta: List[PictureMeta] = self._scan_meta()
         if start_at and not 0 <= start_at < len(self.pictures):
             raise ValueError(
@@ -102,8 +99,7 @@ class PacedStreamDecoder:
                 f"{self.meta[start_at].ptype.name}"
             )
         self.start_at = start_at
-        self._held: Optional[Frame] = None
-        self._prev_anchor: Optional[Frame] = None
+        self._chain: ReferenceChain[Frame] = ReferenceChain()
         self._broken = False
         self.next_index = start_at
 
@@ -155,32 +151,18 @@ class PacedStreamDecoder:
             return StepResult(index=i, ptype=ptype, decoded=False, forced=forced)
 
         parsed = self.parser.parse_picture(self.pictures[i].data, lean=True)
-        if ptype == PictureType.B:
-            frame = reconstruct_picture(
-                parsed,
-                self.sequence,
-                self._prev_anchor,
-                self._held,
-                batch=self.batch_reconstruct,
-                matrices=self.matrices,
-                scratch=self._scratch,
-            )
-            return StepResult(index=i, ptype=ptype, decoded=True, frame=frame)
-        fwd = self._held if ptype == PictureType.P else None
+        fwd, bwd = self._chain.refs(ptype)
         frame = reconstruct_picture(
-            parsed, self.sequence, fwd, None,
-            batch=self.batch_reconstruct, matrices=self.matrices,
-            scratch=self._scratch,
+            parsed, self.sequence, fwd, bwd,
+            matrices=self.matrices, scratch=self._scratch,
         )
-        out = self._held
-        self._prev_anchor = self._held
-        self._held = frame
-        return StepResult(index=i, ptype=ptype, decoded=True, frame=out)
+        return StepResult(
+            index=i, ptype=ptype, decoded=True, frame=self._chain.push(ptype, frame)
+        )
 
     def flush(self) -> Optional[Frame]:
         """The final held anchor, once every picture has been stepped."""
-        out, self._held = self._held, None
-        return out
+        return self._chain.flush()
 
 
 def i_picture_indices(stream: bytes) -> List[int]:
@@ -279,7 +261,6 @@ class Session:
         weight: float = 1.0,
         slowdown_s: float = 0.0,
         ladder: LadderConfig = LadderConfig(),
-        batch_reconstruct: bool = True,
         start_at: int = 0,
         slo: Optional[SLOConfig] = None,
     ):
@@ -291,7 +272,6 @@ class Session:
         self.stream = stream
         self.weight = weight
         self.slowdown_s = slowdown_s
-        self.batch_reconstruct = batch_reconstruct
         self.start_at = start_at  # failover resume point (an I-picture)
         self.state = SessionState.QUEUED
         self.reason = ""
@@ -330,11 +310,7 @@ class Session:
 
     def start(self, now: float) -> None:
         """Admission → running: open the decoder and start the clock."""
-        self.decoder = PacedStreamDecoder(
-            self.stream,
-            batch_reconstruct=self.batch_reconstruct,
-            start_at=self.start_at,
-        )
+        self.decoder = PacedStreamDecoder(self.stream, start_at=self.start_at)
         self.pacer.start(now)
         self.state = SessionState.RUNNING
         self.started_mono = now

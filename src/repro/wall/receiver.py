@@ -30,12 +30,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
-from repro.mpeg2.constants import MB_SIZE, PictureType
+from repro.mpeg2.batch_reconstruct import ExecuteScratch
+from repro.mpeg2.constants import MB_SIZE
+from repro.mpeg2.decoder import ReferenceChain, reconstruct_picture
 from repro.mpeg2.frames import Frame
-from repro.mpeg2.motion import Rect, mb_rect
-from repro.mpeg2.parser import MacroblockParser, ParsedPicture
-from repro.mpeg2.plan import QuantMatrices, plan_from_columns
+from repro.mpeg2.motion import Rect
+from repro.mpeg2.parser import MacroblockParser
+from repro.mpeg2.plan import QuantMatrices
 from repro.mpeg2.structures import SequenceHeader
 from repro.net.bcast import BroadcastReceiver, GapNotice
 from repro.net.channel import Address, ChannelError
@@ -65,34 +66,9 @@ def expand_rect(rect: Rect, margin_px: int, width: int, height: int) -> Rect:
     return r
 
 
-def reconstruct_rect(
-    parsed: ParsedPicture,
-    sequence: SequenceHeader,
-    fwd: Optional[Frame],
-    bwd: Optional[Frame],
-    rect: Rect,
-    matrices: Optional[QuantMatrices] = None,
-    scratch: Optional[ExecuteScratch] = None,
-) -> Frame:
-    """Reconstruct only the macroblocks intersecting ``rect``.
-
-    The returned frame is full-raster but valid only inside ``rect``
-    (outside stays blank) — exactly the contract of a tile's coverage
-    reference frames.  With ``rect`` spanning the raster this is
-    bit-identical to :func:`repro.mpeg2.decoder.reconstruct_picture`.
-    """
-    ptype = parsed.header.picture_type
-    if ptype == PictureType.P and fwd is None:
-        raise ValueError("P-picture without forward reference")
-    if ptype == PictureType.B and (fwd is None or bwd is None):
-        raise ValueError("B-picture without two references")
-    out = Frame.blank(sequence.width, sequence.height)
-    matrices = matrices or QuantMatrices.from_sequence(sequence)
-    plan = plan_from_columns(
-        parsed, sequence.width, sequence.height, matrices, parsed.rows_in(rect)
-    )
-    execute_plan(plan, out, fwd, bwd, scratch)
-    return out
+#: A rect-restricted :func:`reconstruct_picture`, under the name it had
+#: when it lived here (``benchmarks/spine/layers.py`` imports it).
+reconstruct_rect = reconstruct_picture
 
 
 def _digest_crop(h, frame: Frame, part: Rect) -> None:
@@ -180,8 +156,7 @@ class WallReceiver:
         self.dropped_tuning = 0
         self.dropped_gap = 0
         self._digest = hashlib.sha256()
-        self._held: Optional[Frame] = None
-        self._prev_anchor: Optional[Frame] = None
+        self._chain: ReferenceChain[Frame] = ReferenceChain()
         self._display_idx = 0
         self._last_report = 0.0
         self.last_frame: Optional[Frame] = None
@@ -255,24 +230,14 @@ class WallReceiver:
             tile.coverage, pic.margin_px, self.sequence.width, self.sequence.height
         )
         parsed = self.parser.parse_picture(pic.data, lean=True)
-        if pic.ptype == PictureType.B:
-            frame = reconstruct_rect(
-                parsed, self.sequence, self._prev_anchor, self._held, rect,
-                self.matrices, self._scratch,
-            )
-            self.decoded += 1
-            self._emit(frame)
-            return
-        fwd = self._held if pic.ptype == PictureType.P else None
-        frame = reconstruct_rect(
-            parsed, self.sequence, fwd, None, rect, self.matrices, self._scratch
+        fwd, bwd = self._chain.refs(pic.ptype)
+        frame = reconstruct_picture(
+            parsed, self.sequence, fwd, bwd, rect, self.matrices, self._scratch
         )
         self.decoded += 1
-        out = self._held
-        self._prev_anchor = self._held
-        self._held = frame
-        if out is not None:
-            self._emit(out)
+        shown = self._chain.push(pic.ptype, frame)
+        if shown is not None:
+            self._emit(shown)
 
     def _emit(self, frame: Frame) -> None:
         """One display-order frame: digest (bit-exactness), then present."""
@@ -294,15 +259,14 @@ class WallReceiver:
         """Lost records poison the reference chain: re-tune at next anchor."""
         if self.state == DECODING:
             self.state = TUNING
-            self._held = None
-            self._prev_anchor = None
+            self._chain.reset()
         self.dropped_gap += n_lost
         self._count_drop("gap", n_lost)
 
     def _on_end(self) -> None:
-        if self.state == DECODING and self._held is not None:
-            self._emit(self._held)
-            self._held = None
+        tail = self._chain.flush()  # nothing held unless DECODING
+        if tail is not None:
+            self._emit(tail)
         self.state = DONE
 
     # ---------------------------- observability ----------------------------- #

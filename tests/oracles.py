@@ -1,10 +1,18 @@
 """Differential oracles: the macroblock-at-a-time paths the runtime left.
 
 The runtime parses every full picture with the fused columnar parser
-(``fast_vlc.parse_slice_columns``) and builds plans from its columns with
-numpy.  The paths below are what those replaced, kept here — out of
-``src/`` — as the references the differential tests compare against:
+(``fast_vlc.parse_slice_columns``), builds plans from its columns with
+numpy and executes them batched.  The paths below are what those replaced,
+kept here — out of ``src/`` — as the references the differential tests
+compare against:
 
+- :func:`reference_decode`: a whole stream by the object parser and
+  :func:`repro.mpeg2.reconstruct.reconstruct_macroblock` (the encoder's
+  local reconstruction), one macroblock at a time, with the anchor/B
+  reorder written out — what every decoder's frames must equal;
+- :func:`use_reference_vlc`: the bit-at-a-time :mod:`repro.mpeg2.vlc`
+  decoders put under the object parser in place of the ``fast_vlc`` LUT
+  decoders it calls;
 - :func:`object_parse_picture`: the slice loop over
   :func:`repro.mpeg2.macroblock.parse_macroblock_body` (which the tile
   decoders still run on sub-picture payloads), one ``Macroblock`` +
@@ -28,10 +36,16 @@ import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc, plan_codec, vlc
-from repro.mpeg2.constants import PICTURE_START_CODE, is_slice_start_code
+from repro.mpeg2.constants import (
+    PICTURE_START_CODE,
+    PictureType,
+    is_slice_start_code,
+)
+from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import CodingState, make_skipped, parse_macroblock_body
-from repro.mpeg2.parser import MacroblockParser, ParsedMB
-from repro.mpeg2.plan import PlanBuilder, ReconstructionPlan
+from repro.mpeg2.parser import MacroblockParser, ParsedMB, PictureScanner
+from repro.mpeg2.plan import PlanBuilder, QuantMatrices, ReconstructionPlan
+from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.structures import PictureHeader
 from repro.parallel.mb_splitter import MacroblockSplitter, PlanSplitResult
@@ -88,14 +102,9 @@ def _parse_slice(parser, br, row, parsed, slice_index, lean) -> None:
     state = CodingState(picture=parsed.header, qscale_code=qcode)
     prev_addr = row * parser.mb_width - 1
     first_in_slice = True
-    decode_increment = (
-        fast_vlc.decode_address_increment
-        if fast_vlc.ENABLED
-        else vlc.decode_address_increment
-    )
     while br.bits_left() > 0 and br.peek(_EOS_BITS) != 0:
         bit_start = br.pos
-        increment = decode_increment(br)
+        increment = fast_vlc.decode_address_increment(br)
         address = prev_addr + increment
         if address >= (row + 1) * parser.mb_width:
             raise BitstreamError("macroblock address beyond slice row")
@@ -116,6 +125,70 @@ def _parse_slice(parser, br, row, parsed, slice_index, lean) -> None:
         mb.address = address
         parsed.items.append(ParsedMB(mb, snap, row, slice_index))
         prev_addr = address
+
+
+def reference_decode(stream: bytes) -> List[Frame]:
+    """Display-order frames of ``stream``, a macroblock at a time."""
+    sequence, pictures = PictureScanner(stream).scan()
+    parser = MacroblockParser(sequence)
+    matrices = QuantMatrices.from_sequence(sequence)
+    out: List[Frame] = []
+    held = prev = None  # newest anchor (not yet displayed), the one before
+    for unit in pictures:
+        parsed = object_parse_picture(parser, unit.data, lean=True)
+        ptype = parsed.header.picture_type
+        if ptype == PictureType.B:
+            fwd, bwd = prev, held
+        else:
+            fwd, bwd = (held if ptype == PictureType.P else None), None
+        frame = Frame.blank(sequence.width, sequence.height)
+        for item in parsed.items:
+            reconstruct_macroblock(
+                item.mb, ptype, frame, fwd, bwd, parsed.mb_width, matrices,
+                parsed.header.dc_scaler,
+            )
+        if ptype == PictureType.B:
+            out.append(frame)
+        else:
+            if held is not None:
+                out.append(held)
+            prev, held = held, frame
+    if held is not None:
+        out.append(held)
+    return out
+
+
+def _reference_dc_delta(br: BitReader, component: int) -> int:
+    size = (vlc.DC_SIZE_LUMA if component == 0 else vlc.DC_SIZE_CHROMA).decode(br)
+    if size == 0:
+        return 0
+    v = br.read(size)
+    return v if v >= (1 << (size - 1)) else v - (1 << size) + 1
+
+
+def _reference_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) -> None:
+    pos = 0 if intra else -1
+    for run, level in vlc.decode_coefficients(br, intra, table_one):
+        pos += run + 1
+        if pos > 63:
+            raise BitstreamError("AC run overruns block" if intra else "run overruns block")
+        scan[pos] = level
+
+
+def use_reference_vlc(monkeypatch) -> None:
+    """Until ``monkeypatch`` is undone, the object parser (``macroblock.py``,
+    ``TileDecoder._parse_run``, :func:`object_parse_picture`) decodes every
+    symbol with :mod:`repro.mpeg2.vlc`, a bit at a time.  The columnar
+    parser has the LUTs inline and is not reached."""
+    for name, reference in (
+        ("decode_address_increment", vlc.decode_address_increment),
+        ("decode_motion_delta", vlc.decode_motion_delta),
+        ("decode_dc_delta", _reference_dc_delta),
+        ("decode_cbp", vlc.CBP.decode),
+        ("decode_mb_type", lambda br, ptype: vlc.mb_type_table(ptype).decode(br)),
+        ("decode_ac_into", _reference_ac_into),
+    ):
+        monkeypatch.setattr(fast_vlc, name, reference)
 
 
 def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan:
@@ -220,4 +293,6 @@ __all__ = [
     "compile_plans_reference",
     "dense_scans",
     "object_parse_picture",
+    "reference_decode",
+    "use_reference_vlc",
 ]

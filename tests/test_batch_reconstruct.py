@@ -1,8 +1,9 @@
 """Batched two-phase reconstruction must be bit-identical to the reference.
 
 The batched engine (:mod:`repro.mpeg2.batch_reconstruct`) replays exactly
-the arithmetic of the per-macroblock path over whole-picture stacks, so the
-only acceptable difference is speed.  Golden tests pin the session streams;
+the arithmetic of the per-macroblock path (``tests/oracles.py::
+reference_decode``) over whole-picture stacks, so the only acceptable
+difference is speed.  Golden tests pin the session streams;
 the hypothesis test sweeps random GOP structures (I/P/B mixes, skipped
 macroblocks from frozen content, partial slices wherever a 2x2 tiling cuts
 a slice mid-row) through both the sequential decoder and the tiled wall.
@@ -35,6 +36,7 @@ from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
+from tests.oracles import reference_decode
 
 
 def assert_frames_equal(a, b, context=""):
@@ -45,8 +47,8 @@ def assert_frames_equal(a, b, context=""):
 
 
 def _decode_both(stream):
-    ref = Decoder(batch_reconstruct=False).decode(stream)
-    bat = Decoder(batch_reconstruct=True).decode(stream)
+    ref = reference_decode(stream)
+    bat = Decoder().decode(stream)
     assert len(ref) == len(bat)
     return ref, bat
 
@@ -75,15 +77,11 @@ def test_batched_matches_reference_all_intra(i_only_stream):
 
 
 def test_batched_tiled_matches_sequential_reference(small_stream):
-    ref = Decoder(batch_reconstruct=False).decode(small_stream)
-    layout = TileLayout(96, 64, 2, 2)
-    for flag in (False, True):
-        out = ParallelDecoder(layout, k=2, batch_reconstruct=flag).decode(
-            small_stream
-        )
-        assert len(out) == len(ref)
-        for i, (a, b) in enumerate(zip(out, ref)):
-            assert_frames_equal(a, b, f"tiled batch={flag} frame {i}")
+    ref = reference_decode(small_stream)
+    out = ParallelDecoder(TileLayout(96, 64, 2, 2), k=2).decode(small_stream)
+    assert len(out) == len(ref)
+    for i, (a, b) in enumerate(zip(out, ref)):
+        assert_frames_equal(a, b, f"tiled frame {i}")
 
 
 # ---------------------------------------------------------------------- #
@@ -137,7 +135,7 @@ def test_random_gop_batched_identical(seed, mbw, mbh, gop, b_frames):
 
     # a 2x2 wall cuts every slice into partial-slice records
     layout = TileLayout(w, h, 2, 2)
-    tiled = ParallelDecoder(layout, k=2, batch_reconstruct=True).decode(stream)
+    tiled = ParallelDecoder(layout, k=2).decode(stream)
     assert len(tiled) == len(ref)
     for i, (a, b) in enumerate(zip(tiled, ref)):
         assert_frames_equal(a, b, f"tiled frame {i}")

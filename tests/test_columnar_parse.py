@@ -277,17 +277,15 @@ def test_missing_macroblocks_are_reported(small_stream):
         {it.mb.address for it in reference.items}
     )
     assert missing > 0
-    for batch in (True, False):
-        with pytest.raises(ValueError, match=f"picture is missing {missing} macro"):
-            reconstruct_picture(parsed, sequence, None, None, batch=batch)
+    with pytest.raises(ValueError, match=f"picture is missing {missing} macro"):
+        reconstruct_picture(parsed, sequence, None, None)
 
     # the last slice twice: nothing is missing, its addresses are coded twice
     twice = parser.parse_picture(data + data[last:])
-    for batch in (True, False):
-        with pytest.raises(
-            ValueError, match=f"picture codes {missing} macroblock addresses more than once"
-        ):
-            reconstruct_picture(twice, sequence, None, None, batch=batch)
+    with pytest.raises(
+        ValueError, match=f"picture codes {missing} macroblock addresses more than once"
+    ):
+        reconstruct_picture(twice, sequence, None, None)
 
 
 def test_rect_plan_matches_builder_over_the_same_macroblocks(small_stream):

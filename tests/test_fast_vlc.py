@@ -21,7 +21,7 @@ from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
-from tests.oracles import object_parse_picture
+from tests.oracles import object_parse_picture, use_reference_vlc
 
 # Levels that exercise every coding shape: short-form +/-1, in-table codes,
 # and escapes at both ends of the 12-bit two's-complement range.
@@ -214,29 +214,28 @@ class TestScalarCodes:
 class TestWholeStream:
     """The integrated check: full pictures parse identically both ways."""
 
-    def test_full_stream_parse_matches_reference(self):
+    def test_full_stream_parse_matches_reference(self, monkeypatch):
         clip = moving_pattern_frames(128, 96, 8, seed=7)
         stream = Encoder(EncoderConfig(gop_size=4, b_frames=2)).encode(clip)
         sequence, pictures = PictureScanner(stream).scan()
         parser = MacroblockParser(sequence)
+        use_reference_vlc(monkeypatch)  # reaches the object parser only
         for unit in pictures:
             fast = parser.parse_picture(unit.data)
-            with fast_vlc.use_reference():
-                ref = object_parse_picture(parser, unit.data)
+            ref = object_parse_picture(parser, unit.data)
             assert len(fast.items) == len(ref.items)
             for a, b in zip(fast.items, ref.items):
                 assert a.mb.address == b.mb.address
                 assert a.mb.bit_end == b.mb.bit_end
                 assert a.mb.skipped == b.mb.skipped
 
-    def test_full_stream_decode_bit_identical(self):
+    def test_full_stream_decode_bit_identical(self, monkeypatch):
         clip = moving_pattern_frames(128, 96, 6, seed=3)
         stream = Encoder(EncoderConfig(gop_size=3, b_frames=1)).encode(clip)
         fast = decode_stream(stream)
-        # The switch reaches the object parser only, which the tile
-        # decoders run on sub-picture payloads.
-        wall = ParallelDecoder(TileLayout(128, 96, 2, 1), k=1)
-        with fast_vlc.use_reference():
-            ref = wall.decode(stream)
+        # The reference decoders reach the object parser only, which the
+        # tile decoders run on sub-picture payloads.
+        use_reference_vlc(monkeypatch)
+        ref = ParallelDecoder(TileLayout(128, 96, 2, 1), k=1).decode(stream)
         assert len(ref) == len(fast)
         assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, fast))

@@ -9,6 +9,7 @@ The other half — laziness must not change what the packages export — is
 checked in-process.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -198,3 +199,23 @@ def test_documented_import_lines_run_unchanged():
     assert lines, "README shows no import lines any more?"
     for line in lines:
         exec(line, {})
+
+
+def test_only_the_encoder_imports_the_per_macroblock_reconstruction():
+    """``mpeg2/reconstruct.py`` is the encoder's local reconstruction and the
+    decoders' test oracle (``tests/oracles.py::reference_decode``); no
+    decoder has a second pixel path to fall back on."""
+    importers = set()
+    for path in Path(SRC, "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{a.name}" for a in node.names
+                ]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if "repro.mpeg2.reconstruct" in names:
+                importers.add(path.relative_to(SRC).as_posix())
+    assert importers == {"repro/mpeg2/encoder.py"}

@@ -11,6 +11,7 @@ from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.mei import BWD, FWD, BlockXfer
 from repro.parallel.pdecoder import PixelBlock, TileDecoder
+from repro.parallel.subpicture import SubPicture
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
 
@@ -58,6 +59,24 @@ class TestRouting:
             dec.apply_recv(blk, PictureType.P)
 
 
+    def test_subpicture_bytes_are_the_wire_length(self, small_stream):
+        """``deserialize`` records what it read, the way ``TilePlan.wire_bytes``
+        does, and the decoder counts that: every tile of a 2x2 split."""
+        sequence, pictures = PictureScanner(small_stream).scan()
+        layout = TileLayout(sequence.width, sequence.height, 2, 2)
+        splitter = MacroblockSplitter(sequence, layout)
+        decoders = {t.tid: TileDecoder(t, layout, sequence) for t in layout}
+        for i, unit in enumerate(pictures):
+            for tid, sp in splitter.split(unit, i).subpictures.items():
+                assert sp.wire_bytes == 0  # never crossed a wire
+                data = sp.serialize()
+                received = SubPicture.deserialize(data)
+                assert received.wire_bytes == len(data)
+                before = decoders[tid].stats.subpicture_bytes
+                decoders[tid].decode_subpicture(received)
+                assert decoders[tid].stats.subpicture_bytes - before == received.wire_bytes
+
+
 class TestReferences:
     def test_p_before_i_rejected(self, setup):
         _, _, results = setup
@@ -76,7 +95,7 @@ class TestReferences:
         dec = _decoder(setup, tid=0)
         a = Frame.blank(96, 64, y=10)
         b = Frame.blank(96, 64, y=20)
-        dec.prev_anchor, dec.held = a, b
+        dec.chain.prev_anchor, dec.chain.held = a, b
         assert dec._ref_for_direction(FWD, PictureType.P) is b
         assert dec._ref_for_direction(FWD, PictureType.B) is a
         assert dec._ref_for_direction(BWD, PictureType.B) is b
@@ -97,8 +116,8 @@ class TestMEIExecution:
         src = _decoder(setup, tid=0)
         dst = _decoder(setup, tid=1)
         ref_src = Frame.blank(96, 64, y=99)
-        src.held = ref_src
-        dst.held = Frame.blank(96, 64, y=0)
+        src.chain.held = ref_src
+        dst.chain.held = Frame.blank(96, 64, y=0)
         xfer = BlockXfer(Rect(40, 8, 48, 24), Rect(20, 4, 24, 12), FWD)
         from repro.parallel.mei import MEIProgram
 
@@ -107,7 +126,7 @@ class TestMEIExecution:
         assert len(blocks) == 1
         assert blocks[0].nbytes == xfer.payload_bytes
         dst.apply_recv(blocks[0], PictureType.P)
-        assert (dst.held.y[8:24, 40:48] == 99).all()
+        assert (dst.chain.held.y[8:24, 40:48] == 99).all()
         assert src.stats.serve_bytes == dst.stats.fetch_bytes == xfer.payload_bytes
 
     def test_display_reorder_matches_sequential(self, setup):
@@ -126,8 +145,8 @@ class TestMEIExecution:
     def test_stats_accumulate(self, setup):
         _, _, results = setup
         dec = _decoder(setup, tid=0)
-        for r in results:
-            dec.decode_subpicture(r.subpictures[0])
+        for r in results:  # through the wire: bytes are counted on receipt
+            dec.decode_subpicture(SubPicture.deserialize(r.subpictures[0].serialize()))
         assert dec.stats.pictures_decoded == len(results)
         assert dec.stats.macroblocks_decoded > 0
         assert dec.stats.subpicture_bytes > 0

@@ -137,3 +137,32 @@ class TestExecuteAllocations:
         frame_bytes = out.y.nbytes + out.cb.nbytes + out.cr.nbytes
         assert 4 * warm < cold, (warm, cold)
         assert warm < frame_bytes + self.SLACK, (warm, frame_bytes)
+
+
+class TestThreadedCollectorAllocations:
+    """The threaded runner's collector pastes a tile's crop when it arrives
+    and lets the tile's full-raster frame go: a count of bytes, not a timing."""
+
+    def test_tile_frames_do_not_outlive_their_paste(self):
+        from repro.parallel.threaded import ThreadedParallelDecoder
+
+        w, h, gop = 256, 192, 12
+        # three GOPs of a still: one coded I picture each, the rest skipped,
+        # so the decode is quick and full-raster frames are what it allocates
+        still = moving_pattern_frames(w, h, 1, seed=2)
+        stream = Encoder(
+            EncoderConfig(gop_size=gop, b_frames=2, search_range=1)
+        ).encode(still * (3 * gop))
+        layout = TileLayout(w, h, 4, 2)
+        tracemalloc.start()
+        try:
+            out = ThreadedParallelDecoder(layout, k=1).decode(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_bytes = out[0].y.nbytes + out[0].cb.nbytes + out[0].cr.nbytes
+        # alive at once: the output, each decoder's two references and
+        # current picture, its scratch -- not every tile frame of every
+        # picture (n_pics x n_tiles of them) until the threads have joined
+        assert len(out) == 3 * gop
+        assert peak < len(out) * layout.n_tiles * frame_bytes / 2, peak / frame_bytes

@@ -19,7 +19,6 @@ from repro.cluster.runtime.messages import decode_plan_msg, encode_plan_msg
 from repro.mpeg2 import plan_codec
 from repro.mpeg2.batch_reconstruct import execute_plan
 from repro.mpeg2.constants import PictureType
-from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import PictureScanner
@@ -27,7 +26,6 @@ from repro.mpeg2.plan import PlanBuilder, QuantMatrices, ReconstructionPlan, che
 from repro.mpeg2.plan_codec import TilePlan, buffers_nbytes, decode_plan, encode_plan, encode_plan_bytes
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.pdecoder import TileDecoder
-from repro.parallel.threaded import ThreadedParallelDecoder
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
 
@@ -348,7 +346,7 @@ class TestDamagedRecords:
         )
         out, _ = decode_plan(encode_plan_bytes(bad), matrices)  # wire-legal
         dec = TileDecoder(layout.tile(tp.tile), layout, sequence)
-        dec._expected_picture, dec.held = tp.picture_index, ref
+        dec._expected_picture, dec.chain.held = tp.picture_index, ref
         with pytest.raises(ValueError, match=message):
             dec.decode_plan(out)
 
@@ -407,12 +405,3 @@ class TestPlanDecodeEquivalence:
                 dec_plan[tid].stats.macroblocks_skipped
                 == dec_sp[tid].stats.macroblocks_skipped
             )
-
-    def test_threaded_runner_both_wire_modes(self, clip_stream):
-        _, stream = clip_stream
-        ref = decode_stream(stream)
-        layout = TileLayout(128, 96, 2, 2)
-        plans = ThreadedParallelDecoder(layout, k=2, ship_plans=True).decode(stream)
-        bits = ThreadedParallelDecoder(layout, k=2, ship_plans=False).decode(stream)
-        assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, plans))
-        assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, bits))

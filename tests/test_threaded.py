@@ -31,19 +31,6 @@ class TestThreadedDecoder:
         assert len(out) == len(ref)
         assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, out))
 
-    @pytest.mark.parametrize("ship_plans", [True, False])
-    def test_plan_and_bitstream_paths_bit_exact(self, clip_stream, ship_plans):
-        """Both wire modes — compiled plans and sub-picture bitstreams —
-        must match the sequential decoder exactly."""
-        _, stream = clip_stream
-        ref = decode_stream(stream)
-        layout = TileLayout(128, 96, 2, 2)
-        out = ThreadedParallelDecoder(layout, k=2, ship_plans=ship_plans).decode(
-            stream, timeout=60
-        )
-        assert len(out) == len(ref)
-        assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, out))
-
     def test_with_overlap(self, clip_stream):
         _, stream = clip_stream
         ref = decode_stream(stream)

@@ -140,7 +140,7 @@ class TestErrorConcealment:
         dec = TileDecoder(layout.tile(0), layout, seq, conceal_errors=True)
         r0 = splitter.split(pics[0], 0)
         dec.decode_subpicture(r0.subpictures[0])
-        anchor = dec.held.copy()
+        anchor = dec.chain.held.copy()
         r1 = splitter.split(pics[1], 1)
         sp = r1.subpictures[0]
         # corrupt every run so the whole tile conceals
@@ -149,6 +149,6 @@ class TestErrorConcealment:
                 rec.payload = b"\xff" * len(rec.payload)
         dec.decode_subpicture(sp)
         part = layout.tile(0).partition
-        a = dec.held.y[part.y0 : part.y1, part.x0 : part.x1]
+        a = dec.chain.held.y[part.y0 : part.y1, part.x0 : part.x1]
         b = anchor.y[part.y0 : part.y1, part.x0 : part.x1]
         assert np.array_equal(a, b)
