@@ -5,13 +5,17 @@ through per-table flat LUTs but pay a Python call + ``bytes`` slice per
 symbol.  This module precomputes *combined* lookup tables at import time —
 sign bit folded into the DCT coefficient entries, end-of-block and escape
 codes stored as sentinel entries, the address-increment escape folded into
-its table — and decodes against a wide cached bit window so the hot loop
-is a shift, a mask, and one list index per symbol.
+its table — and decodes against a wide cached bit window, so a symbol
+costs a shift, a mask, and one list index.
 
 Two consumers decode against these tables.  The runtime's full-picture
 parse is :func:`parse_slice_columns` below: one function per slice with the
-whole macroblock layer inline, writing columns (``parser.PictureColumns``)
-instead of objects; it consults no switch.  The per-symbol decoders
+whole macroblock layer inline, writing rows of ints (``parser.PictureColumns``
+once frozen) instead of objects; it consults no switch.  It does not decode
+run/level codes at all: a second set of tables, the *stride* tables, tells
+it how many bits the whole symbols of a 16-bit window take, it records the
+window and moves on, and :func:`expand_entries` decodes a picture's windows
+with numpy gathers afterwards.  The per-symbol decoders
 (``decode_address_increment`` ... ``decode_ac_into``) serve the object
 parser in :mod:`repro.mpeg2.macroblock`, which the tile decoders run on
 sub-picture payloads and the tests keep as the columnar parser's oracle.
@@ -26,7 +30,9 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import tables as T
@@ -74,26 +80,124 @@ COEFF_BITS = 16
 _EOB_ADV = 0
 _ESC_ADV = -1
 _MISS = (-2, 0, 0)
+_N_WINDOWS = 1 << COEFF_BITS
+
+
+def _span(bits: int, length: int) -> slice:
+    """The 16-bit windows that start with the ``length``-bit code ``bits``."""
+    shift = COEFF_BITS - length
+    return slice(bits << shift, (bits + 1) << shift)
+
+
+def _coeff_codes(
+    mapping: Dict[Tuple[int, int], Tuple[int, int]], eob_code: Tuple[int, int]
+) -> Iterator[Tuple[int, int, int, int]]:
+    """``(bits, length, advance, level)`` of every code of one coefficient
+    table: each run/level code twice (its sign bit appended), then EOB and
+    the escape prefix under their sentinel advances."""
+    for (run, a), (bits, length) in mapping.items():
+        if length + 1 > COEFF_BITS:
+            raise ValueError(f"code for (run={run}, level={a}) exceeds {COEFF_BITS} bits")
+        yield bits << 1, length + 1, run + 1, a
+        yield (bits << 1) | 1, length + 1, run + 1, -a
+    yield (*eob_code, _EOB_ADV, 0)
+    yield (*T.DCT_ESCAPE_CODE, _ESC_ADV, 0)
 
 
 def _build_coeff_lut(
     mapping: Dict[Tuple[int, int], Tuple[int, int]], eob_code: Tuple[int, int]
 ) -> List[tuple]:
-    lut: List[Optional[tuple]] = [None] * (1 << COEFF_BITS)
-    for (run, a), (bits, length) in mapping.items():
-        if length + 1 > COEFF_BITS:
-            raise ValueError(f"code for (run={run}, level={a}) exceeds {COEFF_BITS} bits")
-        _fill(lut, bits << 1, length + 1, COEFF_BITS, (run + 1, a, length + 1))
-        _fill(lut, (bits << 1) | 1, length + 1, COEFF_BITS, (run + 1, -a, length + 1))
-    eob_bits, eob_len = eob_code
-    _fill(lut, eob_bits, eob_len, COEFF_BITS, (_EOB_ADV, 0, eob_len))
-    esc_bits, esc_len = T.DCT_ESCAPE_CODE
-    _fill(lut, esc_bits, esc_len, COEFF_BITS, (_ESC_ADV, 0, esc_len))
-    return [_MISS if entry is None else entry for entry in lut]
+    lut = [_MISS] * _N_WINDOWS
+    for bits, length, adv, level in _coeff_codes(mapping, eob_code):
+        span = _span(bits, length)
+        if lut[span].count(_MISS) != span.stop - span.start:
+            raise ValueError(f"VLC LUT conflict at {bits:0{length}b}")
+        lut[span] = [(adv, level, length)] * (span.stop - span.start)
+    return lut
 
 
 _COEFF_LUT_T0 = _build_coeff_lut(T.DCT_COEFF, T.EOB_CODE)
 _COEFF_LUT_T1 = _build_coeff_lut(T.DCT_COEFF_T1, T.EOB_CODE_T1)
+
+# Stride tables: what a 16-bit window holds, for the columnar parser.  Its
+# run/level loop only moves the bit cursor; the symbols are read out of the
+# window values afterwards, by numpy (:func:`expand_entries`).  Per
+# coefficient table and window ``w``:
+#
+# - ``stride[w]`` (one byte of a ``bytes``, so 64 KB a table and no int
+#   objects): the bits of all the *complete* run/level symbols ``w`` starts
+#   with -- every bit of each inside the window; when the block's EOB
+#   follows them inside the window too, the bits through the EOB code plus
+#   ``_STRIDE_EOB``; 0 when ``w`` starts with the escape prefix or with no
+#   code at all;
+# - ``_NSYM[w]``: how many symbols that is (0-5; the shortest code is 3 bits);
+# - ``_SYM[w, k]``: symbol ``k`` as the bytes ``(level, advance)`` read as
+#   one int16, 0 past ``_NSYM[w]`` (a symbol's advance is at least 1);
+# - ``_EOB[w]``: whether the window closes the block.
+#
+# The numpy tables stack table zero and table one, ``_TABLE_ROWS`` apart.
+# Each ends with the rows the direct entries index (see ``_DIRECT`` below)
+# by their low 17 bits: one symbol of the entry's advance and level 0 (the
+# level is in the entry), no EOB.
+_MAX_SYMS = 5
+_STRIDE_EOB = 32
+_DIRECT = _N_WINDOWS
+_DC = 1 << 7
+_TABLE_ROWS = _N_WINDOWS + 2 * _DC
+
+
+_NSYM = np.zeros(2 * _TABLE_ROWS, dtype=np.uint8)
+_SYM = np.zeros((2 * _TABLE_ROWS, _MAX_SYMS), dtype=np.int16)
+_EOB = np.zeros(2 * _TABLE_ROWS, dtype=bool)
+
+
+def _build_stride_tables(
+    table: int, mapping: Dict[Tuple[int, int], Tuple[int, int]], eob_code: Tuple[int, int]
+) -> bytes:
+    """Fill coefficient table ``table``'s half of ``_NSYM`` / ``_SYM`` /
+    ``_EOB`` and return its ``stride``, vectorised over the windows:
+    ``_MAX_SYMS + 1`` rounds of single-symbol lookups."""
+    adv1 = np.full(_N_WINDOWS, _MISS[0], dtype=np.int8)
+    level1 = np.zeros(_N_WINDOWS, dtype=np.int8)
+    len1 = np.zeros(_N_WINDOWS, dtype=np.int8)
+    for bits, length, adv, level in _coeff_codes(mapping, eob_code):
+        span = _span(bits, length)
+        adv1[span], level1[span], len1[span] = adv, level, length
+
+    half = slice(table * _TABLE_ROWS, (table + 1) * _TABLE_ROWS)
+    nsym, eob = _NSYM[half], _EOB[half]
+    sym = _SYM.view(np.int8).reshape(-1, _MAX_SYMS, 2)[half]  # (level, advance)
+    used = np.zeros(_N_WINDOWS, dtype=np.int8)  # bits of the symbols so far
+    live = np.arange(_N_WINDOWS, dtype=np.int32)  # windows still being read
+    for k in range(_MAX_SYMS + 1):
+        # The rest of the window, zero-padded: a code found there with all of
+        # its bits inside the window is the code the stream holds (the table
+        # is prefix-free); anything else waits for the next window.
+        rest = (live << used[live]) & (_N_WINDOWS - 1)
+        length, adv = len1[rest], adv1[rest]
+        whole = (length > 0) & (used[live] + length <= COEFF_BITS)
+        closes = whole & (adv == _EOB_ADV)
+        eob[live[closes]] = True
+        used[live[closes]] += length[closes]
+        more = whole & (adv > 0)
+        live, rest = live[more], rest[more]
+        if k == _MAX_SYMS:
+            if len(live):
+                raise ValueError(f"a window holds more than {_MAX_SYMS} symbols")
+            break
+        used[live] += length[more]
+        nsym[live] = k + 1
+        sym[live, k, 0] = level1[rest]
+        sym[live, k, 1] = adv[more]
+    advance = np.arange(1, 65)
+    for rows in (_DIRECT | advance, _DIRECT | _DC | advance):
+        nsym[rows] = 1
+        sym[rows, 0, 1] = advance
+    return np.where(eob[:_N_WINDOWS], used + _STRIDE_EOB, used).astype(np.uint8).tobytes()
+
+
+_STRIDE_T0 = _build_stride_tables(0, T.DCT_COEFF, T.EOB_CODE)
+_STRIDE_T1 = _build_stride_tables(1, T.DCT_COEFF_T1, T.EOB_CODE_T1)
 
 _ADDR_ESCAPE = -1
 _ADDR_LUT, _ADDR_BITS = _build_sym_lut(
@@ -108,7 +212,6 @@ _MB_TYPE_LUTS = {
     2: _build_sym_lut(T.MB_TYPE_P),  # PictureType.P
     3: _build_sym_lut(T.MB_TYPE_B),  # PictureType.B
 }
-
 
 # ---------------------------------------------------------------------- #
 # decoders
@@ -328,21 +431,38 @@ def _window(data: bytes, pos: int, nbits: int) -> Tuple[int, int, int, int]:
     return win, wend, wend - pos, wend - nbits
 
 
+# An entry of ``ColumnLists.entries`` is a 16-bit window value, or a *direct*
+# entry, one symbol spelled out: ``level << 17 | _DIRECT | advance``, with
+# ``_DC`` set too on an intra block's DC (advance 1, like the non-intra
+# ``1s`` short form: a block's scan position starts at -1).  With the level
+# of an escape (or of an undamaged DC) it stays under 2**30, one CPython
+# digit, which numpy converts faster.
+_LEVEL_SHIFT = 17
+_DIRECT_DC = _DIRECT | _DC | 1
+_FIRST_PLUS = 1 << _LEVEL_SHIFT | _DIRECT | 1
+_FIRST_MINUS = -1 << _LEVEL_SHIFT | _DIRECT | 1
+_ESC_PREFIX, _ESC_LEN = T.DCT_ESCAPE_CODE
+
+
 @dataclass
 class ColumnLists:
     """What :func:`parse_slice_columns` appends to: one picture's flat lists.
 
     Every macroblock (skipped ones included) adds ``ROW_WIDTH`` ints to
     ``rows`` and, unless ``states`` is ``None``, ``STATE_WIDTH`` ints to
-    ``states``; every coded block adds its slot (0-5) to ``slots`` and each
-    nonzero level to ``coef_pos`` (``block * 64 + scan position``, ``block``
-    being the block's index in ``slots``) and ``coef_level``.
+    ``states``.  The coded blocks' levels go to ``entries``, in stream
+    order and not yet decoded: every 16-bit window the run/level loop
+    stopped at, and a direct entry for each symbol that is not a table
+    code (intra DC, the non-intra ``1s`` short form, escapes);
+    :func:`expand_entries` turns them into columns.  In a picture coded
+    with ``intra_vlc_format`` 1, ``t1_spans`` holds ``len(entries)`` at the
+    start and at the end of every intra macroblock: the entries read
+    against table one.
     """
 
     rows: List[int] = field(default_factory=list)
-    slots: List[int] = field(default_factory=list)
-    coef_pos: List[int] = field(default_factory=list)
-    coef_level: List[int] = field(default_factory=list)
+    entries: List[int] = field(default_factory=list)
+    t1_spans: List[int] = field(default_factory=list)
     states: Optional[List[int]] = None
 
 
@@ -367,11 +487,13 @@ def parse_slice_columns(
     Checks, their order and their exceptions are those of the object
     parser (the slice loop over
     :func:`repro.mpeg2.macroblock.parse_macroblock_body` in
-    ``tests/oracles.py``), the differential oracle.
+    ``tests/oracles.py``), the differential oracle -- but for one: a run
+    that overruns its block is found by :func:`expand_entries`, which the
+    caller therefore also runs before it lets an error raised here out.
     """
     nbits = 8 * len(data)
     picture_type, f_code, dc_reset = picture.picture_type, picture.f_code, picture.dc_reset
-    rows, slots, states = out.rows, out.slots, out.states
+    rows, entries, states = out.rows, out.entries, out.states
     addr_lut, motion_lut, cbp_lut = _ADDR_LUT, _MOTION_LUT, _CBP_LUT
     addr_mask, cbp_mask = (1 << _ADDR_BITS) - 1, (1 << _CBP_BITS) - 1
     motion_shift = 24 - _MOTION_BITS
@@ -379,12 +501,12 @@ def parse_slice_columns(
     dc_luma_shift, dc_chroma_shift = 24 - _DC_LUMA_BITS, 24 - _DC_CHROMA_BITS
     type_lut, type_bits = _MB_FLAG_LUTS[picture_type]
     type_mask = (1 << type_bits) - 1
-    lut_intra = _COEFF_LUT_T1 if picture.intra_vlc_format == 1 else _COEFF_LUT_T0
-    lut_inter = _COEFF_LUT_T0
+    table_one = picture.intra_vlc_format == 1
+    stride_intra = _STRIDE_T1 if table_one else _STRIDE_T0
+    eob_mark, eob_rem = _STRIDE_EOB, 16 + _STRIDE_EOB
     cbp_blocks, mv_slots = _CBP_BLOCKS, _MV_SLOTS
     r_sizes = [f_code[0][0] - 1, f_code[0][1] - 1, f_code[1][0] - 1, f_code[1][1] - 1]
-    rows_extend, slots_append = rows.extend, slots.append
-    pos_append, level_append = out.coef_pos.append, out.coef_level.append
+    rows_extend, entries_append = rows.extend, entries.append
     p_picture = picture_type == PictureType.P
 
     dc = [dc_reset, dc_reset, dc_reset]
@@ -393,7 +515,6 @@ def parse_slice_columns(
     prev_addr = row * mb_width - 1
     row_end = (row + 1) * mb_width
     first_in_slice = True
-    n_blocks = len(slots)
     win, wend, rem, lim = _window(data, pos, nbits)
 
     while True:
@@ -507,13 +628,15 @@ def parse_slice_columns(
                     val -= 2 * f16
                 pmv[k] = val
 
-        # -- blocks: DC differential, then run/level pairs to EOB ------- #
+        # -- blocks: DC differential, then run/level windows to EOB ----- #
         cbp = 0
         if flags & (MB_INTRA | MB_PATTERN):
             intra = flags & MB_INTRA
             if intra:
                 cbp = 63
-                lut = lut_intra
+                stride = stride_intra
+                if table_one:
+                    out.t1_spans.append(len(entries))
             else:
                 hit = cbp_lut[(win >> (rem - _CBP_BITS)) & cbp_mask]
                 if hit is None:
@@ -524,12 +647,10 @@ def parse_slice_columns(
                 rem -= length
                 if rem < lim:
                     raise BitstreamError(_PAST_END)
-                lut = lut_inter
+                stride = _STRIDE_T0
             for b in cbp_blocks[cbp]:
                 if rem < 24:
                     win, wend, rem, lim = _window(data, wend - rem, nbits)
-                q = n_blocks << 6  # this block's scan position 0 in coef_pos
-                end = q + 63
                 if intra:
                     v = (win >> (rem - 24)) & 0xFFFFFF
                     if b < 4:
@@ -556,53 +677,48 @@ def parse_slice_columns(
                         rem -= length
                         if rem < lim:
                             raise BitstreamError(_PAST_END)
-                    pos_append(q)
-                    level_append(dc[comp])
+                    entries_append(dc[comp] << _LEVEL_SHIFT | _DIRECT_DC)
                 elif (win >> (rem - 1)) & 1:
                     # A leading '1' at the first coefficient of a non-intra
                     # block is (0, +/-1), next bit the sign (section 7.2.2).
-                    pos_append(q)
-                    level_append(-1 if (win >> (rem - 2)) & 1 else 1)
+                    entries_append(_FIRST_MINUS if (win >> (rem - 2)) & 1 else _FIRST_PLUS)
                     rem -= 2
-                else:
-                    q -= 1
                 # The run/level loop tracks ``shift = rem - 16``, the shift
-                # that brings the next 16 bits to the bottom of the window.
+                # that brings the next 16 bits to the bottom of the window,
+                # and moves it by a window's whole symbols at a time.
                 shift = rem - 16
                 while True:
                     if shift < 8:
                         win, wend, rem, lim = _window(data, wend - shift - 16, nbits)
                         shift = rem - 16
-                    adv, level, length = lut[(win >> shift) & 0xFFFF]
-                    if adv > 0:
-                        shift -= length
-                    elif adv == _EOB_ADV:
-                        rem = shift + 16 - length
+                    w = (win >> shift) & 0xFFFF
+                    entries_append(w)
+                    bits = stride[w]
+                    if bits > eob_mark:
+                        rem = shift + eob_rem - bits  # through the EOB code
                         break
-                    elif adv == _ESC_ADV:
-                        # 6-bit prefix, 6-bit run, 12-bit two's-complement level
+                    elif bits:
+                        shift -= bits
+                    elif w >> (COEFF_BITS - _ESC_LEN) == _ESC_PREFIX:
+                        # 6-bit prefix, 6-bit run, 12-bit two's-complement
+                        # level; ``w`` itself expands to nothing
                         v = (win >> (shift - 8)) & 0xFFFFFF
-                        adv = ((v >> 12) & 0x3F) + 1
                         level = v & 0xFFF
                         if level >= 2048:
                             level -= 4096
                         if level == 0:
                             raise VLCError("escape-coded level of zero")
+                        entries_append(
+                            level << _LEVEL_SHIFT | _DIRECT | ((v >> 12) & 0x3F) + 1
+                        )
                         shift -= 24
                     else:
                         raise VLCError(
-                            "no DCT coefficient code matches bits "
-                            f"{(win >> shift) & 0xFFFF:016b} at bit {wend - shift - 16}"
+                            f"no DCT coefficient code matches bits {w:016b} "
+                            f"at bit {wend - shift - 16}"
                         )
-                    q += adv
-                    if q > end:
-                        raise BitstreamError(
-                            "AC run overruns block" if intra else "run overruns block"
-                        )
-                    pos_append(q)
-                    level_append(level)
-                slots_append(b)
-                n_blocks += 1
+            if intra and table_one:
+                out.t1_spans.append(len(entries))
 
         rows_extend(
             (address, flags, pmv[0], pmv[1], pmv[2], pmv[3], qcode, cbp, bit_start,
@@ -617,3 +733,57 @@ def parse_slice_columns(
                 pmv = [0, 0, 0, 0]
         prev_dirs = dirs
         prev_addr = address
+
+
+def _starts(ends: np.ndarray) -> np.ndarray:
+    """Running totals through each item -> the totals before each item."""
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    return starts
+
+
+def expand_entries(lists: ColumnLists) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode ``lists.entries``: ``(coef_pos, coef_level, block_ncoef)``.
+
+    ``coef_pos`` is int64 ``block * 64 + scan position`` and ``coef_level``
+    int32, one per nonzero level (and per intra DC) in stream order, blocks
+    numbered as coded; ``block_ncoef`` is int64, the levels of each block.
+    Table gathers give each entry's symbols, a block ends at the entry whose
+    window held its EOB, and one running sum of the advances, rebased per
+    block, gives the positions.
+
+    Raises the :class:`BitstreamError` of the first block whose run/level
+    pairs pass scan position 63 -- the check the slice loop leaves to this
+    function.  Entries after the last EOB (the slice loop raised inside a
+    block) are checked as one more block.
+    """
+    e = np.fromiter(lists.entries, dtype=np.int64, count=len(lists.entries))
+    row = e & (2 * _DIRECT - 1)  # the window, or a direct entry's table row
+    if lists.t1_spans:
+        spans = np.array(lists.t1_spans, dtype=np.int64)
+        edge = np.zeros(len(e) + 1, dtype=np.int8)
+        edge[spans[0::2]] += 1
+        edge[spans[1::2]] -= 1  # absent for a macroblock the loop raised in
+        row += np.cumsum(edge[:-1], dtype=np.int64) * _TABLE_ROWS
+    sym_end = np.cumsum(_NSYM[row], dtype=np.int64)  # symbols through each entry
+    cells = _SYM.take(row, axis=0).reshape(-1)  # take, compress: the fast spellings
+    level_adv = cells.compress(cells != 0).view(np.int8).reshape(-1, 2)
+    level = level_adv[:, 0].astype(np.int32)
+    direct = np.flatnonzero(e & _DIRECT)
+    level[sym_end[direct] - 1] = e[direct] >> _LEVEL_SHIFT
+    adv_end = np.cumsum(level_adv[:, 1], dtype=np.int64)  # advances through each symbol
+
+    closing = np.flatnonzero(_EOB[row])  # the last entry of each block
+    block_end = sym_end[closing]  # symbols through each block (every block has one)
+    if len(level) > (block_end[-1] if len(block_end) else 0):
+        block_end = np.append(block_end, len(level))
+    block_adv_end = adv_end[block_end - 1]
+    block_adv_start = _starts(block_adv_end)
+    over = np.flatnonzero(block_adv_end - block_adv_start > 64)
+    if len(over):
+        first_entry = closing[over[0] - 1] + 1 if over[0] else 0
+        intra = e[first_entry] & _DIRECT_DC == _DIRECT_DC  # begins with a DC
+        raise BitstreamError("AC run overruns block" if intra else "run overruns block")
+    ncoef = block_end - _starts(block_end)
+    base = np.arange(-1, 64 * len(ncoef) - 1, 64) - block_adv_start
+    return adv_end + np.repeat(base, ncoef), level, ncoef

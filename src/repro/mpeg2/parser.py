@@ -9,11 +9,14 @@ exactly why picture-level splitting is cheap (paper Table 1).
 parse of one coded picture, by the fused slice parser in
 :mod:`repro.mpeg2.fast_vlc`, straight into :class:`PictureColumns` — one
 row per macroblock with its flags, vectors, quantiser and bit extents, the
-coded blocks' levels as flat lists, and (unless ``lean``) the predictor
+coded blocks' levels as flat columns, and (unless ``lean``) the predictor
 state at every macroblock boundary: everything plan building, the
 sub-picture builder's State Propagation Headers and the MEI
-pre-calculation need, with no per-macroblock objects.  It does no pixel
-reconstruction ("a splitter does not motion compensate").
+pre-calculation need, with no per-macroblock objects.  The slice parser
+walks the syntax and only records where the run/level codes are (one list
+entry per 16-bit window of them); :func:`fast_vlc.expand_entries` decodes
+them to positions and levels, a picture at a time, with numpy.  It does no
+pixel reconstruction ("a splitter does not motion compensate").
 """
 
 from __future__ import annotations
@@ -188,18 +191,15 @@ class PictureColumns:
     block_slot: np.ndarray  # (total blocks,) int64, 0-5 = Y0..Y3, Cb, Cr
     coef_pos: np.ndarray  # (nonzero levels,) int64: block * 64 + scan position
     coef_level: np.ndarray  # (nonzero levels,) int32
+    # (total blocks,) int64: the entries of ``coef_pos`` each block owns.
+    # ``coef_pos`` ascends (blocks in stream order, positions ascending within
+    # a block), so block ``b``'s are the ``block_ncoef[b]`` ending at
+    # ``cumsum(block_ncoef)[b]``.
+    block_ncoef: np.ndarray
     state: Optional[StateColumns] = None  # full (non-lean) parse only
 
     def __len__(self) -> int:
         return len(self.address)
-
-    @cached_property
-    def block_ncoef(self) -> np.ndarray:
-        """``(total blocks,)`` int64: the nonzero-level entries each block
-        owns.  ``coef_pos`` ascends (blocks in stream order, positions
-        ascending within a block), so block ``b``'s entries are the
-        ``block_ncoef[b]`` ending at ``cumsum(block_ncoef)[b]``."""
-        return np.bincount(self.coef_pos >> 6, minlength=len(self.block_slot))
 
     @cached_property
     def scans(self) -> np.ndarray:
@@ -215,17 +215,21 @@ class PictureColumns:
         return scans
 
 
-_POPCOUNT6 = np.array([bin(v).count("1") for v in range(64)], dtype=np.int64)
+# coded block slots (Y0..Y3, Cb, Cr) of each coded_block_pattern value
+_CBP_SLOTS = (np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1 != 0
+_POPCOUNT6 = _CBP_SLOTS.sum(axis=1)
 
 
 def _columns(
     lists: fast_vlc.ColumnLists, slice_rows: List[int], slice_ends: List[int]
 ) -> PictureColumns:
-    """Freeze the slice parser's flat lists into typed columns.
+    """Freeze the slice parser's flat lists into typed columns, decoding
+    its coefficient entries (which raises if a run overruns its block).
 
     ``slice_rows[k]`` is slice ``k``'s macroblock row and ``slice_ends[k]``
     the number of macroblocks parsed once it ended.
     """
+    coef_pos, coef_level, block_ncoef = fast_vlc.expand_entries(lists)
     tab = np.array(lists.rows, dtype=np.int64).reshape(-1, fast_vlc.ROW_WIDTH)
     n = len(tab)
     # one transposing copy, so that every column is contiguous
@@ -265,9 +269,10 @@ def _columns(
         slice_index=np.repeat(np.arange(len(per_slice), dtype=np.int64), per_slice),
         first_block=np.cumsum(n_blocks) - n_blocks,
         n_blocks=n_blocks,
-        block_slot=np.array(lists.slots, dtype=np.int64),
-        coef_pos=np.array(lists.coef_pos, dtype=np.int64),
-        coef_level=np.array(lists.coef_level, dtype=np.int32),
+        block_slot=np.nonzero(_CBP_SLOTS[cbp])[1],
+        coef_pos=coef_pos,
+        coef_level=coef_level,
+        block_ncoef=block_ncoef,
         state=state,
     )
 
@@ -411,23 +416,29 @@ class MacroblockParser:
         lists = fast_vlc.ColumnLists(states=None if lean else [])
         slice_rows: List[int] = []
         slice_ends: List[int] = []
-        while True:
-            code = br.peek_start_code()
-            if code is None or not is_slice_start_code(code):
-                break
-            br.next_start_code()
-            row = code - 1
-            if row >= self.mb_height:
-                raise BitstreamError(f"slice row {row} beyond picture height")
-            qcode = br.read(5)
-            if qcode == 0:
-                raise BitstreamError("slice quantiser_scale_code of zero")
-            if br.read(1):
-                raise BitstreamError("extra_information_slice unsupported")
-            br.pos = fast_vlc.parse_slice_columns(
-                br.data, br.pos, row, self.mb_width, qcode, header, lists
-            )
-            slice_rows.append(row)
-            slice_ends.append(len(lists.rows) // fast_vlc.ROW_WIDTH)
+        try:
+            while True:
+                code = br.peek_start_code()
+                if code is None or not is_slice_start_code(code):
+                    break
+                br.next_start_code()
+                row = code - 1
+                if row >= self.mb_height:
+                    raise BitstreamError(f"slice row {row} beyond picture height")
+                qcode = br.read(5)
+                if qcode == 0:
+                    raise BitstreamError("slice quantiser_scale_code of zero")
+                if br.read(1):
+                    raise BitstreamError("extra_information_slice unsupported")
+                br.pos = fast_vlc.parse_slice_columns(
+                    br.data, br.pos, row, self.mb_width, qcode, header, lists
+                )
+                slice_rows.append(row)
+                slice_ends.append(len(lists.rows) // fast_vlc.ROW_WIDTH)
+        except BitstreamError:
+            # The slice loop leaves run overruns to the expansion: one in a
+            # block before this error is the first error in stream order.
+            fast_vlc.expand_entries(lists)
+            raise
         columns = _columns(lists, slice_rows, slice_ends)
         return ParsedPicture(header, br.data, self.mb_width, self.mb_height, columns)

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.bitstream import BitReader
 from repro.mpeg2.batch_reconstruct import ExecuteScratch
 from repro.mpeg2.constants import PICTURE_START_CODE, PictureType
@@ -201,9 +203,10 @@ def clean_decode_digest(stream: bytes, start_at: int = 0) -> str:
 
 
 def _digest_frame(h, frame: Frame) -> None:
-    h.update(frame.y.tobytes())
-    h.update(frame.cb.tobytes())
-    h.update(frame.cr.tobytes())
+    # hashed through the buffer protocol: no ``tobytes`` copy of each plane
+    h.update(np.ascontiguousarray(frame.y))
+    h.update(np.ascontiguousarray(frame.cb))
+    h.update(np.ascontiguousarray(frame.cr))
 
 
 # --------------------------------------------------------------------- #

@@ -73,10 +73,10 @@ reconstruct_rect = reconstruct_picture
 
 def _digest_crop(h, frame: Frame, part: Rect) -> None:
     """Digest the partition crop of one frame (luma + 4:2:0 chroma)."""
-    h.update(np.ascontiguousarray(frame.y[part.y0 : part.y1, part.x0 : part.x1]).tobytes())
+    h.update(np.ascontiguousarray(frame.y[part.y0 : part.y1, part.x0 : part.x1]))
     cx0, cy0, cx1, cy1 = part.x0 // 2, part.y0 // 2, part.x1 // 2, part.y1 // 2
-    h.update(np.ascontiguousarray(frame.cb[cy0:cy1, cx0:cx1]).tobytes())
-    h.update(np.ascontiguousarray(frame.cr[cy0:cy1, cx0:cx1]).tobytes())
+    h.update(np.ascontiguousarray(frame.cb[cy0:cy1, cx0:cx1]))
+    h.update(np.ascontiguousarray(frame.cr[cy0:cy1, cx0:cx1]))
 
 
 def tile_decode_digest(

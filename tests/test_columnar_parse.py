@@ -17,12 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.mpeg2.constants import PictureType
+from repro.bitstream import BitstreamError, BitWriter
+from repro.mpeg2 import tables as T, vlc
+from repro.mpeg2.constants import SEQUENCE_END_CODE, PictureType
 from repro.mpeg2.decoder import decode_stream, reconstruct_picture
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.mpeg2.plan import QuantMatrices, plan_from_columns
+from repro.mpeg2.structures import PictureHeader, SequenceHeader
+from repro.mpeg2.vlc import VLCError
 from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import GENERATORS
@@ -31,6 +35,7 @@ from tests.oracles import (
     builder_plan,
     compile_plans_reference,
     object_parse_picture,
+    reference_decode,
 )
 
 
@@ -316,6 +321,173 @@ def test_view_blocks_are_read_only_rows_of_the_stack(small_stream):
     assert np.shares_memory(block, parsed.columns.scans)
     with pytest.raises(ValueError, match="read-only"):
         block[0] = 1
+
+
+# ---------------------------------------------------------------------- #
+# coefficient entries: what the slice loop defers to the expansion
+# ---------------------------------------------------------------------- #
+
+_LONG_RUN = (26, 1)  # three of them pass scan position 63
+_MISS_BITS = 16  # sixteen zero bits where a coefficient code is due
+
+
+class HandPicture:
+    """One picture written a syntax element at a time, so a test can put a
+    particular fault in a particular block."""
+
+    def __init__(self, width, height, picture_type, intra_vlc_format=0):
+        self.sequence = SequenceHeader.for_video(width, height)
+        f_code = ((15, 15), (15, 15)) if picture_type == PictureType.I else ((1, 1), (15, 15))
+        self.header = PictureHeader(
+            0, picture_type, f_code=f_code, intra_vlc_format=intra_vlc_format
+        )
+        self.bw = BitWriter()
+        self.header.write(self.bw)
+
+    def slice(self, row):
+        self.bw.write_start_code(row + 1)
+        self.bw.write(4, 5)  # quantiser_scale_code
+        self.bw.write(0, 1)  # extra_bit_slice
+
+    def intra_mb(self, blocks):
+        """``blocks``: six ``(dc differential, [(run, level)...], closed)``."""
+        vlc.encode_address_increment(self.bw, 1)
+        vlc.mb_type_table(self.header.picture_type).encode(self.bw, (0, 0, 0, 0, 1))
+        for b, (diff, pairs, closed) in enumerate(blocks):
+            size = abs(diff).bit_length()
+            (vlc.DC_SIZE_LUMA if b < 4 else vlc.DC_SIZE_CHROMA).encode(self.bw, size)
+            if size:
+                self.bw.write(diff if diff > 0 else diff + (1 << size) - 1, size)
+            self._pairs(pairs, closed, True)
+
+    def coded_mb(self, pairs, closed=True):
+        """A P-picture "No MC, coded" macroblock whose one block is Y0."""
+        vlc.encode_address_increment(self.bw, 1)
+        vlc.mb_type_table(self.header.picture_type).encode(self.bw, (0, 0, 0, 1, 0))
+        vlc.CBP.encode(self.bw, 32)
+        self._pairs(pairs, closed, False)
+
+    def _pairs(self, pairs, closed, intra):
+        table_one = intra and self.header.intra_vlc_format == 1
+        if closed:
+            vlc.encode_coefficients(self.bw, pairs, intra, table_one)
+            return
+        scratch = BitWriter()  # the same codes without the EOB, then no code
+        vlc.encode_coefficients(scratch, pairs, intra, table_one)
+        eob_len = (T.EOB_CODE_T1 if table_one else T.EOB_CODE)[1]
+        n = len(scratch) - eob_len
+        codes = int.from_bytes(scratch.getvalue(), "big") >> (-len(scratch) % 8 + eob_len)
+        self.bw.write(codes, n)
+        self.bw.write(0, _MISS_BITS)
+
+    def parse_both(self):
+        self.bw.write_start_code(SEQUENCE_END_CODE)  # what ends a slice
+        data = self.bw.getvalue()[:-4]
+        parser = MacroblockParser(self.sequence)
+        matrices = QuantMatrices.from_sequence(self.sequence)
+        raised = assert_same_outcome(data, parser, self.sequence, matrices)
+        return parser, data, raised
+
+
+_FLAT = (0, [], True)  # a block of its DC alone
+
+
+@pytest.mark.parametrize("layout", ["same block", "same slice", "two slices"])
+@pytest.mark.parametrize("intra", [True, False])
+def test_a_run_overrun_is_raised_before_a_later_unmatched_code(layout, intra):
+    """The slice loop no longer watches scan positions, so it runs on past
+    an overrun to the next thing it cannot parse; the object parser stops at
+    the overrun.  The first error in stream order is the one reported."""
+    two_rows = layout == "two slices"
+    hand = HandPicture(
+        16 if two_rows else 32,
+        32 if two_rows else 16,
+        PictureType.I if intra else PictureType.P,
+    )
+    overrun = [_LONG_RUN] * 3
+    same_block = layout == "same block"
+    hand.slice(0)
+    if intra:
+        hand.intra_mb([(0, overrun, not same_block)] + [_FLAT] * 5)
+    else:
+        hand.coded_mb(overrun, closed=not same_block)
+    if not same_block:
+        if two_rows:
+            hand.slice(1)
+        if intra:
+            hand.intra_mb([_FLAT, (0, [(0, 2)], False)] + [_FLAT] * 4)
+        else:
+            hand.coded_mb([(0, 2)], closed=False)
+    parser, data, raised = hand.parse_both()
+    assert raised is BitstreamError
+    message = "AC run overruns block" if intra else "run overruns block"
+    with pytest.raises(BitstreamError, match=f"^{message}$"):
+        parser.parse_picture(data)
+    with pytest.raises(BitstreamError, match=f"^{message}$"):
+        object_parse_picture(parser, data)
+
+
+def test_an_unmatched_code_alone_is_still_the_slice_loops_error():
+    hand = HandPicture(32, 16, PictureType.I)
+    hand.slice(0)
+    hand.intra_mb([(0, [_LONG_RUN] * 2, True)] + [_FLAT] * 5)  # 53: inside
+    hand.intra_mb([_FLAT, (0, [(0, 2)], False)] + [_FLAT] * 4)
+    parser, data, raised = hand.parse_both()
+    assert raised is VLCError
+    with pytest.raises(VLCError, match="no DCT coefficient code matches bits 0{16} at bit"):
+        parser.parse_picture(data)
+
+
+def test_direct_entries_carry_what_no_table_row_can():
+    """Escapes at both ends of their range, and an intra DC predictor that a
+    damaged slice has driven past int16, reach the columns intact."""
+    hand = HandPicture(96, 16, PictureType.I)
+    hand.slice(0)
+    escapes = [(0, 2047), (5, -2047), (40, 2047)]
+    for _ in range(6):
+        hand.intra_mb([(2047, escapes, True)] * 6)
+    parser, data, raised = hand.parse_both()
+    assert raised is None
+    c = parser.parse_picture(data).columns
+    assert c.coef_level.dtype == np.int32
+    assert c.coef_level.max() == 128 + 24 * 2047 > 32767  # the last luma DC
+    assert c.coef_level.min() == -2047
+    first = c.coef_pos[: c.block_ncoef[0]].tolist(), c.coef_level[: c.block_ncoef[0]].tolist()
+    assert first == ([0, 1, 7, 48], [128 + 2047, 2047, -2047, 2047])
+    assert np.array_equal(c.block_ncoef, np.bincount(c.coef_pos >> 6))
+
+
+def _half_and_half(a, b):
+    """``a`` with its right half replaced by ``b``'s."""
+    f = Frame(a.y.copy(), a.cb.copy(), a.cr.copy())
+    w = f.y.shape[1] // 2
+    f.y[:, w:] = b.y[:, w:]
+    f.cb[:, w // 2 :] = b.cb[:, w // 2 :]
+    f.cr[:, w // 2 :] = b.cr[:, w // 2 :]
+    return f
+
+
+def test_table_one_and_table_zero_macroblocks_in_one_picture():
+    """``intra_vlc_format`` 1 switches tables per macroblock: a P-picture
+    whose right half is new content has intra (B.15) macroblocks beside
+    coded non-intra (B.14) ones in the same slices."""
+    old = GENERATORS["pattern"](64, 48, 3, seed=1)
+    new = GENERATORS["broadcast"](64, 48, 3, seed=2)
+    clip = [old[0]] + [_half_and_half(a, b) for a, b in zip(old[1:], new[1:])]
+    cfg = EncoderConfig(
+        gop_size=3, b_frames=0, intra_vlc_format=1, qscale_code_intra=2,
+        qscale_code_inter=2, search_range=3,
+    )
+    stream = Encoder(cfg).encode(clip)
+    _check_stream(stream, TileLayout(64, 48, 2, 2))
+    sequence, pictures = PictureScanner(stream).scan()
+    p_picture = MacroblockParser(sequence).parse_picture(pictures[1].data)
+    c = p_picture.columns
+    assert p_picture.header.picture_type == PictureType.P
+    assert p_picture.header.intra_vlc_format == 1
+    assert c.intra.any() and (c.pattern & ~c.intra).any()
+    frames = decode_stream(stream)
+    assert frames == reference_decode(stream)
 
 
 # ---------------------------------------------------------------------- #

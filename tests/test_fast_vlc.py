@@ -239,3 +239,75 @@ class TestWholeStream:
         ref = ParallelDecoder(TileLayout(128, 96, 2, 1), k=1).decode(stream)
         assert len(ref) == len(fast)
         assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, fast))
+
+
+class TestStrideTables:
+    """The columnar parser's multi-symbol tables against the single-symbol
+    LUTs they were built beside, over every 16-bit window."""
+
+    TABLES = [
+        (0, fast_vlc._STRIDE_T0, fast_vlc._COEFF_LUT_T0),
+        (1, fast_vlc._STRIDE_T1, fast_vlc._COEFF_LUT_T1),
+    ]
+
+    @staticmethod
+    def _walk(lut, bits, nbits):
+        """Single-symbol lookups over the top ``nbits`` of ``bits`` (zeros
+        after them): ``(symbols, bits used, eob)`` of the symbols, and the
+        EOB if it follows, whose every bit is among the ``nbits``."""
+        symbols, used = [], 0
+        while True:
+            adv, level, length = lut[(bits << used >> (nbits - 16)) & 0xFFFF]
+            if adv < 0 or used + length > nbits:
+                return symbols, used, False
+            used += length
+            if adv == 0:
+                return symbols, used, True
+            symbols.append((level, adv))
+
+    @pytest.mark.parametrize("table, stride, lut", TABLES)
+    def test_every_window_matches_repeated_single_lookups(self, table, stride, lut):
+        first = table * fast_vlc._TABLE_ROWS
+        pairs = fast_vlc._SYM[first : first + 65536].view(np.int8).reshape(65536, -1, 2)
+        assert pairs.shape[1] <= 5 and fast_vlc._SYM.dtype == np.int16
+        rows = pairs.tolist()
+        nsym = fast_vlc._NSYM[first : first + 65536].tolist()
+        eob = fast_vlc._EOB[first : first + 65536].tolist()
+        multi = 0
+        for w in range(65536):
+            symbols, used, closes = self._walk(lut, w, 16)
+            assert stride[w] == used + (fast_vlc._STRIDE_EOB if closes else 0), w
+            assert used <= 16 < fast_vlc._STRIDE_EOB  # no bit outside the window
+            assert (nsym[w], eob[w]) == (len(symbols), closes), w
+            assert rows[w][: nsym[w]] == [list(s) for s in symbols], w
+            assert all(cell == [0, 0] for cell in rows[w][nsym[w] :]), w
+            # zero: the escape prefix or no code, and nothing else
+            assert (stride[w] == 0) == (lut[w][0] < 0), w
+            multi += len(symbols) > 1
+        assert multi > 10000  # the point of the tables
+
+    @pytest.mark.parametrize("table, stride, lut", TABLES)
+    def test_a_window_decodes_the_same_whatever_follows_it(self, table, stride, lut):
+        """What a window's entry says is what the stream holds: the same
+        symbols come out of a 32-bit read that starts with the window."""
+        rng = np.random.default_rng(table)
+        for w in rng.integers(0, 65536, 4000).tolist():
+            for tail in (0, 0xFFFF, int(rng.integers(0, 65536))):
+                symbols, _, _ = self._walk(lut, w << 16 | tail, 32)
+                own, used, closes = self._walk(lut, w, 16)
+                assert symbols[: len(own)] == own
+                if not closes and stride[w]:
+                    # the next lookup starts exactly where the stride ends
+                    rest = (w << 16 | tail) & ((1 << (32 - used)) - 1)
+                    more, _, _ = self._walk(lut, rest, 32 - used)
+                    assert own + more == symbols
+
+    def test_direct_rows(self):
+        """The rows past the windows: one symbol of the row's advance."""
+        for first in (0, fast_vlc._TABLE_ROWS):
+            for dc in (0, fast_vlc._DC):
+                for advance in range(1, 65):
+                    row = first + (fast_vlc._DIRECT | dc | advance)
+                    assert fast_vlc._NSYM[row] == 1 and not fast_vlc._EOB[row]
+                    cell = fast_vlc._SYM[row].view(np.int8).reshape(-1, 2).tolist()
+                    assert cell == [[0, advance]] + [[0, 0]] * 4

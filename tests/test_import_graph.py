@@ -52,21 +52,28 @@ NEVER_IN_A_WORKER = (
 )
 
 
-def modules_after(statement: str) -> set:
-    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+def fresh_interpreter(script: str) -> str:
+    """The last line a fresh interpreter printed running ``script``."""
     out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
-        ],
+        [sys.executable, "-c", script],
         env={"PYTHONPATH": SRC, "PATH": ""},
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    return out.stdout.splitlines()[-1]
+
+
+def modules_after(statement: str) -> set:
+    """``sys.modules`` of a fresh interpreter that ran ``statement``."""
+    return set(
+        json.loads(
+            fresh_interpreter(
+                f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+            )
+        )
+    )
 
 
 def loaded(modules: set, prefix: str) -> list:
@@ -219,3 +226,23 @@ def test_only_the_encoder_imports_the_per_macroblock_reconstruction():
             if "repro.mpeg2.reconstruct" in names:
                 importers.add(path.relative_to(SRC).as_posix())
     assert importers == {"repro/mpeg2/encoder.py"}
+
+
+def test_the_coefficient_tables_are_not_built_window_by_window():
+    """``fast_vlc`` builds two 65 536-window stride tables when imported.
+    Vectorised, that is a few thousand Python-level calls; a loop that did
+    anything per window would be hundreds of thousands.  A count of profile
+    events, so it reads the same on a slow host."""
+    script = (
+        "import sys\n"
+        "import numpy, repro.bitstream, repro.mpeg2.vlc, repro.mpeg2.structures\n"
+        "events = 0\n"
+        "def count(frame, event, arg):\n"
+        "    global events\n"
+        "    events += 1\n"
+        "sys.setprofile(count)\n"
+        "import repro.mpeg2.fast_vlc\n"
+        "sys.setprofile(None)\n"
+        "print(events)"
+    )
+    assert 0 < int(fresh_interpreter(script)) < 10_000
