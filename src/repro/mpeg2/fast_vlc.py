@@ -11,14 +11,21 @@ costs a shift, a mask, and one list index.
 Two consumers decode against these tables.  The runtime's full-picture
 parse is :func:`parse_slice_columns` below: one function per slice with the
 whole macroblock layer inline, writing rows of ints (``parser.PictureColumns``
-once frozen) instead of objects; it consults no switch.  It does not decode
-run/level codes at all: a second set of tables, the *stride* tables, tells
-it how many bits the whole symbols of a 16-bit window take, it records the
-window and moves on, and :func:`expand_entries` decodes a picture's windows
-with numpy gathers afterwards.  The per-symbol decoders
-(``decode_address_increment`` ... ``decode_ac_into``) serve the object
-parser in :mod:`repro.mpeg2.macroblock`, which the tile decoders run on
-sub-picture payloads and the tests keep as the columnar parser's oracle.
+once frozen) instead of objects; it consults no switch.  It walks the
+syntax and computes nothing a later pass over the whole picture can: it
+does not decode run/level codes -- a second set of tables, the *stride*
+tables, tells it how many bits the whole symbols of a 16-bit window take,
+it records the window and moves on, and :func:`expand_entries` decodes a
+picture's windows with numpy gathers afterwards -- and it keeps no
+predictor: DC differentials and motion deltas are recorded as coded, a run
+of skipped macroblocks as one record, and ``parser._columns`` rebuilds DC
+levels, vectors and skipped rows as segmented prefix sums.  A third set of
+tables, the *fused* ones, answers its common cases in one lookup each: an
+address increment of one with the macroblock type and quantiser, a DC size
+with its differential, a motion code with its residual.  The per-symbol
+decoders (``decode_address_increment`` ... ``decode_ac_into``) serve the
+object parser in :mod:`repro.mpeg2.macroblock`, which the tile decoders run
+on sub-picture payloads and the tests keep as the columnar parser's oracle.
 
 ``repro.mpeg2.vlc`` stays untouched as the bit-exact reference oracle:
 every decoder here is differentially fuzzed against it
@@ -30,6 +37,7 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -373,15 +381,16 @@ def decode_ac_into(br: BitReader, scan, intra: bool, table_one: bool = False) ->
 # macroblock flag bits of the ``flags`` column
 MB_INTRA, MB_PATTERN, MB_BACKWARD, MB_FORWARD, MB_QUANT, MB_SKIPPED = 1, 2, 4, 8, 16, 32
 
-#: One macroblock's ints in ``ColumnLists.rows``: address, flags, the four
-#: motion predictors after its vectors were decoded (forward x/y, backward
-#: x/y: its vectors, where its flags say it has them), quantiser_scale_code,
-#: cbp (one bit per coded block, 63 for intra), bit_start, body_start,
-#: bit_end.
-ROW_WIDTH = 11
-#: The predictor state *before* a macroblock in ``ColumnLists.states``:
-#: quantiser_scale_code, dc_pred[3], pmv[2][2], prev_forward, prev_backward.
-STATE_WIDTH = 10
+#: One coded macroblock's ints in ``ColumnLists.rows``: address, flags,
+#: quantiser_scale_code, cbp (one bit per coded block, 63 for intra),
+#: bit_start, body_start, bit_end.  No predictors: the parser rebuilds them.
+ROW_WIDTH = 7
+#: One run of skipped macroblocks in ``ColumnLists.skips``: the coded rows
+#: recorded before it (the row index of the macroblock that follows), its
+#: first address, its length, the flags its macroblocks reconstruct with
+#: (``MB_SKIPPED``, forward in a P-picture, the previous macroblock's
+#: directions in a B-picture) and the quantiser_scale_code in force.
+SKIP_WIDTH = 5
 
 _WIN_BYTES = 40
 _WIN_BITS = 8 * _WIN_BYTES
@@ -390,30 +399,127 @@ _WIN_BITS = 8 * _WIN_BYTES
 _MB_HEADROOM = 160
 
 
-def _flag_lut(mapping: Dict) -> Tuple[List[Optional[tuple]], int]:
-    packed = {
+def _packed_flags(mapping: Dict) -> Dict[int, Tuple[int, int]]:
+    """A macroblock_type table keyed by the ``flags`` column's bits."""
+    return {
         (q * MB_QUANT + mf * MB_FORWARD + mb * MB_BACKWARD + p * MB_PATTERN + i): code
         for (q, mf, mb, p, i), code in mapping.items()
     }
-    return _build_sym_lut(packed)
 
 
 _MB_FLAG_LUTS = {
-    1: _flag_lut(T.MB_TYPE_I),
-    2: _flag_lut(T.MB_TYPE_P),
-    3: _flag_lut(T.MB_TYPE_B),
+    1: _build_sym_lut(_packed_flags(T.MB_TYPE_I)),
+    2: _build_sym_lut(_packed_flags(T.MB_TYPE_P)),
+    3: _build_sym_lut(_packed_flags(T.MB_TYPE_B)),
 }
 # coded block indices (Y0..Y3, Cb, Cr) for each coded_block_pattern value
 _CBP_BLOCKS = tuple(
     tuple(b for b in range(6) if cbp & (1 << (5 - b))) for cbp in range(64)
 )
-# predictor slots (direction * 2 + component) decoded for each motion flag pair
-_MV_SLOTS = {
-    MB_FORWARD: (0, 1),
-    MB_BACKWARD: (2, 3),
-    MB_FORWARD | MB_BACKWARD: (0, 1, 2, 3),
-}
 _PAST_END = "skip past end of bitstream"
+
+# An entry of ``ColumnLists.entries`` is a 16-bit window value, or a *direct*
+# entry, one symbol spelled out: ``level << 17 | _DIRECT | advance``, with
+# ``_DC`` set too on an intra block's DC (advance 1, like the non-intra
+# ``1s`` short form: a block's scan position starts at -1).  A DC entry's
+# level is the *differential* the stream codes; the parser sums them.  The
+# level of an escape or a differential keeps the entry under 2**30, one
+# CPython digit, which numpy converts faster.
+_LEVEL_SHIFT = 17
+_DIRECT_DC = _DIRECT | _DC | 1
+_FIRST_PLUS = 1 << _LEVEL_SHIFT | _DIRECT | 1
+_FIRST_MINUS = -1 << _LEVEL_SHIFT | _DIRECT | 1
+_ESC_PREFIX, _ESC_LEN = T.DCT_ESCAPE_CODE
+
+# Fused tables: the slice loop's common cases as one lookup each.  A table
+# is a tuple over every window of its width; an element is ``None`` (the
+# window is left to the single-symbol LUTs above, which also own every error
+# message) or the tuple the loop unpacks, bits consumed first:
+#
+# - ``_HEADER[picture_type]``, 12 bits: ``(bits, flags, qcode)`` of a
+#   macroblock_address_increment of one, the macroblock_type and, when the
+#   type says so, a quantiser_scale_code that is not zero (``qcode`` 0: the
+#   type carries none);
+# - ``_DC_FUSED_LUMA`` / ``_DC_FUSED_CHROMA``, 14 bits: ``(bits, entry)`` of
+#   a dct_dc_size code and its differential, ``entry`` the direct entry
+#   itself -- sizes up to 7, the longer ones do not fit the window;
+# - ``_motion_table(r_size)``, 12 bits: ``(bits, delta)`` of a motion code
+#   and its ``r_size``-bit residual, where both fit.
+#
+# Each is filled a symbol at a time, like ``_build_coeff_lut``: the windows
+# that begin with one symbol are one slice and share one tuple.
+_HEADER_BITS = 12
+_DC_FUSED_BITS = 14
+_MOTION_FUSED_BITS = 12
+
+
+def _build_header_table(mapping: Dict) -> tuple:
+    table: List[Optional[tuple]] = [None] * (1 << _HEADER_BITS)
+    for flags, (code, length) in _packed_flags(mapping).items():
+        head = 1 << length | code  # the increment's ``1``, then the type
+        if not flags & MB_QUANT:
+            span = 1 << (_HEADER_BITS - 1 - length)
+            table[head * span : (head + 1) * span] = [(1 + length, flags, 0)] * span
+            continue
+        span = 1 << (_HEADER_BITS - 6 - length)  # behind a five-bit quantiser
+        for qcode in range(1, 32):
+            first = (head << 5 | qcode) * span
+            table[first : first + span] = [(6 + length, flags, qcode)] * span
+    return tuple(table)
+
+
+_HEADER = {
+    1: _build_header_table(T.MB_TYPE_I),
+    2: _build_header_table(T.MB_TYPE_P),
+    3: _build_header_table(T.MB_TYPE_B),
+}
+
+
+def _build_dc_table(mapping: Dict[int, Tuple[int, int]]) -> tuple:
+    table: List[Optional[tuple]] = [None] * (1 << _DC_FUSED_BITS)
+    for size, (code, length) in mapping.items():
+        total = length + size
+        if total > _DC_FUSED_BITS:
+            continue
+        span = 1 << (_DC_FUSED_BITS - total)
+        for raw in range(1 << size):
+            d = raw if raw >= (1 << size >> 1) else raw - (1 << size) + 1
+            first = (code << size | raw) * span
+            table[first : first + span] = [(total, d << _LEVEL_SHIFT | _DIRECT_DC)] * span
+    return tuple(table)
+
+
+_DC_FUSED_LUMA = _build_dc_table(T.DCT_DC_SIZE_LUMA)
+_DC_FUSED_CHROMA = _build_dc_table(T.DCT_DC_SIZE_CHROMA)
+_DC_FUSED = (_DC_FUSED_LUMA,) * 4 + (_DC_FUSED_CHROMA,) * 2  # by block index
+
+
+@lru_cache(maxsize=None)  # r_size = f_code - 1 and f_code has four bits
+def _motion_table(r_size: int) -> tuple:
+    """The fused motion table of one ``r_size``; empty for the ``r_size``
+    of the forbidden ``f_code`` 0, whose ``ValueError`` the two-step path
+    raises."""
+    table: List[Optional[tuple]] = [None] * (1 << _MOTION_FUSED_BITS)
+    for code, (pattern, length) in T.MOTION_CODE.items() if r_size >= 0 else ():
+        bits = r_size if code else 0  # of residual
+        total = length + bits
+        if total > _MOTION_FUSED_BITS:
+            continue
+        span = 1 << (_MOTION_FUSED_BITS - total)
+        for residual in range(1 << bits):
+            a = ((abs(code) - 1) << bits) + residual + 1 if code else 0
+            first = (pattern << bits | residual) * span
+            table[first : first + span] = [(total, a if code > 0 else -a)] * span
+    return tuple(table)
+
+
+@lru_cache(maxsize=16)
+def _motion_slots(f_code: tuple) -> Dict[int, tuple]:
+    """For each pair of motion flags, the ``(fused table, r_size)`` of the
+    components its vectors code, in stream order (forward x, y, backward
+    x, y), under a picture's ``f_code``."""
+    slots = tuple((_motion_table(f - 1), f - 1) for direction in f_code for f in direction)
+    return {MB_FORWARD: slots[:2], MB_BACKWARD: slots[2:], MB_FORWARD | MB_BACKWARD: slots}
 
 
 def _window(data: bytes, pos: int, nbits: int) -> Tuple[int, int, int, int]:
@@ -431,39 +537,29 @@ def _window(data: bytes, pos: int, nbits: int) -> Tuple[int, int, int, int]:
     return win, wend, wend - pos, wend - nbits
 
 
-# An entry of ``ColumnLists.entries`` is a 16-bit window value, or a *direct*
-# entry, one symbol spelled out: ``level << 17 | _DIRECT | advance``, with
-# ``_DC`` set too on an intra block's DC (advance 1, like the non-intra
-# ``1s`` short form: a block's scan position starts at -1).  With the level
-# of an escape (or of an undamaged DC) it stays under 2**30, one CPython
-# digit, which numpy converts faster.
-_LEVEL_SHIFT = 17
-_DIRECT_DC = _DIRECT | _DC | 1
-_FIRST_PLUS = 1 << _LEVEL_SHIFT | _DIRECT | 1
-_FIRST_MINUS = -1 << _LEVEL_SHIFT | _DIRECT | 1
-_ESC_PREFIX, _ESC_LEN = T.DCT_ESCAPE_CODE
-
-
 @dataclass
 class ColumnLists:
     """What :func:`parse_slice_columns` appends to: one picture's flat lists.
 
-    Every macroblock (skipped ones included) adds ``ROW_WIDTH`` ints to
-    ``rows`` and, unless ``states`` is ``None``, ``STATE_WIDTH`` ints to
-    ``states``.  The coded blocks' levels go to ``entries``, in stream
-    order and not yet decoded: every 16-bit window the run/level loop
-    stopped at, and a direct entry for each symbol that is not a table
-    code (intra DC, the non-intra ``1s`` short form, escapes);
-    :func:`expand_entries` turns them into columns.  In a picture coded
-    with ``intra_vlc_format`` 1, ``t1_spans`` holds ``len(entries)`` at the
-    start and at the end of every intra macroblock: the entries read
-    against table one.
+    The lists hold what the stream *codes*, not what it means: nothing in
+    them depends on a predictor.  Every coded macroblock adds ``ROW_WIDTH``
+    ints to ``rows`` and every run of skipped macroblocks ``SKIP_WIDTH``
+    ints to ``skips``.  ``mvd`` holds the motion vector deltas in stream
+    order, two for each direction a macroblock's flags name.  The coded
+    blocks' levels go to ``entries``, in stream order and not yet decoded:
+    every 16-bit window the run/level loop stopped at, and a direct entry
+    for each symbol that is not a table code (an intra DC's differential,
+    the non-intra ``1s`` short form, escapes); :func:`expand_entries` turns
+    them into columns.  In a picture coded with ``intra_vlc_format`` 1,
+    ``t1_spans`` holds ``len(entries)`` at the start and at the end of
+    every intra macroblock: the entries read against table one.
     """
 
     rows: List[int] = field(default_factory=list)
+    skips: List[int] = field(default_factory=list)
+    mvd: List[int] = field(default_factory=list)
     entries: List[int] = field(default_factory=list)
     t1_spans: List[int] = field(default_factory=list)
-    states: Optional[List[int]] = None
 
 
 def parse_slice_columns(
@@ -478,11 +574,13 @@ def parse_slice_columns(
     """Parse one slice's macroblocks from bit ``pos`` straight into ``out``.
 
     ``pos`` is the first bit after the slice header, ``qcode`` the slice's
-    quantiser_scale_code.  The whole macroblock layer is decoded inline
-    against the LUTs above — bit cursor, window, DC/motion predictors and
-    quantiser in locals, no :class:`BitReader` and no per-macroblock
-    objects.  ``out`` is the picture's, so slices concatenate.  Returns the
-    bit position after the last macroblock.
+    quantiser_scale_code.  The whole macroblock layer is walked inline
+    against the tables above — bit cursor, window and quantiser in locals,
+    no :class:`BitReader` and no per-macroblock objects — and recorded raw:
+    DC differentials, motion deltas and skipped runs as the stream codes
+    them, no predictor kept (``parser._columns`` rebuilds those, a picture
+    at a time).  ``out`` is the picture's, so slices concatenate.  Returns
+    the bit position after the last macroblock.
 
     Checks, their order and their exceptions are those of the object
     parser (the slice loop over
@@ -492,141 +590,131 @@ def parse_slice_columns(
     caller therefore also runs before it lets an error raised here out.
     """
     nbits = 8 * len(data)
-    picture_type, f_code, dc_reset = picture.picture_type, picture.f_code, picture.dc_reset
-    rows, entries, states = out.rows, out.entries, out.states
+    picture_type = picture.picture_type
+    rows, entries = out.rows, out.entries
+    header = _HEADER[picture_type]
     addr_lut, motion_lut, cbp_lut = _ADDR_LUT, _MOTION_LUT, _CBP_LUT
     addr_mask, cbp_mask = (1 << _ADDR_BITS) - 1, (1 << _CBP_BITS) - 1
     motion_shift = 24 - _MOTION_BITS
-    dc_luma_lut, dc_chroma_lut = _DC_LUMA_LUT, _DC_CHROMA_LUT
-    dc_luma_shift, dc_chroma_shift = 24 - _DC_LUMA_BITS, 24 - _DC_CHROMA_BITS
+    dc_fused = _DC_FUSED
     type_lut, type_bits = _MB_FLAG_LUTS[picture_type]
     type_mask = (1 << type_bits) - 1
     table_one = picture.intra_vlc_format == 1
     stride_intra = _STRIDE_T1 if table_one else _STRIDE_T0
     eob_mark, eob_rem = _STRIDE_EOB, 16 + _STRIDE_EOB
-    cbp_blocks, mv_slots = _CBP_BLOCKS, _MV_SLOTS
-    r_sizes = [f_code[0][0] - 1, f_code[0][1] - 1, f_code[1][0] - 1, f_code[1][1] - 1]
-    rows_extend, entries_append = rows.extend, entries.append
-    p_picture = picture_type == PictureType.P
+    cbp_blocks, mv_slots = _CBP_BLOCKS, _motion_slots(picture.f_code)
+    rows_extend, entries_append, mvd_append = rows.extend, entries.append, out.mvd.append
+    skip_flags = MB_SKIPPED | (MB_FORWARD if picture_type == PictureType.P else 0)
 
-    dc = [dc_reset, dc_reset, dc_reset]
-    pmv = [0, 0, 0, 0]
-    prev_dirs = 0  # MB_FORWARD | MB_BACKWARD of the previous macroblock
-    prev_addr = row * mb_width - 1
-    row_end = (row + 1) * mb_width
-    first_in_slice = True
+    address = row * mb_width - 1  # of the macroblock before
+    row_start, row_end = address + 1, (row + 1) * mb_width
+    dirs = 0  # until a macroblock sets it, the directions of the one before
     win, wend, rem, lim = _window(data, pos, nbits)
 
     while True:
         if rem < _MB_HEADROOM:
             win, wend, rem, lim = _window(data, wend - rem, nbits)
-        # A macroblock never starts with 23 zero bits; the padding and
-        # start-code prefix that end a slice always provide them.
-        # (Past the buffer the window reads zero, so running out of data
-        # ends the slice the same way.)
-        if not (win >> (rem - 23)) & 0x7FFFFF:
-            return wend - rem
         bit_start = wend - rem
+        shift = rem - _HEADER_BITS
+        hit = header[(win >> shift) & 0xFFF]
+        if hit and shift >= lim:
+            # -- increment of one, type [, quantiser]: one lookup ------- #
+            # (the window lies inside the data, so does what it consumes)
+            address += 1
+            if address >= row_end:
+                raise BitstreamError("macroblock address beyond slice row")
+            body_start = bit_start + 1
+            length, flags, q = hit
+            rem -= length
+            if q:
+                qcode = q
+        else:
+            # A macroblock never starts with 23 zero bits; the padding and
+            # start-code prefix that end a slice always provide them.
+            # (Past the buffer the window reads zero, so running out of data
+            # ends the slice the same way.)
+            if not (win >> (rem - 23)) & 0x7FFFFF:
+                return bit_start
 
-        # -- macroblock_address_increment (section 6.3.16) -------------- #
-        increment = 0
-        while True:
-            hit = addr_lut[(win >> (rem - _ADDR_BITS)) & addr_mask]
-            if hit is None:
-                raise VLCError(
-                    f"no address-increment code matches at bit {wend - rem}"
+            # -- macroblock_address_increment (section 6.3.16) ---------- #
+            increment = 0
+            while True:
+                hit = addr_lut[(win >> (rem - _ADDR_BITS)) & addr_mask]
+                if hit is None:
+                    raise VLCError(
+                        f"no address-increment code matches at bit {wend - rem}"
+                    )
+                sym, length = hit
+                rem -= length
+                if rem < lim:
+                    raise BitstreamError(_PAST_END)
+                if sym != _ADDR_ESCAPE:
+                    increment += sym
+                    break
+                increment += 33
+                if rem < _MB_HEADROOM:
+                    win, wend, rem, lim = _window(data, wend - rem, nbits)
+            if address + increment >= row_end:
+                raise BitstreamError("macroblock address beyond slice row")
+            # The macroblocks the increment passes over are skipped (section
+            # 7.6.6): one record.  The first increment of a slice only
+            # positions it in the row.
+            if increment > 1 and address >= row_start:
+                out.skips.extend(
+                    (len(rows) // ROW_WIDTH, address + 1, increment - 1,
+                     skip_flags | dirs, qcode)
                 )
-            sym, length = hit
+            address += increment
+
+            # -- macroblock_type, quantiser_scale_code ------------------ #
+            body_start = wend - rem
+            hit = type_lut[(win >> (rem - type_bits)) & type_mask]
+            if hit is None:
+                raise VLCError(f"no macroblock_type code matches at bit {wend - rem}")
+            flags, length = hit
             rem -= length
             if rem < lim:
                 raise BitstreamError(_PAST_END)
-            if sym != _ADDR_ESCAPE:
-                increment += sym
-                break
-            increment += 33
-            if rem < _MB_HEADROOM:
-                win, wend, rem, lim = _window(data, wend - rem, nbits)
-        address = prev_addr + increment
-        if address >= row_end:
-            raise BitstreamError("macroblock address beyond slice row")
+            if flags & MB_QUANT:
+                qcode = (win >> (rem - 5)) & 31
+                rem -= 5
+                if qcode == 0:
+                    raise BitstreamError("quantiser_scale_code of zero")
 
-        # -- skipped macroblocks the increment covers (section 7.6.6) --- #
-        # They change the predictors *before* the coded macroblock's body.
-        # The first increment of a slice only positions it in the row.
-        if first_in_slice:
-            first_in_slice = False
-        elif increment > 1:
-            for skip_addr in range(prev_addr + 1, address):
-                if states is not None:
-                    states.extend(
-                        (qcode, dc[0], dc[1], dc[2], pmv[0], pmv[1], pmv[2], pmv[3],
-                         prev_dirs & MB_FORWARD, prev_dirs & MB_BACKWARD)
-                    )
-                if p_picture:
-                    # zero forward vector, motion predictors reset
-                    pmv = [0, 0, 0, 0]
-                    skip_flags = MB_SKIPPED | MB_FORWARD
-                else:
-                    # previous macroblock's directions, current predictors
-                    skip_flags = MB_SKIPPED | prev_dirs
-                rows_extend(
-                    (skip_addr, skip_flags, pmv[0], pmv[1], pmv[2], pmv[3], qcode, 0,
-                     -1, -1, -1)
-                )
-                dc = [dc_reset, dc_reset, dc_reset]
-        if states is not None:
-            states.extend(
-                (qcode, dc[0], dc[1], dc[2], pmv[0], pmv[1], pmv[2], pmv[3],
-                 prev_dirs & MB_FORWARD, prev_dirs & MB_BACKWARD)
-            )
-
-        # -- macroblock_type, quantiser_scale_code ---------------------- #
-        body_start = wend - rem
-        hit = type_lut[(win >> (rem - type_bits)) & type_mask]
-        if hit is None:
-            raise VLCError(f"no macroblock_type code matches at bit {wend - rem}")
-        flags, length = hit
-        rem -= length
-        if rem < lim:
-            raise BitstreamError(_PAST_END)
-        if flags & MB_QUANT:
-            qcode = (win >> (rem - 5)) & 31
-            rem -= 5
-            if qcode == 0:
-                raise BitstreamError("quantiser_scale_code of zero")
-
-        # -- motion vectors (section 7.6.3) ----------------------------- #
+        # -- motion vector deltas (section 7.6.3) ----------------------- #
         dirs = flags & (MB_FORWARD | MB_BACKWARD)
         if dirs:
-            for k in mv_slots[dirs]:
-                r_size = r_sizes[k]
-                v = (win >> (rem - 24)) & 0xFFFFFF
-                hit = motion_lut[v >> motion_shift]
-                if hit is None:
-                    raise VLCError(f"no motion code matches at bit {wend - rem}")
-                code, length = hit
-                if code == 0:
+            for fused, r_size in mv_slots[dirs]:
+                hit = fused[(win >> (rem - _MOTION_FUSED_BITS)) & 0xFFF]
+                if hit:
+                    length, delta = hit
                     rem -= length
-                    delta = 0
                 else:
-                    if r_size:
-                        residual = (v >> (24 - length - r_size)) & ((1 << r_size) - 1)
-                        rem -= length + r_size
-                    else:
-                        residual = 0
+                    v = (win >> (rem - 24)) & 0xFFFFFF
+                    hit = motion_lut[v >> motion_shift]
+                    if hit is None:
+                        raise VLCError(f"no motion code matches at bit {wend - rem}")
+                    code, length = hit
+                    if code == 0:
                         rem -= length
-                    delta = ((abs(code) - 1) << r_size) + residual + 1
-                    if code < 0:
-                        delta = -delta
+                        delta = 0
+                        if r_size < 0 and rem >= lim:
+                            # f_code 0: what the object parser's ``1 << r_size``
+                            # says, once it has read the code
+                            raise ValueError("negative shift count")
+                    else:
+                        if r_size:
+                            residual = (v >> (24 - length - r_size)) & ((1 << r_size) - 1)
+                            rem -= length + r_size
+                        else:
+                            residual = 0
+                            rem -= length
+                        delta = ((abs(code) - 1) << r_size) + residual + 1
+                        if code < 0:
+                            delta = -delta
                 if rem < lim:
                     raise BitstreamError(_PAST_END)
-                f16 = 16 << r_size
-                val = pmv[k] + delta
-                if val < -f16:
-                    val += 2 * f16
-                elif val >= f16:
-                    val -= 2 * f16
-                pmv[k] = val
+                mvd_append(delta)
 
         # -- blocks: DC differential, then run/level windows to EOB ----- #
         cbp = 0
@@ -652,32 +740,30 @@ def parse_slice_columns(
                 if rem < 24:
                     win, wend, rem, lim = _window(data, wend - rem, nbits)
                 if intra:
-                    v = (win >> (rem - 24)) & 0xFFFFFF
-                    if b < 4:
-                        comp = 0
-                        hit = dc_luma_lut[v >> dc_luma_shift]
+                    hit = dc_fused[b][(win >> (rem - _DC_FUSED_BITS)) & 0x3FFF]
+                    if hit:
+                        length, entry = hit
                     else:
-                        comp = b - 3
-                        hit = dc_chroma_lut[v >> dc_chroma_shift]
-                    if hit is None:
-                        raise VLCError(
-                            f"no dct_dc_size code matches at bit {wend - rem}"
-                        )
-                    size, length = hit
-                    if size:
+                        # a size the fused window cannot hold, or no code
+                        v = (win >> (rem - 24)) & 0xFFFFFF
+                        if b < 4:
+                            hit = _DC_LUMA_LUT[v >> (24 - _DC_LUMA_BITS)]
+                        else:
+                            hit = _DC_CHROMA_LUT[v >> (24 - _DC_CHROMA_BITS)]
+                        if hit is None:
+                            raise VLCError(
+                                f"no dct_dc_size code matches at bit {wend - rem}"
+                            )
+                        size, length = hit
                         length += size
-                        rem -= length
-                        if rem < lim:
-                            raise BitstreamError(_PAST_END)
                         d = (v >> (24 - length)) & ((1 << size) - 1)
-                        if d < (1 << (size - 1)):
+                        if d < (1 << size >> 1):
                             d -= (1 << size) - 1
-                        dc[comp] += d
-                    else:
-                        rem -= length
-                        if rem < lim:
-                            raise BitstreamError(_PAST_END)
-                    entries_append(dc[comp] << _LEVEL_SHIFT | _DIRECT_DC)
+                        entry = d << _LEVEL_SHIFT | _DIRECT_DC
+                    rem -= length
+                    if rem < lim:
+                        raise BitstreamError(_PAST_END)
+                    entries_append(entry)
                 elif (win >> (rem - 1)) & 1:
                     # A leading '1' at the first coefficient of a non-intra
                     # block is (0, +/-1), next bit the sign (section 7.2.2).
@@ -720,19 +806,7 @@ def parse_slice_columns(
             if intra and table_one:
                 out.t1_spans.append(len(entries))
 
-        rows_extend(
-            (address, flags, pmv[0], pmv[1], pmv[2], pmv[3], qcode, cbp, bit_start,
-             body_start, wend - rem)
-        )
-        # -- predictor resets (sections 7.2.1, 7.6.3.4) ----------------- #
-        if flags & MB_INTRA:
-            pmv = [0, 0, 0, 0]
-        else:
-            dc = [dc_reset, dc_reset, dc_reset]
-            if p_picture and not dirs & MB_FORWARD:
-                pmv = [0, 0, 0, 0]
-        prev_dirs = dirs
-        prev_addr = address
+        rows_extend((address, flags, qcode, cbp, bit_start, body_start, wend - rem))
 
 
 def _starts(ends: np.ndarray) -> np.ndarray:

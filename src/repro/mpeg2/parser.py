@@ -13,10 +13,15 @@ coded blocks' levels as flat columns, and (unless ``lean``) the predictor
 state at every macroblock boundary: everything plan building, the
 sub-picture builder's State Propagation Headers and the MEI
 pre-calculation need, with no per-macroblock objects.  The slice parser
-walks the syntax and only records where the run/level codes are (one list
-entry per 16-bit window of them); :func:`fast_vlc.expand_entries` decodes
-them to positions and levels, a picture at a time, with numpy.  It does no
-pixel reconstruction ("a splitter does not motion compensate").
+walks the syntax and records it raw: where the run/level codes are (one
+list entry per 16-bit window of them), DC differentials, motion deltas, one
+record per run of skipped macroblocks.  What the standard defines serially
+is rebuilt here a picture at a time, with numpy: :func:`fast_vlc.expand_entries`
+decodes the windows to positions and levels, and :func:`_columns` turns
+differentials into DC levels and deltas into vectors -- running sums that
+begin again where the standard resets a predictor -- and derives the state
+columns from the same arrays.  It does no pixel reconstruction ("a splitter
+does not motion compensate").
 """
 
 from __future__ import annotations
@@ -218,38 +223,177 @@ class PictureColumns:
 # coded block slots (Y0..Y3, Cb, Cr) of each coded_block_pattern value
 _CBP_SLOTS = (np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1 != 0
 _POPCOUNT6 = _CBP_SLOTS.sum(axis=1)
+_DIRECTIONS = np.array([[fast_vlc.MB_FORWARD], [fast_vlc.MB_BACKWARD]])
+
+# Rows of the per-macroblock matrix ``_columns`` assembles, one column per
+# macroblock: the slice loop's ints, the vectors and -- in a full parse --
+# the state before the macroblock.
+_ROW = slice(0, fast_vlc.ROW_WIDTH)
+_MV = slice(7, 11)  # forward x, y, backward x, y
+_LEAN_HEIGHT = 11
+_Q_BEFORE, _DC_BEFORE, _PMV_BEFORE, _DIR_BEFORE = 11, slice(12, 15), slice(15, 19), slice(19, 21)
+_FULL_HEIGHT = 21
+
+
+def _chain_sums(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running sums of ``x`` along axis 0 that begin again at every row
+    ``start`` marks (row 0 must be one): a segmented prefix sum."""
+    total = np.cumsum(x, axis=0)
+    first = np.flatnonzero(start)
+    before = total[first] - x[first]
+    return total - np.repeat(before, np.diff(first, append=len(x)), axis=0)
+
+
+def _carried(x: np.ndarray, start: np.ndarray, fill) -> np.ndarray:
+    """What each row inherits: row ``i - 1`` of ``x`` at row ``i``, and
+    ``fill`` where ``start`` marks that nothing carries over (row 0 must be
+    marked)."""
+    out = np.empty_like(x)
+    out[1:] = x[:-1]
+    out[start] = fill
+    return out
+
+
+def _dc_levels(
+    coef_level: np.ndarray, dc_at: np.ndarray, chain: np.ndarray, dc_reset: int
+) -> np.ndarray:
+    """Turn the DC differentials of the intra macroblocks into levels, in
+    place (section 7.2.1): a level is ``dc_reset`` plus the running sum of
+    its component's differentials along its chain of consecutive intra
+    macroblocks.  ``dc_at`` indexes the six DC entries of each, ``chain``
+    marks the ones that begin a chain.  Returns the three predictors each
+    leaves behind, ``(intra macroblocks, 3)``.
+    """
+    diff = coef_level[dc_at].reshape(-1, 6).astype(np.int64)
+    luma = np.cumsum(diff[:, :4], axis=1)
+    total = np.concatenate([luma[:, 3:], diff[:, 4:]], axis=1)  # Y, Cb, Cr
+    after = dc_reset + _chain_sums(total, chain)
+    luma += after[:, :1] - total[:, :1]
+    coef_level[dc_at] = np.concatenate([luma, after[:, 1:]], axis=1).reshape(-1)
+    return after
+
+
+def _wrap(v: np.ndarray, f16: np.ndarray) -> np.ndarray:
+    """``v`` reduced into the motion vector range ``[-f16, f16)``."""
+    return (v + f16) % (2 * f16) - f16
 
 
 def _columns(
-    lists: fast_vlc.ColumnLists, slice_rows: List[int], slice_ends: List[int]
+    lists: fast_vlc.ColumnLists,
+    picture: PictureHeader,
+    slices: List[Tuple[int, int, int]],
+    lean: bool,
 ) -> PictureColumns:
-    """Freeze the slice parser's flat lists into typed columns, decoding
-    its coefficient entries (which raises if a run overruns its block).
+    """Freeze the slice parser's flat lists into typed columns: decode its
+    coefficient entries (which raises if a run overruns its block), rebuild
+    the predictors the loop did not keep -- DC levels from differentials,
+    motion vectors from deltas, both as segmented prefix sums -- and give
+    the skipped macroblocks their rows.
 
-    ``slice_rows[k]`` is slice ``k``'s macroblock row and ``slice_ends[k]``
-    the number of macroblocks parsed once it ended.
+    ``slices[k]`` is slice ``k``'s macroblock row, its quantiser_scale_code
+    and the number of coded macroblocks parsed once it ended.
     """
     coef_pos, coef_level, block_ncoef = fast_vlc.expand_entries(lists)
     tab = np.array(lists.rows, dtype=np.int64).reshape(-1, fast_vlc.ROW_WIDTH)
-    n = len(tab)
-    # one transposing copy, so that every column is contiguous
-    address, flags, _, _, _, _, qscale_code, cbp, bit_start, body_start, bit_end = (
-        np.ascontiguousarray(tab.T)
+    n_coded = len(tab)
+    coded = np.empty((_LEAN_HEIGHT if lean else _FULL_HEIGHT, n_coded), dtype=np.int64)
+    coded[_ROW] = tab.T  # the one transposing copy: every column contiguous
+    flags, qscale_code, cbp = coded[1:4]
+    slice_row, slice_qcode, slice_end = np.array(slices, dtype=np.int64).reshape(-1, 3).T
+    skip_at, skip_address, skip_count, skip_flags, skip_qcode = (
+        np.array(lists.skips, dtype=np.int64).reshape(-1, fast_vlc.SKIP_WIDTH).T
     )
+    p_picture = picture.picture_type == PictureType.P
+    dc_reset = picture.dc_reset
+    intra = flags & fast_vlc.MB_INTRA != 0
+    motion = flags & _DIRECTIONS != 0  # (2, n): forward, backward
+    component = np.repeat(motion, 2, axis=0).T  # (n, 4): x, y of each
+
+    # Where the slice loop's serial state began again: at a slice's first
+    # macroblock and (but for B-picture motion) after skipped ones.
+    coded_per_slice = np.diff(slice_end, prepend=0)
+    first = np.zeros(n_coded, dtype=bool)
+    first[(slice_end - coded_per_slice)[coded_per_slice > 0]] = True
+    lead = np.zeros(n_coded, dtype=np.int64)  # skipped macroblocks before each
+    lead[skip_at] = skip_count
+    fresh = first | (lead > 0)
+    mb_through = np.cumsum(lead + 1)  # macroblocks, skipped too, through each
+
+    dc_after = np.full((n_coded, 3), dc_reset, dtype=np.int64)
+    if intra.any():
+        blocks = np.cumsum(_POPCOUNT6[cbp])[intra, None] + np.arange(-6, 0)
+        dc_at = (np.cumsum(block_ncoef) - block_ncoef)[blocks.reshape(-1)]
+        chain = fresh | ~_carried(intra, first, False)
+        dc_after[intra] = _dc_levels(coef_level, dc_at, chain[intra], dc_reset)
+
+    # Motion vectors (section 7.6.3): a predictor is the running sum of its
+    # component's deltas since the last reset, wrapped into the f_code range
+    # once -- each of the standard's single-step wraps is the reduction
+    # modulo the range, so reducing the sum gives the same representative.
+    # Resets (section 7.6.3.4): after an intra macroblock, and in a
+    # P-picture after one without a forward vector or a skipped one.
+    lost = intra | ~motion[0] if p_picture else intra
+    pmv_after = pmv_before = np.zeros((n_coded, 4), dtype=np.int64)
+    if lists.mvd:
+        reset = _carried(lost, first, True)
+        if p_picture:
+            reset |= fresh
+        delta = np.zeros((n_coded, 4), dtype=np.int64)
+        delta[component] = lists.mvd  # stream order: row by row, x then y
+        f16 = 16 << np.maximum(np.array(picture.f_code).reshape(-1) - 1, 0)
+        unwrapped = _chain_sums(delta, reset)
+        pmv_after = _wrap(unwrapped, f16)
+        if not lean:
+            pmv_before = _wrap(unwrapped - delta, f16)
+    coded[_MV] = (pmv_after * component).T
+    if not lean:
+        # The state before each macroblock: what the one before it left.
+        coded[_Q_BEFORE] = _carried(qscale_code, first, 0)
+        coded[_Q_BEFORE, first] = slice_qcode[coded_per_slice > 0]
+        coded[_DC_BEFORE] = _carried(dc_after, fresh, dc_reset).T
+        coded[_PMV_BEFORE] = pmv_before.T
+        coded[_DIR_BEFORE] = _carried(motion.T, first, False).T
+
+    table = coded
+    if len(skip_at):
+        # A skipped macroblock (section 7.6.6) has no vector in a P-picture;
+        # in a B-picture it has the predictors the macroblock before its run
+        # left, in the directions that one used.
+        before = skip_at - 1
+        left = pmv_after[before] * ~lost[before, None]
+        run = np.empty((len(coded), len(skip_at)), dtype=np.int64)
+        run[0], run[1], run[2] = skip_address, skip_flags, skip_qcode
+        run[3] = 0  # cbp
+        run[4:7] = -1  # no bits of its own
+        run[_MV] = 0 if p_picture else (left * component[before]).T
+        if not lean:
+            run[_Q_BEFORE] = skip_qcode
+            run[_DC_BEFORE] = dc_reset
+            run[_PMV_BEFORE] = 0 if p_picture else left.T
+            run[_DIR_BEFORE] = motion[:, before]
+        run_start = np.cumsum(skip_count) - skip_count
+        skipped = np.repeat(run, skip_count, axis=1)
+        skipped[0] += np.arange(skipped.shape[1]) - np.repeat(run_start, skip_count)
+        if not lean:
+            # the first of a run still sees what the coded macroblock left
+            skipped[_DC_BEFORE, run_start] = dc_after[before].T
+            skipped[_PMV_BEFORE, run_start] = left.T
+        is_coded = np.zeros(n_coded + skipped.shape[1], dtype=bool)
+        is_coded[mb_through - 1] = True
+        table = np.empty((len(coded), len(is_coded)), dtype=np.int64)
+        table[:, is_coded] = coded
+        table[:, ~is_coded] = skipped
+    address, flags, qscale_code, cbp, bit_start, body_start, bit_end = table[_ROW]
+    n_mb = len(address)
     n_blocks = _POPCOUNT6[cbp]
-    motion = (
-        np.stack([flags & fast_vlc.MB_FORWARD, flags & fast_vlc.MB_BACKWARD], axis=1)
-        != 0
-    )
-    per_slice = np.diff(np.asarray(slice_ends, dtype=np.int64), prepend=0)
+    mb_per_slice = np.diff(np.concatenate([[0], mb_through])[slice_end], prepend=0)
     state = None
-    if lists.states is not None:
-        st = np.array(lists.states, dtype=np.int64).reshape(n, fast_vlc.STATE_WIDTH)
+    if not lean:
         state = StateColumns(
-            qscale_code=np.ascontiguousarray(st[:, 0]),
-            dc_pred=np.ascontiguousarray(st[:, 1:4]),
-            pmv=np.ascontiguousarray(st[:, 4:8]).reshape(n, 2, 2),
-            prev_dir=st[:, 8:10] != 0,
+            qscale_code=table[_Q_BEFORE],
+            dc_pred=np.ascontiguousarray(table[_DC_BEFORE].T),
+            pmv=np.ascontiguousarray(table[_PMV_BEFORE].T).reshape(n_mb, 2, 2),
+            prev_dir=np.ascontiguousarray(table[_DIR_BEFORE].T) != 0,
         )
     return PictureColumns(
         address=address,
@@ -257,16 +401,15 @@ def _columns(
         intra=(flags & fast_vlc.MB_INTRA) != 0,
         pattern=(flags & fast_vlc.MB_PATTERN) != 0,
         quant=(flags & fast_vlc.MB_QUANT) != 0,
-        motion=motion,
-        # the row carries the predictors; they are vectors where flagged
-        mv=tab[:, 2:6].reshape(n, 2, 2) * motion[:, :, None],
+        motion=np.ascontiguousarray((flags & _DIRECTIONS).T) != 0,
+        mv=np.ascontiguousarray(table[_MV].T).reshape(n_mb, 2, 2),
         qscale_code=qscale_code,
         cbp=cbp,
         bit_start=bit_start,
         body_start=body_start,
         bit_end=bit_end,
-        slice_row=np.repeat(np.asarray(slice_rows, dtype=np.int64), per_slice),
-        slice_index=np.repeat(np.arange(len(per_slice), dtype=np.int64), per_slice),
+        slice_row=np.repeat(slice_row, mb_per_slice),
+        slice_index=np.repeat(np.arange(len(slices), dtype=np.int64), mb_per_slice),
         first_block=np.cumsum(n_blocks) - n_blocks,
         n_blocks=n_blocks,
         block_slot=np.nonzero(_CBP_SLOTS[cbp])[1],
@@ -404,41 +547,45 @@ class MacroblockParser:
         """VLC-parse one coded picture.
 
         With ``lean=True`` the per-macroblock predictor-state columns are
-        not recorded (``columns.state`` and every ``state_before`` are
+        not derived (``columns.state`` and every ``state_before`` are
         ``None``) — they exist only for the sub-picture builder's State
-        Propagation Headers, and nothing on the plan path reads them.
+        Propagation Headers, and nothing on the plan path reads them.  The
+        slice loop records the same lists either way.
         """
         br = BitReader(data)
         code = br.next_start_code()
         if code != PICTURE_START_CODE:
             raise BitstreamError("picture unit does not start with picture code")
         header = PictureHeader.parse(br)
-        lists = fast_vlc.ColumnLists(states=None if lean else [])
-        slice_rows: List[int] = []
-        slice_ends: List[int] = []
+        data, pos = br.data, br.pos
+        lists = fast_vlc.ColumnLists()
+        slices: List[Tuple[int, int, int]] = []  # row, qcode, coded rows so far
         try:
             while True:
-                code = br.peek_start_code()
-                if code is None or not is_slice_start_code(code):
+                # the next start code, from the next byte boundary
+                at = data.find(b"\x00\x00\x01", (pos + 7) >> 3)
+                if at < 0 or at + 3 >= len(data) or not is_slice_start_code(data[at + 3]):
                     break
-                br.next_start_code()
-                row = code - 1
+                row = data[at + 3] - 1
                 if row >= self.mb_height:
                     raise BitstreamError(f"slice row {row} beyond picture height")
-                qcode = br.read(5)
+                # quantiser_scale_code (5 bits), extra_bit_slice; past the
+                # end of the data both read zero, as a BitReader pads
+                head = data[at + 4] if at + 4 < len(data) else 0
+                qcode = head >> 3
                 if qcode == 0:
                     raise BitstreamError("slice quantiser_scale_code of zero")
-                if br.read(1):
+                if head & 4:
                     raise BitstreamError("extra_information_slice unsupported")
-                br.pos = fast_vlc.parse_slice_columns(
-                    br.data, br.pos, row, self.mb_width, qcode, header, lists
+                pos = fast_vlc.parse_slice_columns(
+                    data, 8 * (at + 4) + 6, row, self.mb_width, qcode, header, lists
                 )
-                slice_rows.append(row)
-                slice_ends.append(len(lists.rows) // fast_vlc.ROW_WIDTH)
+                slices.append((row, qcode, len(lists.rows) // fast_vlc.ROW_WIDTH))
         except BitstreamError:
             # The slice loop leaves run overruns to the expansion: one in a
             # block before this error is the first error in stream order.
+            # (Nothing else is rebuilt from a half-recorded macroblock.)
             fast_vlc.expand_entries(lists)
             raise
-        columns = _columns(lists, slice_rows, slice_ends)
+        columns = _columns(lists, header, slices, lean)
         return ParsedPicture(header, br.data, self.mb_width, self.mb_height, columns)

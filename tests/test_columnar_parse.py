@@ -12,13 +12,14 @@ on damaged ones the same exception or the same output.
 import base64
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bitstream import BitstreamError, BitWriter
-from repro.mpeg2 import tables as T, vlc
+from repro.mpeg2 import fast_vlc, parser as parser_module, tables as T, vlc
 from repro.mpeg2.constants import SEQUENCE_END_CODE, PictureType
 from repro.mpeg2.decoder import decode_stream, reconstruct_picture
 from repro.mpeg2.encoder import Encoder, EncoderConfig
@@ -335,18 +336,23 @@ class HandPicture:
     """One picture written a syntax element at a time, so a test can put a
     particular fault in a particular block."""
 
-    def __init__(self, width, height, picture_type, intra_vlc_format=0):
+    def __init__(
+        self, width, height, picture_type, intra_vlc_format=0, f_code=None,
+        intra_dc_precision=8,
+    ):
         self.sequence = SequenceHeader.for_video(width, height)
-        f_code = ((15, 15), (15, 15)) if picture_type == PictureType.I else ((1, 1), (15, 15))
+        if f_code is None:
+            f_code = ((15, 15), (15, 15)) if picture_type == PictureType.I else ((1, 1), (15, 15))
         self.header = PictureHeader(
-            0, picture_type, f_code=f_code, intra_vlc_format=intra_vlc_format
+            0, picture_type, f_code=f_code, intra_vlc_format=intra_vlc_format,
+            intra_dc_precision=intra_dc_precision,
         )
         self.bw = BitWriter()
         self.header.write(self.bw)
 
-    def slice(self, row):
+    def slice(self, row, qcode=4):
         self.bw.write_start_code(row + 1)
-        self.bw.write(4, 5)  # quantiser_scale_code
+        self.bw.write(qcode, 5)  # quantiser_scale_code
         self.bw.write(0, 1)  # extra_bit_slice
 
     def intra_mb(self, blocks):
@@ -354,11 +360,38 @@ class HandPicture:
         vlc.encode_address_increment(self.bw, 1)
         vlc.mb_type_table(self.header.picture_type).encode(self.bw, (0, 0, 0, 0, 1))
         for b, (diff, pairs, closed) in enumerate(blocks):
-            size = abs(diff).bit_length()
-            (vlc.DC_SIZE_LUMA if b < 4 else vlc.DC_SIZE_CHROMA).encode(self.bw, size)
-            if size:
-                self.bw.write(diff if diff > 0 else diff + (1 << size) - 1, size)
+            self._dc(b, diff)
             self._pairs(pairs, closed, True)
+
+    def _dc(self, b, diff):
+        size = abs(diff).bit_length()
+        (vlc.DC_SIZE_LUMA if b < 4 else vlc.DC_SIZE_CHROMA).encode(self.bw, size)
+        if size:
+            self.bw.write(diff if diff > 0 else diff + (1 << size) - 1, size)
+
+    def mb(self, increment=1, quant=None, fwd=None, bwd=None, dc=None, cbp=0):
+        """Any macroblock, as the stream codes it: ``fwd`` / ``bwd`` are the
+        motion *deltas* ``(dx, dy)`` of a direction, ``dc`` the six DC
+        *differentials* of an intra macroblock (no AC), ``cbp`` the pattern
+        of a coded one (each coded block one level at position 0), ``quant``
+        a new quantiser_scale_code.  The type follows from what is given."""
+        vlc.encode_address_increment(self.bw, increment)
+        kind = (quant is not None, fwd is not None, bwd is not None, cbp != 0, dc is not None)
+        vlc.mb_type_table(self.header.picture_type).encode(self.bw, tuple(map(int, kind)))
+        if quant is not None:
+            self.bw.write(quant, 5)
+        for direction, deltas in enumerate((fwd, bwd)):
+            for component, delta in enumerate(deltas or ()):
+                r_size = self.header.f_code[direction][component] - 1
+                vlc.encode_motion_delta(self.bw, delta, r_size)
+        if dc is not None:
+            for b, diff in enumerate(dc):
+                self._dc(b, diff)
+                self._pairs([], True, True)
+        elif cbp:
+            vlc.CBP.encode(self.bw, cbp)
+            for _ in range(bin(cbp).count("1")):
+                self._pairs([(0, 1)], True, False)
 
     def coded_mb(self, pairs, closed=True):
         """A P-picture "No MC, coded" macroblock whose one block is Y0."""
@@ -380,9 +413,12 @@ class HandPicture:
         self.bw.write(codes, n)
         self.bw.write(0, _MISS_BITS)
 
-    def parse_both(self):
+    def data(self):
         self.bw.write_start_code(SEQUENCE_END_CODE)  # what ends a slice
-        data = self.bw.getvalue()[:-4]
+        return self.bw.getvalue()[:-4]
+
+    def parse_both(self):
+        data = self.data()
         parser = MacroblockParser(self.sequence)
         matrices = QuantMatrices.from_sequence(self.sequence)
         raised = assert_same_outcome(data, parser, self.sequence, matrices)
@@ -455,6 +491,291 @@ def test_direct_entries_carry_what_no_table_row_can():
     first = c.coef_pos[: c.block_ncoef[0]].tolist(), c.coef_level[: c.block_ncoef[0]].tolist()
     assert first == ([0, 1, 7, 48], [128 + 2047, 2047, -2047, 2047])
     assert np.array_equal(c.block_ncoef, np.bincount(c.coef_pos >> 6))
+
+
+# ---------------------------------------------------------------------- #
+# predictors: what the slice loop leaves to the prefix sums
+# ---------------------------------------------------------------------- #
+#
+# Hand-built pictures, one rule of sections 7.2.1 / 7.6.3.4 / 7.6.6 each.
+# ``parse_both`` holds the columnar parse to the object parser's, the state
+# before every macroblock included; the literal expectations beside it keep
+# the two from being wrong together.
+
+_P_CODES = ((2, 2), (15, 15))
+_B_CODES = ((2, 2), (2, 2))
+_FLAT_DC = [0] * 6
+
+
+def _full_parse(hand):
+    parser, data, raised = hand.parse_both()
+    assert raised is None
+    parsed = parser.parse_picture(data)
+    assert parsed.columns.state is not None
+    return parsed.columns
+
+
+def test_a_no_mc_macroblock_between_two_vectors_resets_the_predictors():
+    hand = HandPicture(80, 32, PictureType.P, f_code=_P_CODES)
+    hand.slice(0)
+    hand.mb(fwd=(5, 3))
+    hand.mb(fwd=(-2, 1), cbp=32)  # chains: (3, 4)
+    hand.mb(cbp=32)  # "No MC, coded": zero vector, predictors to zero
+    hand.mb(fwd=(2, 1))  # from zero, not from (3, 4)
+    hand.mb(fwd=(-4, 0))
+    hand.slice(1)
+    hand.mb(fwd=(4, -2))  # a slice starts from zero
+    hand.mb(fwd=(-4, 0))
+    for _ in range(3):
+        hand.mb(fwd=(0, 0))
+    c = _full_parse(hand)
+    assert c.mv[:7, 0].tolist() == [[5, 3], [3, 4], [0, 0], [2, 1], [-2, 1], [4, -2], [0, -2]]
+    assert c.mv[7:, 0].tolist() == [[0, -2]] * 3
+    assert c.motion[:, 0].tolist() == [True, True, False] + [True] * 7
+    assert c.state.pmv[:6, 0].tolist() == [[0, 0], [5, 3], [3, 4], [0, 0], [2, 1], [0, 0]]
+    assert c.state.prev_dir[:6, 0].tolist() == [False, True, True, False, True, False]
+    assert not c.mv[:, 1].any() and not c.state.pmv[:, 1].any()
+
+
+def test_an_intra_macroblock_in_a_p_slice_resets_the_vectors_and_is_a_dc_chain_of_one():
+    hand = HandPicture(96, 16, PictureType.P, f_code=_P_CODES)
+    hand.slice(0)
+    hand.mb(fwd=(6, 0))
+    hand.mb(dc=[3, -1, 0, 2, 5, -7])
+    hand.mb(fwd=(1, 0))  # from zero: the intra macroblock reset the predictors
+    hand.mb(dc=[1, 1, 1, 1, 1, 1])  # from the reset value: the chain broke
+    hand.mb(dc=[-4, 0, 0, 0, 2, 0])  # continues the chain
+    hand.mb(fwd=(-2, 0))
+    c = _full_parse(hand)
+    assert c.mv[:, 0].tolist() == [[6, 0], [0, 0], [1, 0], [0, 0], [0, 0], [-2, 0]]
+    assert c.state.pmv[:, 0].tolist() == [[0, 0], [6, 0], [0, 0], [1, 0], [0, 0], [0, 0]]
+    dc = c.coef_level[c.coef_pos % 64 == 0].reshape(3, 6).tolist()
+    assert dc == [
+        [131, 130, 130, 132, 133, 121],
+        [129, 130, 131, 132, 129, 129],
+        [128, 128, 128, 128, 131, 129],
+    ]
+    # the predictors an intra macroblock leaves are the next one's state
+    assert c.state.dc_pred.tolist() == [
+        [128] * 3, [128] * 3, [132, 133, 121], [128] * 3, [132, 129, 129], [128, 131, 129],
+    ]
+
+
+def test_b_skipped_runs_carry_the_directions_and_predictors_before_them():
+    hand = HandPicture(160, 32, PictureType.B, f_code=_B_CODES)
+    hand.slice(0)
+    hand.mb(fwd=(4, 2), cbp=32)
+    hand.mb(increment=3, fwd=(1, 0), bwd=(-2, 2))  # two skipped, forward only
+    hand.mb(increment=4, bwd=(1, 1), cbp=4)  # three skipped, interpolated
+    hand.mb(increment=2, fwd=(-6, 1))  # one skipped, backward only
+    hand.slice(1)
+    hand.mb(bwd=(3, -1))
+    hand.mb(increment=9, fwd=(-2, -2))  # eight skipped
+    c = _full_parse(hand)
+    assert c.address.tolist() == list(range(20))
+    assert c.skipped.tolist() == [0, 1, 1, 0, 1, 1, 1, 0, 1, 0] + [0] + [1] * 8 + [0]
+    fwd, bwd = [5, 2], [-1, 3]
+    assert c.motion[:10].tolist() == (
+        [[1, 0]] * 3 + [[1, 1]] * 4 + [[0, 1]] * 2 + [[1, 0]]
+    )
+    assert c.mv[:10, 0].tolist() == [[4, 2]] * 3 + [fwd] * 4 + [[0, 0]] * 2 + [[-1, 3]]
+    assert c.mv[:10, 1].tolist() == [[0, 0]] * 3 + [[-2, 2]] * 4 + [bwd] * 2 + [[0, 0]]
+    # a B skipped macroblock changes no predictor; the previous directions
+    # are those of the last *coded* macroblock
+    assert c.state.pmv[:10].tolist() == (
+        [[[0, 0], [0, 0]]] + [[[4, 2], [0, 0]]] * 3 + [[fwd, [-2, 2]]] * 4 + [[fwd, bwd]] * 2
+    )
+    assert c.state.prev_dir[:10].tolist() == (
+        [[0, 0]] + [[1, 0]] * 3 + [[1, 1]] * 4 + [[0, 1]] * 2
+    )
+    assert c.mv[10:, 1].tolist() == [[3, -1]] * 9 + [[0, 0]]
+    assert c.mv[10:, 0].tolist() == [[0, 0]] * 9 + [[-2, -2]]
+    assert (c.qscale_code == 4).all() and (c.bit_start[c.skipped] == -1).all()
+
+
+def test_a_p_skipped_run_has_no_vector_and_resets_vectors_and_dc():
+    hand = HandPicture(176, 16, PictureType.P, f_code=_P_CODES)
+    hand.slice(0)
+    hand.mb(dc=[2, 0, 0, 0, -3, 4], quant=9)
+    hand.mb(fwd=(3, 0))
+    hand.mb(increment=4, fwd=(1, 0))  # three skipped: (1, 0) is from zero
+    hand.mb(dc=[1, 0, 0, 0, 0, 0])
+    hand.mb(increment=3, dc=_FLAT_DC)  # two skipped break the DC chain
+    hand.mb(fwd=(0, 0))
+    c = _full_parse(hand)
+    assert c.skipped.tolist() == [0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0]
+    assert c.motion[c.skipped].tolist() == [[True, False]] * 5
+    assert not c.mv[c.skipped].any()
+    assert c.mv[:, 0, 0].tolist() == [0, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert (c.qscale_code == 9).all() and c.state.qscale_code.tolist() == [4] + [9] * 10
+    # the first skipped macroblock still sees what the coded one left
+    assert c.state.pmv[:, 0, 0].tolist() == [0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert c.state.dc_pred[:, 0].tolist() == [128, 130, 128, 128, 128, 128, 128, 129, 128, 128, 128]
+    assert c.state.dc_pred[1].tolist() == [130, 125, 132]
+    assert c.coef_level[c.coef_pos % 64 == 0].reshape(3, 6)[:, 0].tolist() == [130, 129, 128]
+
+
+def test_a_skipped_run_behind_an_address_increment_escape():
+    hand = HandPicture(16 * 75, 16, PictureType.P, f_code=_P_CODES)
+    hand.slice(0, qcode=7)
+    hand.mb(fwd=(1, 0))
+    hand.mb(increment=35, fwd=(1, 0))  # one escape and two
+    hand.mb(increment=38, cbp=32)  # one escape and five
+    hand.mb(fwd=(0, 0))
+    c = _full_parse(hand)
+    assert c.address.tolist() == list(range(75))
+    assert c.skipped.sum() == 71 and not c.skipped[[0, 35, 73, 74]].any()
+    assert c.mv[:, 0, 0].tolist() == [1] + [0] * 34 + [1] + [0] * 39
+    assert (c.slice_row == 0).all() and (c.qscale_code == 7).all()
+
+
+def test_the_first_increment_of_a_slice_positions_it_and_skips_nothing():
+    hand = HandPicture(96, 16, PictureType.P, f_code=_P_CODES)
+    hand.slice(0)
+    hand.mb(fwd=(2, 0))
+    hand.mb(fwd=(1, 0))
+    hand.slice(0)  # a second slice in the row, starting four macroblocks in
+    hand.mb(increment=5, fwd=(-1, 0))
+    hand.mb(fwd=(-1, 0))
+    hand.slice(0, qcode=6)  # and, out of order, one for the gap
+    hand.mb(increment=3, fwd=(1, 0))
+    hand.mb(fwd=(1, 0))
+    c = _full_parse(hand)
+    assert c.address.tolist() == [0, 1, 4, 5, 2, 3]
+    assert c.slice_index.tolist() == [0, 0, 1, 1, 2, 2]
+    assert not c.skipped.any()
+    assert c.mv[:, 0, 0].tolist() == [2, 3, -1, -2, 1, 2]
+    assert c.state.qscale_code.tolist() == [4] * 4 + [6] * 2
+
+
+def test_dc_chains_end_at_slice_starts():
+    hand = HandPicture(64, 32, PictureType.I)
+    hand.slice(0)
+    for diff in (5, -2, 7, 1):
+        hand.mb(dc=[diff, 0, 0, 1, diff, -diff])
+    hand.slice(1)
+    hand.mb(dc=[1, 1, 1, 1, 0, 0])  # from the reset value again
+    hand.mb(dc=[2, 0, 0, 0, 3, 0], quant=2)
+    hand.mb(dc=_FLAT_DC)
+    hand.mb(dc=_FLAT_DC)
+    c = _full_parse(hand)
+    dc = c.coef_level[c.coef_pos % 64 == 0].reshape(8, 6)
+    assert dc[:, 0].tolist() == [133, 132, 140, 142, 129, 134, 134, 134]
+    assert dc[:, 3].tolist() == [134, 133, 141, 143, 132, 134, 134, 134]
+    assert dc[:, 4].tolist() == [133, 131, 138, 139, 128, 131, 131, 131]
+    assert dc[:, 5].tolist() == [123, 125, 118, 117, 128, 128, 128, 128]
+    assert c.state.dc_pred[3:6].tolist() == [[141, 138, 118], [128] * 3, [132, 128, 128]]
+    assert c.state.qscale_code.tolist() == [4] * 6 + [2] * 2
+
+
+@pytest.mark.parametrize("precision", [9, 10])
+def test_dc_chains_start_from_the_reset_value_of_the_precision(precision):
+    hand = HandPicture(48, 16, PictureType.I, intra_dc_precision=precision)
+    reset = 1 << (precision - 1)
+    hand.slice(0)
+    hand.mb(dc=[-reset, 0, 0, 0, 2047, -300])  # size 11, past the fused window
+    hand.mb(dc=[127, -127, 128, -128, -2047, 0])  # both sides of its edge
+    hand.mb(dc=_FLAT_DC)
+    c = _full_parse(hand)
+    dc = c.coef_level[c.coef_pos % 64 == 0].reshape(3, 6).tolist()
+    assert dc[0] == [0, 0, 0, 0, reset + 2047, reset - 300]
+    assert dc[1] == [127, 0, 128, 0, reset, reset - 300]
+    assert dc[2] == [0, 0, 0, 0, reset, reset - 300]
+    assert c.state.dc_pred.tolist() == [[reset] * 3, dc[0][3:], dc[1][3:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.lists(
+        st.tuples(st.one_of(st.sampled_from([-16, 16]), st.floats(-16, 16)), st.booleans()),
+        min_size=1, max_size=40,
+    ),
+)
+def test_wrapping_the_running_sum_is_wrapping_every_step(f_code, steps):
+    """The slice loop used to wrap a predictor after every delta; the parser
+    wraps the sum of a chain once.  Deltas reach both ends of their range,
+    -16f and +16f, which the single-step wrap can just still absorb."""
+    f = 1 << (f_code - 1)
+    deltas = [int(scale * f) for scale, _ in steps]
+    reset = [True] + [r for _, r in steps[1:]]
+    expected, pmv = [], 0
+    for delta, again in zip(deltas, reset):
+        val = (0 if again else pmv) + delta  # macroblock._decode_mv
+        if val < -16 * f:
+            val += 32 * f
+        elif val > 16 * f - 1:
+            val -= 32 * f
+        assert -16 * f <= val < 16 * f
+        pmv = val
+        expected.append(val)
+    sums = parser_module._chain_sums(np.array(deltas)[:, None], np.array(reset))
+    assert parser_module._wrap(sums, np.array([16 * f]))[:, 0].tolist() == expected
+
+
+def _opcodes_in(code, fn):
+    """Opcode events inside frames running ``code`` while ``fn()`` runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        return local
+
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _slice_loop_opcodes(data, sequence):
+    parser = MacroblockParser(sequence)
+    return _opcodes_in(
+        fast_vlc.parse_slice_columns.__code__, lambda: parser.parse_picture(data, lean=True)
+    )
+
+
+def test_a_skipped_macroblock_costs_the_slice_loop_nothing():
+    """A count of bytecodes, not a timing: a run of skipped macroblocks is
+    one record whatever its length.  (Its increment is one more escape code
+    per 33 macroblocks, which is one more turn of the increment loop.)"""
+
+    def opcodes(run):
+        hand = HandPicture(16 * 104, 16, PictureType.B, f_code=_B_CODES)
+        hand.slice(0)
+        hand.mb(fwd=(1, 0), bwd=(0, 1), cbp=32)
+        hand.mb(increment=run + 1, fwd=(1, 0), cbp=32)
+        hand.mb(bwd=(0, 0), cbp=63)  # its header well inside the data
+        data = hand.data()
+        parsed = MacroblockParser(hand.sequence).parse_picture(data)
+        assert (parsed.n_coded, parsed.n_skipped) == (3, run)
+        return _slice_loop_opcodes(data, hand.sequence)
+
+    assert opcodes(10) == opcodes(32)
+    escape = opcodes(10 + 33) - opcodes(10)
+    assert 0 < escape < 60
+    assert opcodes(100) == opcodes(10) + 3 * escape
+
+
+def test_golden_stream_slice_loop_opcodes(capsys):
+    """Printed (``-s``), so that the next change to the loop has its
+    before: the count is exact for one interpreter version."""
+    sequence, pictures = PictureScanner(_GOLDEN_STREAM).scan()
+    total = sum(_slice_loop_opcodes(unit.data, sequence) for unit in pictures)
+    with capsys.disabled():
+        print(
+            f"\nparse_slice_columns: {total} bytecodes for the golden stream's "
+            f"{len(pictures)} pictures (Python {sys.version_info.major}.{sys.version_info.minor})"
+        )
+    assert total > 0
 
 
 def _half_and_half(a, b):

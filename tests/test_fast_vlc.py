@@ -311,3 +311,104 @@ class TestStrideTables:
                     assert fast_vlc._NSYM[row] == 1 and not fast_vlc._EOB[row]
                     cell = fast_vlc._SYM[row].view(np.int8).reshape(-1, 2).tolist()
                     assert cell == [[0, advance]] + [[0, 0]] * 4
+
+
+class TestFusedTables:
+    """The slice loop's one-lookup tables against the single-symbol LUTs
+    its two-step paths read: over every window, the same symbols and the
+    same bit count, or no entry -- exactly where the fused read would leave
+    the window, or the quantiser code is zero."""
+
+    @staticmethod
+    def _symbol(lut, lut_bits, window, width, used):
+        """``(symbol, bits used after it)`` of the code at bit ``used`` of a
+        ``width``-bit ``window``, or ``None``: no code, or not all inside."""
+        rest = (window << used) & ((1 << width) - 1)
+        hit = lut[rest << lut_bits >> width]  # zeros past the window
+        if hit is None or used + hit[1] > width:
+            return None
+        return hit[0], used + hit[1]
+
+    @pytest.mark.parametrize("picture_type", [1, 2, 3])
+    def test_every_header_window(self, picture_type):
+        table = fast_vlc._HEADER[picture_type]
+        type_lut, type_bits = fast_vlc._MB_FLAG_LUTS[picture_type]
+        width = fast_vlc._HEADER_BITS
+        assert len(table) == 1 << width <= 16384
+        seen = set()
+        for w in range(1 << width):
+            expected = None
+            increment = self._symbol(fast_vlc._ADDR_LUT, fast_vlc._ADDR_BITS, w, width, 0)
+            if increment is not None and increment[0] == 1:
+                mb_type = self._symbol(type_lut, type_bits, w, width, increment[1])
+                if mb_type is not None:
+                    flags, used = mb_type
+                    qcode = 0
+                    if flags & fast_vlc.MB_QUANT:
+                        used += 5
+                        qcode = (w >> (width - used)) & 31 if used <= width else 0
+                    if used <= width and (qcode or not flags & fast_vlc.MB_QUANT):
+                        expected = (used, flags, qcode)
+            assert table[w] == expected, w
+            if expected:
+                seen.add(expected[1:])
+        # every type of the picture, and every quantiser code but zero
+        assert {f for f, _ in seen} == {h[0] for h in type_lut if h is not None}
+        assert {q for _, q in seen} == set(range(32))
+
+    @pytest.mark.parametrize(
+        "table, lut, lut_bits",
+        [
+            (fast_vlc._DC_FUSED_LUMA, fast_vlc._DC_LUMA_LUT, fast_vlc._DC_LUMA_BITS),
+            (fast_vlc._DC_FUSED_CHROMA, fast_vlc._DC_CHROMA_LUT, fast_vlc._DC_CHROMA_BITS),
+        ],
+    )
+    def test_every_dc_window(self, table, lut, lut_bits):
+        width = fast_vlc._DC_FUSED_BITS
+        assert len(table) == 1 << width <= 16384
+        sizes = set()
+        for w in range(1 << width):
+            expected = None
+            code = self._symbol(lut, lut_bits, w, width, 0)
+            if code is not None and code[0] + code[1] <= width:
+                size, used = code[0], code[0] + code[1]
+                d = (w >> (width - used)) & ((1 << size) - 1)
+                if size and d < 1 << (size - 1):
+                    d -= (1 << size) - 1
+                expected = (used, d << 17 | 1 << 16 | 1 << 7 | 1)
+                sizes.add(size)
+            assert table[w] == expected, w
+        assert sizes == set(range(8))  # the longer ones take two steps
+        assert fast_vlc._DC_FUSED == (fast_vlc._DC_FUSED_LUMA,) * 4 + (fast_vlc._DC_FUSED_CHROMA,) * 2
+
+    @pytest.mark.parametrize("r_size", range(9))
+    def test_every_motion_window(self, r_size):
+        table = fast_vlc._motion_table(r_size)
+        width = fast_vlc._MOTION_FUSED_BITS
+        assert len(table) == 1 << width <= 16384
+        deltas = set()
+        for w in range(1 << width):
+            expected = None
+            code = self._symbol(fast_vlc._MOTION_LUT, fast_vlc._MOTION_BITS, w, width, 0)
+            if code is not None and code[0] == 0:
+                expected = (code[1], 0)
+            elif code is not None and code[1] + r_size <= width:
+                used = code[1] + r_size
+                residual = (w >> (width - used)) & ((1 << r_size) - 1)
+                a = ((abs(code[0]) - 1) << r_size) + residual + 1
+                expected = (used, a if code[0] > 0 else -a)
+            assert table[w] == expected, w
+            if expected:
+                deltas.add(expected[1])
+                # and the two-step decoder reads the same from the same bits
+                br = BitReader((w << 20).to_bytes(4, "big"))
+                assert fast_vlc.decode_motion_delta(br, r_size) == expected[1]
+                assert br.pos == expected[0]
+        f = 1 << r_size
+        assert deltas >= set(range(-f, f + 1))
+        if r_size <= 1:
+            assert deltas == set(range(-16 * f, 16 * f + 1))
+
+    def test_f_code_zero_has_no_fused_motion(self):
+        """Its ``ValueError`` is the two-step path's to raise."""
+        assert set(fast_vlc._motion_table(-1)) == {None}
