@@ -387,6 +387,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from repro.mpeg2 import native_walk
     from repro.mpeg2.parser import MacroblockParser, PictureScanner
 
     stream = _load_stream(args.input)
@@ -395,6 +396,7 @@ def cmd_info(args) -> int:
         f"{sequence.width}x{sequence.height} @ {sequence.frame_rate:g} fps, "
         f"{len(pictures)} coded pictures, {len(stream)} bytes"
     )
+    print(f"parse engine: {native_walk.engine()}")
     if args.pictures:
         parser = MacroblockParser(sequence)
         for unit in pictures:

@@ -135,8 +135,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             # a few ms after a fork, interpreter boot plus every import for
             # ``python -m``.  ``inherited_fds`` is what it was handed beyond
             # stdio: a leaked socket would keep a dead peer's connection
-            # open, so the list must be empty.
-            started = {"pid": os.getpid(), "role": role_kind(name)}
+            # open, so the list must be empty.  ``parse_engine`` is the slice
+            # walk this process parses with.
+            from repro.mpeg2.native_walk import engine  # every role's parser loaded it
+
+            started = {"pid": os.getpid(), "role": role_kind(name), "parse_engine": engine()}
             age = _process_age_s()
             if age is not None:
                 started["import_s"] = round(age, 3)

@@ -199,10 +199,12 @@ def reconstruct_picture(
         missing = expected - int(covered[:expected].sum())
         if missing:
             raise ValueError(f"picture is missing {missing} macroblocks")
+        # ... so every sample will be written: nothing to fill first
         rows = None
+        out = Frame.uninitialised(sequence.width, sequence.height)
     else:
         rows = parsed.rows_in(rect)
-    out = Frame.blank(sequence.width, sequence.height)
+        out = Frame.blank(sequence.width, sequence.height)  # outside stays blank
     matrices = matrices or QuantMatrices.from_sequence(sequence)
     timers = timers if timers is not None else StageTimes()
     with timers.stage("plan"):

@@ -8,10 +8,17 @@ codes stored as sentinel entries, the address-increment escape folded into
 its table — and decodes against a wide cached bit window, so a symbol
 costs a shift, a mask, and one list index.
 
-Two consumers decode against these tables.  The runtime's full-picture
-parse is :func:`parse_slice_columns` below: one function per slice with the
-whole macroblock layer inline, writing rows of ints (``parser.PictureColumns``
-once frozen) instead of objects; it consults no switch.  It walks the
+Three consumers decode against these tables.  The full-picture parse is
+:func:`parse_slice_columns` below: one function per slice with the whole
+macroblock layer inline, writing rows of ints (``parser.PictureColumns``
+once frozen) instead of objects.  It is the *specification* of the slice
+walk: where a C compiler is, ``repro.mpeg2.native_walk`` runs the same walk
+as ``_walk.c`` -- a port of this function, check for check and record for
+record, against this module's single-symbol and stride tables (flattened
+below by :func:`_flat_lut`; nothing is restated in C) -- and this function
+stays byte for byte what it was: the reference the kernel is differentially
+tested against and the engine where there is no compiler.  Neither consults
+a switch.  It walks the
 syntax and computes nothing a later pass over the whole picture can: it
 does not decode run/level codes -- a second set of tables, the *stride*
 tables, tells it how many bits the whole symbols of a 16-bit window take,
@@ -22,7 +29,9 @@ of skipped macroblocks as one record, and ``parser._columns`` rebuilds DC
 levels, vectors and skipped rows as segmented prefix sums.  A third set of
 tables, the *fused* ones, answers its common cases in one lookup each: an
 address increment of one with the macroblock type and quantiser, a DC size
-with its differential, a motion code with its residual.  The per-symbol
+with its differential, a motion code with its residual (the kernel does
+without them).  Either engine's records reach the parser as a
+:class:`ColumnArrays`.  The per-symbol
 decoders (``decode_address_increment`` ... ``decode_ac_into``) serve the
 object parser in :mod:`repro.mpeg2.macroblock`, which the tile decoders run
 on sub-picture payloads and the tests keep as the columnar parser's oracle.
@@ -391,6 +400,9 @@ ROW_WIDTH = 7
 #: (``MB_SKIPPED``, forward in a P-picture, the previous macroblock's
 #: directions in a B-picture) and the quantiser_scale_code in force.
 SKIP_WIDTH = 5
+#: One finished slice in ``ColumnLists.slices``: macroblock row,
+#: quantiser_scale_code, coded macroblocks recorded so far.
+SLICE_WIDTH = 3
 
 _WIN_BYTES = 40
 _WIN_BITS = 8 * _WIN_BYTES
@@ -411,6 +423,40 @@ _MB_FLAG_LUTS = {
     1: _build_sym_lut(_packed_flags(T.MB_TYPE_I)),
     2: _build_sym_lut(_packed_flags(T.MB_TYPE_P)),
     3: _build_sym_lut(_packed_flags(T.MB_TYPE_B)),
+}
+
+
+def _flat_lut(mapping: Dict[int, Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_build_sym_lut` as arrays, for the native walk: over every
+    window of the table's width, the symbol it starts with (int16) and the
+    length of that symbol's code (uint8, 0 where no code matches); then the
+    width."""
+    sym = np.fromiter(mapping, dtype=np.int16, count=len(mapping))
+    bits, length = np.array(list(mapping.values())).T
+    width = int(length.max())
+    span = 1 << (width - length)  # the windows each code begins
+    within = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    window = np.repeat(bits * span, span) + within
+    symbols = np.zeros(1 << width, dtype=np.int16)
+    lengths = np.zeros(1 << width, dtype=np.uint8)
+    symbols[window], lengths[window] = np.repeat(sym, span), np.repeat(length, span)
+    return symbols, lengths, width
+
+
+#: The single-symbol tables the slice walk reads, flattened once: address
+#: increment (escape included), motion code, coded block pattern, the two
+#: DC sizes, and per picture type the macroblock_type as ``flags`` bits.
+#: ``repro.mpeg2.native_walk`` hands them to ``_walk.c`` with the stride
+#: tables; no table is written out a second time there.
+_FLAT_ADDR = _flat_lut({**T.MB_ADDRESS_INCREMENT, _ADDR_ESCAPE: T.MB_ESCAPE_CODE})
+_FLAT_MOTION = _flat_lut(T.MOTION_CODE)
+_FLAT_CBP = _flat_lut(T.CODED_BLOCK_PATTERN)
+_FLAT_DC_LUMA = _flat_lut(T.DCT_DC_SIZE_LUMA)
+_FLAT_DC_CHROMA = _flat_lut(T.DCT_DC_SIZE_CHROMA)
+_FLAT_MB_FLAGS = {
+    1: _flat_lut(_packed_flags(T.MB_TYPE_I)),
+    2: _flat_lut(_packed_flags(T.MB_TYPE_P)),
+    3: _flat_lut(_packed_flags(T.MB_TYPE_B)),
 }
 # coded block indices (Y0..Y3, Cb, Cr) for each coded_block_pattern value
 _CBP_BLOCKS = tuple(
@@ -552,7 +598,10 @@ class ColumnLists:
     the non-intra ``1s`` short form, escapes); :func:`expand_entries` turns
     them into columns.  In a picture coded with ``intra_vlc_format`` 1,
     ``t1_spans`` holds ``len(entries)`` at the start and at the end of
-    every intra macroblock: the entries read against table one.
+    every intra macroblock: the entries read against table one.  The loop
+    over the slices adds ``SLICE_WIDTH`` ints to ``slices`` for each one it
+    finishes: its macroblock row, its quantiser_scale_code and the coded
+    macroblocks recorded once it ended.
     """
 
     rows: List[int] = field(default_factory=list)
@@ -560,6 +609,37 @@ class ColumnLists:
     mvd: List[int] = field(default_factory=list)
     entries: List[int] = field(default_factory=list)
     t1_spans: List[int] = field(default_factory=list)
+    slices: List[int] = field(default_factory=list)
+
+    def freeze(self) -> "ColumnArrays":
+        """The lists as arrays: one ``np.fromiter`` each."""
+
+        def frozen(values: List[int], width: int = 1) -> np.ndarray:
+            flat = np.fromiter(values, dtype=np.int64, count=len(values))
+            return flat.reshape(-1, width) if width > 1 else flat
+
+        return ColumnArrays(
+            rows=frozen(self.rows, ROW_WIDTH),
+            skips=frozen(self.skips, SKIP_WIDTH),
+            mvd=frozen(self.mvd),
+            entries=frozen(self.entries),
+            t1_spans=frozen(self.t1_spans),
+            slices=frozen(self.slices, SLICE_WIDTH),
+        )
+
+
+@dataclass
+class ColumnArrays:
+    """One picture's slice walk, frozen: :class:`ColumnLists` as int64
+    arrays, a record a row.  What the native walk fills directly and the
+    only form :func:`expand_entries` and ``parser._columns`` read."""
+
+    rows: np.ndarray  # (coded macroblocks, ROW_WIDTH)
+    skips: np.ndarray  # (skipped runs, SKIP_WIDTH)
+    mvd: np.ndarray
+    entries: np.ndarray
+    t1_spans: np.ndarray
+    slices: np.ndarray  # (slices, SLICE_WIDTH)
 
 
 def parse_slice_columns(
@@ -816,7 +896,7 @@ def _starts(ends: np.ndarray) -> np.ndarray:
     return starts
 
 
-def expand_entries(lists: ColumnLists) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def expand_entries(lists: ColumnArrays) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode ``lists.entries``: ``(coef_pos, coef_level, block_ncoef)``.
 
     ``coef_pos`` is int64 ``block * 64 + scan position`` and ``coef_level``
@@ -831,10 +911,9 @@ def expand_entries(lists: ColumnLists) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     function.  Entries after the last EOB (the slice loop raised inside a
     block) are checked as one more block.
     """
-    e = np.fromiter(lists.entries, dtype=np.int64, count=len(lists.entries))
+    e, spans = lists.entries, lists.t1_spans
     row = e & (2 * _DIRECT - 1)  # the window, or a direct entry's table row
-    if lists.t1_spans:
-        spans = np.array(lists.t1_spans, dtype=np.int64)
+    if len(spans):
         edge = np.zeros(len(e) + 1, dtype=np.int8)
         edge[spans[0::2]] += 1
         edge[spans[1::2]] -= 1  # absent for a macroblock the loop raised in

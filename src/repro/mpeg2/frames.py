@@ -70,6 +70,16 @@ class Frame:
         )
 
     @classmethod
+    def uninitialised(cls, width: int, height: int) -> "Frame":
+        """A frame of whatever the allocator returned, for a caller that
+        will write every sample (and has checked that it will)."""
+        return cls(
+            y=np.empty((height, width), dtype=np.uint8),
+            cb=np.empty((height // 2, width // 2), dtype=np.uint8),
+            cr=np.empty((height // 2, width // 2), dtype=np.uint8),
+        )
+
+    @classmethod
     def from_planes(cls, y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> "Frame":
         return cls(
             y=np.ascontiguousarray(y, dtype=np.uint8),

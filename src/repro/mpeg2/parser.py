@@ -12,10 +12,16 @@ row per macroblock with its flags, vectors, quantiser and bit extents, the
 coded blocks' levels as flat columns, and (unless ``lean``) the predictor
 state at every macroblock boundary: everything plan building, the
 sub-picture builder's State Propagation Headers and the MEI
-pre-calculation need, with no per-macroblock objects.  The slice parser
-walks the syntax and records it raw: where the run/level codes are (one
-list entry per 16-bit window of them), DC differentials, motion deltas, one
-record per run of skipped macroblocks.  What the standard defines serially
+pre-calculation need, with no per-macroblock objects.  The slice walk
+records the syntax raw: where the run/level codes are (one entry per 16-bit
+window of them), DC differentials, motion deltas, one record per run of
+skipped macroblocks.  It has two engines and no switch: ``_walk.c`` through
+:mod:`repro.mpeg2.native_walk` -- one foreign call per picture -- when that
+library could be built or found when this module was imported, and
+otherwise :func:`_walk_python`, the loop over
+:func:`fast_vlc.parse_slice_columns` that the kernel is a port of and is
+tested against.  Both return a :class:`fast_vlc.ColumnArrays`, and
+everything after them is one path.  What the standard defines serially
 is rebuilt here a picture at a time, with numpy: :func:`fast_vlc.expand_entries`
 decodes the windows to positions and levels, and :func:`_columns` turns
 differentials into DC levels and deltas into vectors -- running sums that
@@ -41,7 +47,7 @@ from repro.mpeg2.constants import (
     SEQUENCE_HEADER_CODE,
     is_slice_start_code,
 )
-from repro.mpeg2 import fast_vlc
+from repro.mpeg2 import fast_vlc, native_walk
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.structures import GOPHeader, PictureHeader, SequenceHeader
 
@@ -278,31 +284,20 @@ def _wrap(v: np.ndarray, f16: np.ndarray) -> np.ndarray:
     return (v + f16) % (2 * f16) - f16
 
 
-def _columns(
-    lists: fast_vlc.ColumnLists,
-    picture: PictureHeader,
-    slices: List[Tuple[int, int, int]],
-    lean: bool,
-) -> PictureColumns:
-    """Freeze the slice parser's flat lists into typed columns: decode its
+def _columns(lists: fast_vlc.ColumnArrays, picture: PictureHeader, lean: bool) -> PictureColumns:
+    """Turn the slice walk's records into typed columns: decode its
     coefficient entries (which raises if a run overruns its block), rebuild
-    the predictors the loop did not keep -- DC levels from differentials,
+    the predictors the walk did not keep -- DC levels from differentials,
     motion vectors from deltas, both as segmented prefix sums -- and give
     the skipped macroblocks their rows.
-
-    ``slices[k]`` is slice ``k``'s macroblock row, its quantiser_scale_code
-    and the number of coded macroblocks parsed once it ended.
     """
     coef_pos, coef_level, block_ncoef = fast_vlc.expand_entries(lists)
-    tab = np.array(lists.rows, dtype=np.int64).reshape(-1, fast_vlc.ROW_WIDTH)
-    n_coded = len(tab)
+    n_coded = len(lists.rows)
     coded = np.empty((_LEAN_HEIGHT if lean else _FULL_HEIGHT, n_coded), dtype=np.int64)
-    coded[_ROW] = tab.T  # the one transposing copy: every column contiguous
+    coded[_ROW] = lists.rows.T  # the one transposing copy: every column contiguous
     flags, qscale_code, cbp = coded[1:4]
-    slice_row, slice_qcode, slice_end = np.array(slices, dtype=np.int64).reshape(-1, 3).T
-    skip_at, skip_address, skip_count, skip_flags, skip_qcode = (
-        np.array(lists.skips, dtype=np.int64).reshape(-1, fast_vlc.SKIP_WIDTH).T
-    )
+    slice_row, slice_qcode, slice_end = lists.slices.T
+    skip_at, skip_address, skip_count, skip_flags, skip_qcode = lists.skips.T
     p_picture = picture.picture_type == PictureType.P
     dc_reset = picture.dc_reset
     intra = flags & fast_vlc.MB_INTRA != 0
@@ -334,7 +329,7 @@ def _columns(
     # P-picture after one without a forward vector or a skipped one.
     lost = intra | ~motion[0] if p_picture else intra
     pmv_after = pmv_before = np.zeros((n_coded, 4), dtype=np.int64)
-    if lists.mvd:
+    if len(lists.mvd):
         reset = _carried(lost, first, True)
         if p_picture:
             reset |= fresh
@@ -409,7 +404,7 @@ def _columns(
         body_start=body_start,
         bit_end=bit_end,
         slice_row=np.repeat(slice_row, mb_per_slice),
-        slice_index=np.repeat(np.arange(len(slices), dtype=np.int64), mb_per_slice),
+        slice_index=np.repeat(np.arange(len(slice_row), dtype=np.int64), mb_per_slice),
         first_block=np.cumsum(n_blocks) - n_blocks,
         n_blocks=n_blocks,
         block_slot=np.nonzero(_CBP_SLOTS[cbp])[1],
@@ -557,35 +552,54 @@ class MacroblockParser:
         if code != PICTURE_START_CODE:
             raise BitstreamError("picture unit does not start with picture code")
         header = PictureHeader.parse(br)
-        data, pos = br.data, br.pos
-        lists = fast_vlc.ColumnLists()
-        slices: List[Tuple[int, int, int]] = []  # row, qcode, coded rows so far
-        try:
-            while True:
-                # the next start code, from the next byte boundary
-                at = data.find(b"\x00\x00\x01", (pos + 7) >> 3)
-                if at < 0 or at + 3 >= len(data) or not is_slice_start_code(data[at + 3]):
-                    break
-                row = data[at + 3] - 1
-                if row >= self.mb_height:
-                    raise BitstreamError(f"slice row {row} beyond picture height")
-                # quantiser_scale_code (5 bits), extra_bit_slice; past the
-                # end of the data both read zero, as a BitReader pads
-                head = data[at + 4] if at + 4 < len(data) else 0
-                qcode = head >> 3
-                if qcode == 0:
-                    raise BitstreamError("slice quantiser_scale_code of zero")
-                if head & 4:
-                    raise BitstreamError("extra_information_slice unsupported")
-                pos = fast_vlc.parse_slice_columns(
-                    data, 8 * (at + 4) + 6, row, self.mb_width, qcode, header, lists
-                )
-                slices.append((row, qcode, len(lists.rows) // fast_vlc.ROW_WIDTH))
-        except BitstreamError:
-            # The slice loop leaves run overruns to the expansion: one in a
-            # block before this error is the first error in stream order.
-            # (Nothing else is rebuilt from a half-recorded macroblock.)
-            fast_vlc.expand_entries(lists)
-            raise
-        columns = _columns(lists, header, slices, lean)
+        lists, error = _walk_picture(br.data, br.pos, header, self.mb_width, self.mb_height)
+        if error is not None:
+            if isinstance(error, BitstreamError):
+                # The walk leaves run overruns to the expansion: one in a
+                # block before this error is the first error in stream order.
+                # (Nothing else is rebuilt from a half-recorded macroblock.)
+                fast_vlc.expand_entries(lists)
+            raise error
+        columns = _columns(lists, header, lean)
         return ParsedPicture(header, br.data, self.mb_width, self.mb_height, columns)
+
+
+def _walk_python(
+    data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int
+) -> Tuple[fast_vlc.ColumnArrays, Optional[Exception]]:
+    """The slice walk in Python, :func:`fast_vlc.parse_slice_columns` per
+    slice: the specification of :func:`native_walk.walk_picture`, its
+    differential reference, and the engine where no compiler is.  Same
+    contract: what was recorded, and the error the walk stopped at, if any.
+    """
+    lists = fast_vlc.ColumnLists()
+    error = None
+    try:
+        while True:
+            # the next start code, from the next byte boundary
+            at = data.find(b"\x00\x00\x01", (pos + 7) >> 3)
+            if at < 0 or at + 3 >= len(data) or not is_slice_start_code(data[at + 3]):
+                break
+            row = data[at + 3] - 1
+            if row >= mb_height:
+                raise BitstreamError(f"slice row {row} beyond picture height")
+            # quantiser_scale_code (5 bits), extra_bit_slice; past the
+            # end of the data both read zero, as a BitReader pads
+            head = data[at + 4] if at + 4 < len(data) else 0
+            qcode = head >> 3
+            if qcode == 0:
+                raise BitstreamError("slice quantiser_scale_code of zero")
+            if head & 4:
+                raise BitstreamError("extra_information_slice unsupported")
+            pos = fast_vlc.parse_slice_columns(
+                data, 8 * (at + 4) + 6, row, mb_width, qcode, picture, lists
+            )
+            lists.slices.extend((row, qcode, len(lists.rows) // fast_vlc.ROW_WIDTH))
+    except (BitstreamError, ValueError) as exc:  # ValueError: an f_code of zero
+        error = exc
+    return lists.freeze(), error
+
+
+# Selected by what this process could observe, once: the library loaded or
+# it did not.  No flag, field or variable chooses; tests substitute the name.
+_walk_picture = native_walk.walk_picture if native_walk.LIBRARY is not None else _walk_python

@@ -219,8 +219,9 @@ class TraceReport:
     slo_burns: List[Dict] = field(default_factory=list)
     # cluster workers' lifecycle stamps (wall clock), per process: the
     # supervisor's ``spawn`` and ``child_exit``, the worker's ``start``
-    # (with its ``import_s``) and its first per-picture event
-    lifecycle: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # (with its ``import_s`` and ``parse_engine``) and its first per-picture
+    # event
+    lifecycle: Dict[str, Dict[str, object]] = field(default_factory=dict)
     # the supervisor's ``preload`` (roles, modules, seconds): the imports
     # the first job of a process pays before it forks its workers
     preload: Optional[Dict] = None
@@ -346,13 +347,15 @@ class TraceReport:
             )
         return out
 
-    def cold_start(self) -> Dict[str, Dict[str, Optional[float]]]:
+    def cold_start(self) -> Dict[str, Dict[str, object]]:
         """Where a job's fixed cost goes, per worker: ``spawn_to_start_s``
         (the fork, or interpreter boot and imports for a worker run by hand
         — ``import_s`` is the worker's own age at ``start``),
         ``start_to_first_picture_s`` (connect, handshakes, waiting for
         upstream) and ``last_frame_to_exit_s`` (the collector's last paste
-        until the supervisor reaped the child: drain, trace flush, exit)."""
+        until the supervisor reaped the child: drain, trace flush, exit);
+        and ``parse_engine``, the slice walk the worker said it parses with
+        (``native`` or ``python``, without the path or reason)."""
 
         def gap(a: Optional[float], b: Optional[float]) -> Optional[float]:
             return None if a is None or b is None else b - a
@@ -363,6 +366,7 @@ class TraceReport:
                 "import_s": st.get("import_s"),
                 "start_to_first_picture_s": gap(st.get("start"), st.get("first_picture")),
                 "last_frame_to_exit_s": gap(self.last_frame_ts, st.get("child_exit")),
+                "parse_engine": st.get("parse_engine"),
             }
             for proc, st in self.lifecycle.items()
             if "spawn" in st
@@ -493,6 +497,9 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
             stamps["start"] = ev.ts
             if "import_s" in ev.data:
                 stamps["import_s"] = float(ev.data["import_s"])
+            if "parse_engine" in ev.data:
+                # "native (<path>)" | "python (<reason>)": which, not where
+                stamps["parse_engine"] = str(ev.data["parse_engine"]).split(" ", 1)[0]
         elif ev.event == "preload":
             preload = dict(ev.data)
         elif ev.event == "frame_assembled":
@@ -668,6 +675,7 @@ def render_report(report: TraceReport) -> str:
                 secs(c["import_s"]),
                 secs(c["start_to_first_picture_s"]),
                 secs(c["last_frame_to_exit_s"]),
+                c["parse_engine"] or "-",
             ]
             for proc, c in sorted(cold.items(), key=lambda kv: _proc_rank(kv[0]))
         ]
@@ -677,12 +685,12 @@ def render_report(report: TraceReport) -> str:
             roles = "+".join(report.preload.get("roles", []))
             rows.insert(
                 0,
-                [f"preload {roles}", "-", secs(report.preload.get("seconds")), "-", "-"],
+                [f"preload {roles}", "-", secs(report.preload.get("seconds")), "-", "-", "-"],
             )
         L.append("Cold start and exit (seconds; the job's fixed cost, per worker):")
         L += _table(
             ["proc", "spawn->start", "(import_s)", "start->first picture",
-             "last frame->child_exit"],
+             "last frame->child_exit", "parse engine"],
             rows,
         )
         L.append("")

@@ -39,6 +39,18 @@ def _fresh_channel_rollup():
     reset_closed_channels()
 
 
+@pytest.fixture
+def parse_engine(request, monkeypatch):
+    """Run the test on the slice walk its module names in ``PARSE_ENGINE``
+    (``"native"`` or ``"python"``, see ``tests.oracles.use_parse_engine``).
+    The parser suites opt in with ``usefixtures``; ``tests/
+    test_python_engine.py`` collects the same cases under the other name."""
+    from tests.oracles import use_parse_engine
+
+    use_parse_engine(request.module.PARSE_ENGINE, monkeypatch)
+    return request.module.PARSE_ENGINE
+
+
 @pytest.fixture(scope="session")
 def small_frames():
     """8 frames of 96x64 panning content."""

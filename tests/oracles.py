@@ -13,6 +13,10 @@ compare against:
 - :func:`use_reference_vlc`: the bit-at-a-time :mod:`repro.mpeg2.vlc`
   decoders put under the object parser in place of the ``fast_vlc`` LUT
   decoders it calls;
+- :func:`use_parse_engine`: one of the two slice walks -- the native kernel
+  or the Python loop it is a port of -- put under
+  ``MacroblockParser.parse_picture`` by name, whichever the process would
+  have chosen for itself;
 - :func:`object_parse_picture`: the slice loop over
   :func:`repro.mpeg2.macroblock.parse_macroblock_body` (which the tile
   decoders still run on sub-picture payloads), one ``Macroblock`` +
@@ -33,9 +37,10 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
+import pytest
 
 from repro.bitstream import BitReader, BitstreamError
-from repro.mpeg2 import fast_vlc, plan_codec, vlc
+from repro.mpeg2 import fast_vlc, native_walk, parser as parser_module, plan_codec, vlc
 from repro.mpeg2.constants import (
     PICTURE_START_CODE,
     PictureType,
@@ -189,6 +194,21 @@ def use_reference_vlc(monkeypatch) -> None:
         ("decode_ac_into", _reference_ac_into),
     ):
         monkeypatch.setattr(fast_vlc, name, reference)
+
+
+def use_parse_engine(name: str, monkeypatch) -> None:
+    """Until ``monkeypatch`` is undone, ``parse_picture`` walks slices with
+    the ``"native"`` kernel or the ``"python"`` loop.  ``src/`` has no such
+    switch (it uses the library when it loaded); a test names its engine so
+    that both are exercised where either could serve.  Skips the test when
+    it asks for a kernel this platform could not build."""
+    if name == "python":
+        walk = parser_module._walk_python
+    elif native_walk.LIBRARY is None:
+        pytest.skip(f"no native walk: {native_walk.STATUS}")
+    else:
+        walk = native_walk.walk_picture
+    monkeypatch.setattr(parser_module, "_walk_picture", walk)
 
 
 def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan:

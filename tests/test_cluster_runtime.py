@@ -131,6 +131,10 @@ class TestForkContract:
             assert {p: d[0]["inherited_fds"] for p, d in starts.items()} == {
                 p: [] for p in starts
             }
+        # every worker says which slice walk it parses with
+        from repro.mpeg2 import native_walk
+
+        assert {d[0]["parse_engine"] for d in starts.values()} == {native_walk.engine()}
         # a trace buffer flushed on both sides of a fork would double a line
         lines = (rundir / f"supervisor{TRACE_SUFFIX}").read_text().splitlines()
         spawns = [json.loads(ln) for ln in lines if '"spawn"' in ln]

@@ -37,7 +37,14 @@ from tests.oracles import (
     compile_plans_reference,
     object_parse_picture,
     reference_decode,
+    use_parse_engine,
 )
+
+#: The slice walk under every ``parse_picture`` of this module (conftest's
+#: ``parse_engine``): the C kernel here, and the Python loop it is a port of
+#: in ``tests/test_python_engine.py``, which collects these cases again.
+PARSE_ENGINE = "native"
+pytestmark = pytest.mark.usefixtures("parse_engine")
 
 
 # ---------------------------------------------------------------------- #
@@ -737,16 +744,19 @@ def _opcodes_in(code, fn):
 
 
 def _slice_loop_opcodes(data, sequence):
+    """Counted on the Python engine by name: the loop is what is traced.
+    (Callers take ``monkeypatch`` and put it there.)"""
     parser = MacroblockParser(sequence)
     return _opcodes_in(
         fast_vlc.parse_slice_columns.__code__, lambda: parser.parse_picture(data, lean=True)
     )
 
 
-def test_a_skipped_macroblock_costs_the_slice_loop_nothing():
+def test_a_skipped_macroblock_costs_the_slice_loop_nothing(monkeypatch):
     """A count of bytecodes, not a timing: a run of skipped macroblocks is
     one record whatever its length.  (Its increment is one more escape code
     per 33 macroblocks, which is one more turn of the increment loop.)"""
+    use_parse_engine("python", monkeypatch)
 
     def opcodes(run):
         hand = HandPicture(16 * 104, 16, PictureType.B, f_code=_B_CODES)
@@ -765,9 +775,10 @@ def test_a_skipped_macroblock_costs_the_slice_loop_nothing():
     assert opcodes(100) == opcodes(10) + 3 * escape
 
 
-def test_golden_stream_slice_loop_opcodes(capsys):
+def test_golden_stream_slice_loop_opcodes(capsys, monkeypatch):
     """Printed (``-s``), so that the next change to the loop has its
     before: the count is exact for one interpreter version."""
+    use_parse_engine("python", monkeypatch)
     sequence, pictures = PictureScanner(_GOLDEN_STREAM).scan()
     total = sum(_slice_loop_opcodes(unit.data, sequence) for unit in pictures)
     with capsys.disabled():
@@ -848,12 +859,38 @@ JJI0AYlcwfengAAAAbc=
 _GOLDEN_SHA256 = "4ff9e740a8080d65855cbbf764d05e37031149514e1fdecbda30ef6b81065e83"
 
 
-def test_golden_stream_digest():
-    frames = decode_stream(_GOLDEN_STREAM)
-    assert len(frames) == 4 and all(isinstance(f, Frame) for f in frames)
+def _digest(frames):
     h = hashlib.sha256()
     for f in frames:
         h.update(f.y.tobytes())
         h.update(f.cb.tobytes())
         h.update(f.cr.tobytes())
-    assert h.hexdigest() == _GOLDEN_SHA256
+    return h.hexdigest()
+
+
+def test_golden_stream_digest():
+    frames = decode_stream(_GOLDEN_STREAM)
+    assert len(frames) == 4 and all(isinstance(f, Frame) for f in frames)
+    assert _digest(frames) == _GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("poison", [0x5A, 0xA5])
+def test_a_whole_picture_is_decoded_into_an_unfilled_frame(poison, monkeypatch):
+    """``reconstruct_picture`` without a ``rect`` has proved that every
+    macroblock address is coded once, so it does not fill the frame first:
+    whatever the allocator returned -- here one byte value, then another --
+    no sample of it survives."""
+    cfg = EncoderConfig(gop_size=4, b_frames=1, search_range=3)
+    stream = Encoder(cfg).encode(GENERATORS["broadcast"](64, 48, 4, seed=3))  # I P B P
+    clean = _digest(decode_stream(stream))
+    handed_out = []
+
+    def poisoned(width, height):
+        frame = Frame.blank(width, height, y=poison, c=poison)
+        handed_out.append(frame)
+        return frame
+
+    monkeypatch.setattr(Frame, "uninitialised", poisoned)
+    assert _digest(decode_stream(_GOLDEN_STREAM)) == _GOLDEN_SHA256
+    assert _digest(decode_stream(stream)) == clean
+    assert len(handed_out) == 4 + 4

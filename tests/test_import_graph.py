@@ -228,11 +228,29 @@ def test_only_the_encoder_imports_the_per_macroblock_reconstruction():
     assert importers == {"repro/mpeg2/encoder.py"}
 
 
+def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
+    """``repro.mpeg2.parser`` loads the native slice walk when it is imported
+    (so a supervisor pays once, before it forks).  Compiling is for the one
+    cold start of a checkout: with the library cached -- this process just
+    loaded it -- nothing that builds it is imported."""
+    from repro.mpeg2 import native_walk
+
+    if native_walk.LIBRARY is None:
+        pytest.skip(f"no native walk: {native_walk.STATUS}")
+    modules = modules_after(
+        "from repro.mpeg2 import native_walk, parser\n"
+        "assert native_walk.LIBRARY is not None, native_walk.STATUS"
+    )
+    for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
+        assert builder not in modules, builder
+
+
 def test_the_coefficient_tables_are_not_built_window_by_window():
-    """``fast_vlc`` builds two 65 536-window stride tables when imported.
-    Vectorised, that is a few thousand Python-level calls; a loop that did
-    anything per window would be hundreds of thousands.  A count of profile
-    events, so it reads the same on a slow host."""
+    """``fast_vlc`` builds two 65 536-window stride tables when imported,
+    and flattens its single-symbol tables for the native walk.  Vectorised,
+    that is a few thousand Python-level calls; a loop that did anything per
+    window would be hundreds of thousands.  A count of profile events, so it
+    reads the same on a slow host."""
     script = (
         "import sys\n"
         "import numpy, repro.bitstream, repro.mpeg2.vlc, repro.mpeg2.structures\n"

@@ -73,6 +73,12 @@ class TestHeaderField:
             EncoderConfig(intra_vlc_format=2)
 
 
+#: The slice walk under ``TestEndToEnd`` (conftest's ``parse_engine``);
+#: ``tests/test_python_engine.py`` collects the class again on the other.
+PARSE_ENGINE = "native"
+
+
+@pytest.mark.usefixtures("parse_engine")
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def clip(self):
