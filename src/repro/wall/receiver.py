@@ -20,11 +20,22 @@ A gap (records lost beyond the NACK repair window) poisons the reference
 chain exactly like a dropped P-picture, so the receiver discards state
 and re-tunes at the next anchor-flagged picture; every picture skipped
 while tuning is accounted in the drop ledger.
+
+Receivers that share a process (a test, the benchmark's two tiles, a
+single-box demo) decode one picture at a time: :data:`_DECODE_TURN`.  Under
+the GIL they cannot compute in parallel anyway, only trade it -- parse and
+reconstruction are a few hundred numpy calls a picture, most of which drop
+the GIL, and with a second receiver waiting for it every drop is a handoff
+across cores (measured: ~250 context switches a picture, a third of the
+CPU, and a picture rate that follows the host's wake-up latency).  Taking
+turns a picture at a time, the waiting receiver sleeps on the lock, not on
+the GIL.  One receiver per process -- a wall -- never waits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -53,6 +64,9 @@ from repro.wall.broadcast import (
 from repro.wall.clock import PresentationClock
 from repro.wall.config import WallSpec
 from repro.wall.layout import TileLayout
+
+#: Held while a receiver parses and reconstructs one picture (module docstring).
+_DECODE_TURN = threading.Lock()
 
 
 def expand_rect(rect: Rect, margin_px: int, width: int, height: int) -> Rect:
@@ -229,11 +243,12 @@ class WallReceiver:
         rect = expand_rect(
             tile.coverage, pic.margin_px, self.sequence.width, self.sequence.height
         )
-        parsed = self.parser.parse_picture(pic.data, lean=True)
-        fwd, bwd = self._chain.refs(pic.ptype)
-        frame = reconstruct_picture(
-            parsed, self.sequence, fwd, bwd, rect, self.matrices, self._scratch
-        )
+        with _DECODE_TURN:
+            parsed = self.parser.parse_picture(pic.data, lean=True)
+            fwd, bwd = self._chain.refs(pic.ptype)
+            frame = reconstruct_picture(
+                parsed, self.sequence, fwd, bwd, rect, self.matrices, self._scratch
+            )
         self.decoded += 1
         shown = self._chain.push(pic.ptype, frame)
         if shown is not None:

@@ -134,6 +134,55 @@ class TestWallEndToEnd:
         finally:
             bc.close()
 
+    def test_receivers_in_one_process_decode_one_picture_at_a_time(
+        self, tmp_path, clip_stream, wall_spec, monkeypatch
+    ):
+        """Two receivers inside ``reconstruct_picture`` at once would be
+        trading the GIL at every numpy call; they take turns instead."""
+        import time
+
+        from repro.wall import receiver as receiver_module
+
+        real = receiver_module.reconstruct_picture
+        inside, most = [0], [0]
+
+        def reconstruct(*args, **kwargs):
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+            time.sleep(0.002)  # drops the GIL: anyone allowed in would come
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(receiver_module, "reconstruct_picture", reconstruct)
+        bc = WallBroadcaster(clip_stream, wall_spec, unix_addr(tmp_path), mode="stream")
+        try:
+            layout = wall_spec.to_layout(bc.sequence.width, bc.sequence.height)
+            summaries = {}
+
+            def run_tile(tid):
+                with WallReceiver(bc.control_address, tid) as rx:
+                    summaries[tid] = rx.run(max_wall_s=60.0)
+
+            threads = [
+                threading.Thread(target=run_tile, args=(t,), daemon=True) for t in range(4)
+            ]
+            for t in threads:
+                t.start()
+            bc.sender.wait_subscribers(4, timeout=20.0)
+            bc.run(rate_fps=None)
+            for t in threads:
+                t.join(timeout=60.0)
+            assert most[0] == 1
+            for tid in range(4):
+                assert summaries[tid]["state"] == "done"
+                assert summaries[tid]["digest"] == tile_decode_digest(
+                    clip_stream, layout, tid, start_at=0
+                )
+        finally:
+            bc.close()
+
     def test_late_joiner_tunes_at_next_anchor(
         self, tmp_path, clip_stream, wall_spec
     ):
