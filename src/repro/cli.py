@@ -387,7 +387,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from repro.mpeg2 import native_walk
+    from repro.mpeg2 import native_execute, native_walk
     from repro.mpeg2.parser import MacroblockParser, PictureScanner
 
     stream = _load_stream(args.input)
@@ -397,6 +397,7 @@ def cmd_info(args) -> int:
         f"{len(pictures)} coded pictures, {len(stream)} bytes"
     )
     print(f"parse engine: {native_walk.engine()}")
+    print(f"execute engine: {native_execute.engine()}")
     if args.pictures:
         parser = MacroblockParser(sequence)
         for unit in pictures:

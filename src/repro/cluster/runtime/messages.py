@@ -4,10 +4,11 @@ The channel layer (:mod:`repro.net.channel`) frames every message with a
 type + picture-index header; this module defines the types and how each
 payload is encoded.  The two high-volume payloads — reference-pixel
 blocks and decoded tile frames — use hand-rolled struct + raw-plane
-encodings so the runtime moves pixels, not pickles.  Low-volume control
-payloads (picture units, sequence headers, MEI programs) use pickle:
-every peer is a worker this package spawned itself, so the usual pickle
-trust caveat does not bite.
+encodings so the runtime moves pixels, not pickles, and the sequence
+header travels as its own coded bytes.  The other low-volume control
+payloads (picture units, MEI programs) use pickle: every peer is a worker
+this package spawned itself, so the usual pickle trust caveat does not
+bite.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
 # (repro.net.channel.HEARTBEAT is 0; application types start at 1.)
 
 MSG_HELLO = 1  # dialer -> accepter: who is calling           (json)
-MSG_SEQ = 2  # root -> splitters -> decoders: SequenceHeader  (pickle)
+MSG_SEQ = 2  # root -> splitters -> decoders: SequenceHeader  (its coded bytes)
 MSG_PICTURE = 3  # root -> splitter: one coded picture        (pickle)
 MSG_SUBPICTURE = 4  # splitter -> decoder: SP + MEI program   (struct+pickle)
 MSG_ACK = 5  # decoder -> ANID splitter: picture received     (empty)
@@ -90,11 +91,12 @@ def decode_hello_full(payload: bytes) -> Tuple[str, dict]:
 
 
 def encode_sequence(seq: SequenceHeader) -> bytes:
-    return pickle.dumps(seq, protocol=pickle.HIGHEST_PROTOCOL)
+    return seq.to_bytes()
 
 
 def decode_sequence(payload: bytes) -> SequenceHeader:
-    return pickle.loads(payload)
+    """``BitstreamError`` for anything but one whole coded sequence header."""
+    return SequenceHeader.from_bytes(payload)
 
 
 def encode_picture(nsid: int, unit: PictureUnit, t_ingress: float = 0.0) -> bytes:

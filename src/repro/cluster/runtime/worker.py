@@ -136,10 +136,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             # ``python -m``.  ``inherited_fds`` is what it was handed beyond
             # stdio: a leaked socket would keep a dead peer's connection
             # open, so the list must be empty.  ``parse_engine`` is the slice
-            # walk this process parses with.
+            # walk this process parses with; ``execute_engine``, in the role
+            # that executes plans, what it reconstructs with.
             from repro.mpeg2.native_walk import engine  # every role's parser loaded it
 
             started = {"pid": os.getpid(), "role": role_kind(name), "parse_engine": engine()}
+            if role_kind(name) == "dec":
+                from repro.mpeg2 import native_execute  # its batch_reconstruct loaded it
+
+                started["execute_engine"] = native_execute.engine()
             age = _process_age_s()
             if age is not None:
                 started["import_s"] = round(age, 3)

@@ -31,10 +31,25 @@ IDCT runs over its own input, and the intermediates are as narrow as their
 ranges allow — uint8 predictions, uint16 half-pel sums, int16 residuals
 and sums.
 
+The execute phase has two engines and no switch between them.  Where a C
+compiler is, :mod:`repro.mpeg2.native_execute` (``_execute.c``) does the
+work above around scipy's IDCT with every sample written once: the sparse
+dequantisers place their results straight into the block columns that hold
+a nonzero coefficient, the transform's first pass runs over those columns
+alone, the rounding writes the int16 residual stack, and one foreign call
+per picture predicts each macroblock from the reference planes, adds its
+residual, clips and stores it -- no prediction, accumulator or tile stacks
+at all.  :func:`_execute_numpy`, the body described above, is its
+specification, the reference every execute test runs both against by name
+(``tests/oracles.py::use_execute_engine``), and the engine where no
+compiler is.  :func:`execute_plan` dispatches through ``_execute``, bound
+once at import to the kernel if it loaded.
+
 This module is the execute side.  The plan itself, its builders and its
 bounds checks live in :mod:`repro.mpeg2.plan`, which needs numpy only: a
 process that compiles or ships plans without executing them (a cluster
-splitter) imports that and never loads ``scipy.fft``.
+splitter) imports that and never loads ``scipy.fft`` -- nor builds or maps
+the execute kernel, which importing this module does.
 
 Entropy decoding itself stays serial: VLC parsing is inherently sequential
 (each codeword's position depends on the previous one), which is exactly
@@ -50,7 +65,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.mpeg2 import dct
+from repro.mpeg2 import dct, native_execute
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.plan import (
     BWD,
@@ -341,6 +356,19 @@ def execute_plan(
         return
     if scratch is None:
         scratch = ExecuteScratch()
+    _execute(plan, out, fwd, bwd, scratch)
+
+
+def _execute_numpy(
+    plan: ReconstructionPlan,
+    out: Frame,
+    fwd: Optional[Frame],
+    bwd: Optional[Frame],
+    scratch: ExecuteScratch,
+) -> None:
+    """The execute phase in numpy: the specification of
+    :func:`native_execute.execute_plan`, its differential reference, and the
+    engine where no compiler is.  Same contract: equal frames."""
     res6 = _residual_stacks(plan, scratch)
     res = (_assemble_luma_batch(res6, scratch), res6[:, 4], res6[:, 5])
     views = (_tiled_view(out.y, 16), _tiled_view(out.cb, 8), _tiled_view(out.cr, 8))
@@ -385,3 +413,20 @@ def execute_plan(
     for view, t, p in zip(views, tiles, pred):
         t += p
         _store(view, ey, ex, t)
+
+
+def _execute_native(
+    plan: ReconstructionPlan,
+    out: Frame,
+    fwd: Optional[Frame],
+    bwd: Optional[Frame],
+    scratch: ExecuteScratch,
+) -> None:
+    """The execute phase through ``_execute.c``, the same ``_IDCT_BLOCKS``
+    blocks at a time."""
+    native_execute.execute_plan(plan, out, fwd, bwd, scratch, _IDCT_BLOCKS)
+
+
+# Selected by what this process could observe, once: the library loaded or
+# it did not.  No flag, field or variable chooses; tests substitute the name.
+_execute = _execute_native if native_execute.LIBRARY is not None else _execute_numpy

@@ -39,6 +39,14 @@ def idct(coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     stack is then transformed in its own memory (the same passes, the same
     bits, no second stack) and the caller reads the returned array, not
     ``coeffs``.
+
+    This is the transform's definition for the encoder and every decoder.
+    pocketfft computes it as two 1-D passes, down the columns (axis -2) and
+    then along the rows; the native execute phase
+    (:mod:`repro.mpeg2.native_execute`) makes the same two ``scipy.fft.idct``
+    calls itself so that the first can skip all-zero columns, and is float
+    for float this function only in that order
+    (``tests/test_dct.py::TestTransformSplit``).
     """
     c = np.asarray(coeffs, dtype=np.float64)
     return scipy.fft.idctn(

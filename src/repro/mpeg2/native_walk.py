@@ -4,22 +4,13 @@
 ``MacroblockParser.parse_picture`` and :func:`fast_vlc.parse_slice_columns`
 ported to C: one foreign call per picture, filling numpy buffers with what
 the Python loop appends to its lists.  Importing this module tries to make
-it available, in this order:
-
-1. the library cached beside the source, under a name that carries the
-   machine and the source's CRC-32 (so an edited source is never served by a
-   stale build, and the file is never committed: ``.gitignore``);
-2. on a miss, ``$CC`` or ``cc`` with ``-O2 -shared -fPIC`` (no Python
-   headers), into that cache by an atomic rename -- or, when the package
-   directory cannot be written, into a temporary directory that is removed
-   once the library is mapped;
-3. otherwise nothing: :data:`LIBRARY` is ``None``, :data:`STATUS` says why,
-   and the parser drives the Python loop -- the specification this port is
-   held to, and the only engine on such a platform.
+it available (:func:`repro.mpeg2.native.load`: the cached library, else a
+compile, else nothing).  Without it :data:`LIBRARY` is ``None``,
+:data:`STATUS` says why, and the parser drives the Python loop -- the
+specification this port is held to, and the only engine on such a platform.
 
 There is no switch: which engine serves is what the process could observe
-(:func:`engine` names it for ``repro info`` and the cluster trace).  A
-compiler that *fails* is reported once on stderr; nothing here raises.
+(:func:`engine` names it for ``repro info`` and the cluster trace).
 
 Every call allocates its own buffers and the kernel keeps no state, so
 threads may parse concurrently (ctypes releases the GIL for the call).
@@ -30,74 +21,22 @@ from __future__ import annotations
 import ctypes
 import mmap
 import os
-import sys
-from binascii import crc32
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.bitstream import BitstreamError
-from repro.mpeg2 import fast_vlc, tables as T
+from repro.mpeg2 import fast_vlc, native, tables as T
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.structures import PictureHeader
 from repro.mpeg2.vlc import VLCError
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_walk.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
-
-
-def _compile(target: str) -> Optional[str]:
-    """Build ``_walk.c`` into ``target`` (atomically: compile next to it,
-    then rename).  Returns why not, or ``None``."""
-    import shlex
-    import subprocess
-    import tempfile
-
-    fd, scratch = tempfile.mkstemp(suffix=".tmp", prefix="_walk-", dir=os.path.dirname(target))
-    os.close(fd)
-    try:
-        command = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", scratch, _SOURCE]
-        try:
-            done = subprocess.run(command, capture_output=True, text=True)
-        except OSError:
-            return "no compiler"
-        if done.returncode:
-            output = (done.stderr or done.stdout).strip()
-            print(f"repro: {' '.join(command)} failed; parsing in Python\n{output}", file=sys.stderr)
-            return f"compile failed: {command[0]} exited {done.returncode}"
-        os.replace(scratch, target)
-        return None
-    finally:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
 
 
 def _load() -> Tuple[Optional[ctypes.CDLL], str]:
     """``(the library, its path)``, or ``(None, why there is none)``."""
-    try:
-        with open(_SOURCE, "rb") as source:
-            name = f"_walk-{os.uname().machine}-{crc32(source.read()):08x}.so"
-    except (OSError, AttributeError) as exc:  # no package data; no ``os.uname``
-        return None, f"load failed: {exc}"
-    directory, scratch_dir = os.path.dirname(_SOURCE), None
-    try:
-        if not os.path.exists(os.path.join(directory, name)):
-            if not os.access(directory, os.W_OK):
-                import tempfile
-
-                directory = scratch_dir = tempfile.mkdtemp(prefix="repro-walk-")
-            failure = _compile(os.path.join(directory, name))
-            if failure:
-                return None, failure
-        path = os.path.join(directory, name)
-        return ctypes.CDLL(path), path
-    except OSError as exc:
-        return None, f"load failed: {exc}"
-    finally:
-        if scratch_dir is not None:  # the mapping outlives the file
-            import shutil
-
-            shutil.rmtree(scratch_dir, ignore_errors=True)
+    return native.load(_SOURCE, "parsing in Python")
 
 
 class _Lut(ctypes.Structure):
@@ -142,7 +81,7 @@ if LIBRARY is not None:
 
 def engine() -> str:
     """Which engine parses in this process, and from where or why."""
-    return f"native ({STATUS})" if LIBRARY is not None else f"python ({STATUS})"
+    return native.engine(LIBRARY, STATUS)
 
 
 # _walk.c's return codes, from 1: the exception each raise site of the Python

@@ -174,6 +174,30 @@ class SequenceHeader:
         )
 
 
+    def to_bytes(self) -> bytes:
+        """The header as its own coded bytes (:meth:`write`): how it travels
+        between processes.  What a stream cannot say does not survive the
+        trip -- a ``bit_rate`` of zero is coded, and comes back, as one."""
+        bw = BitWriter()
+        self.write(bw)
+        bw.align()
+        return bw.getvalue()
+
+    @classmethod
+    def from_bytes(cls, payload) -> "SequenceHeader":
+        """Inverse of :meth:`to_bytes`.  The bytes may come off a wire:
+        anything but one whole sequence header, start code first, is a
+        :class:`BitstreamError` -- nothing in them is executed."""
+        data = bytes(payload)
+        if data[:4] != bytes((0, 0, 1, SEQUENCE_HEADER_CODE)):
+            raise BitstreamError("sequence header does not start with its start code")
+        br = BitReader(data, 32)
+        sequence = cls.parse(br)
+        if br.pos > 8 * len(data):  # the reader pads a short buffer with zeros
+            raise BitstreamError("sequence header truncated")
+        return sequence
+
+
 @dataclass
 class GOPHeader:
     """group_of_pictures_header (§6.2.2.6)."""

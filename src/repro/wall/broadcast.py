@@ -5,8 +5,9 @@ application records of a wall broadcast:
 
 - ``W_SEQ`` (sticky): the stream preamble — JSON metadata (raster, fps,
   picture count, wall spec, tune-in anchors, presentation epoch) plus the
-  pickled :class:`~repro.mpeg2.structures.SequenceHeader`.  Sticky, so a
-  late joiner receives it during the SUBSCRIBE handshake.
+  :class:`~repro.mpeg2.structures.SequenceHeader` as its own coded bytes
+  (a receiver parses them; nothing on this wire is unpickled).  Sticky, so
+  a late joiner receives it during the SUBSCRIBE handshake.
 - ``W_PIC``: one coded picture — a fixed header (coded index, picture
   type, GOP flags, decode-closure margin, PTS) followed by the raw coded
   bytes, appended without copying.  The coded bytes are tile-independent,
@@ -35,7 +36,6 @@ and still be bit-identical to a clean decode from that point.
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 import threading
 import time
@@ -109,14 +109,21 @@ def decode_pic_payload(payload: bytes) -> WallPicture:
 
 def encode_seq_payload(meta: Dict, sequence: SequenceHeader) -> bytes:
     blob = json.dumps(meta).encode("utf-8")
-    return struct.pack("<I", len(blob)) + blob + pickle.dumps(sequence)
+    return struct.pack("<I", len(blob)) + blob + sequence.to_bytes()
 
 
 def decode_seq_payload(payload: bytes) -> Tuple[Dict, SequenceHeader]:
+    """Inverse of :func:`encode_seq_payload`; a truncated or damaged payload
+    is a ``ValueError`` or a ``BitstreamError``."""
+    if len(payload) < 4:
+        raise ValueError("W_SEQ payload truncated")
     (n,) = struct.unpack_from("<I", payload)
-    meta = json.loads(payload[4 : 4 + n].decode("utf-8"))
-    sequence = pickle.loads(payload[4 + n :])
-    return meta, sequence
+    if 4 + n > len(payload):
+        raise ValueError("W_SEQ metadata truncated")
+    meta = json.loads(bytes(payload[4 : 4 + n]).decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError("W_SEQ metadata is not an object")
+    return meta, SequenceHeader.from_bytes(payload[4 + n :])
 
 
 # --------------------------------------------------------------------- #

@@ -51,6 +51,19 @@ def parse_engine(request, monkeypatch):
     return request.module.PARSE_ENGINE
 
 
+@pytest.fixture
+def execute_engine(request, monkeypatch):
+    """Run the test on the execute phase its module names in
+    ``EXECUTE_ENGINE`` (``"native"`` or ``"python"``, see
+    ``tests.oracles.use_execute_engine``).  ``tests/test_batch_reconstruct.py``
+    opts in with ``usefixtures``; ``tests/test_python_execute.py`` collects the
+    same cases under the other name."""
+    from tests.oracles import use_execute_engine
+
+    use_execute_engine(request.module.EXECUTE_ENGINE, monkeypatch)
+    return request.module.EXECUTE_ENGINE
+
+
 @pytest.fixture(scope="session")
 def small_frames():
     """8 frames of 96x64 panning content."""

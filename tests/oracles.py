@@ -17,6 +17,9 @@ compare against:
   or the Python loop it is a port of -- put under
   ``MacroblockParser.parse_picture`` by name, whichever the process would
   have chosen for itself;
+- :func:`use_execute_engine`: likewise one of the two execute phases -- the
+  native kernel around scipy's IDCT or the numpy body it is a port of -- put
+  under ``batch_reconstruct.execute_plan`` by name;
 - :func:`object_parse_picture`: the slice loop over
   :func:`repro.mpeg2.macroblock.parse_macroblock_body` (which the tile
   decoders still run on sub-picture payloads), one ``Macroblock`` +
@@ -40,7 +43,15 @@ import numpy as np
 import pytest
 
 from repro.bitstream import BitReader, BitstreamError
-from repro.mpeg2 import fast_vlc, native_walk, parser as parser_module, plan_codec, vlc
+from repro.mpeg2 import (
+    batch_reconstruct,
+    fast_vlc,
+    native_execute,
+    native_walk,
+    parser as parser_module,
+    plan_codec,
+    vlc,
+)
 from repro.mpeg2.constants import (
     PICTURE_START_CODE,
     PictureType,
@@ -211,6 +222,20 @@ def use_parse_engine(name: str, monkeypatch) -> None:
     monkeypatch.setattr(parser_module, "_walk_picture", walk)
 
 
+def use_execute_engine(name: str, monkeypatch) -> None:
+    """Until ``monkeypatch`` is undone, ``execute_plan`` reconstructs through
+    the ``"native"`` kernel or the ``"python"`` (numpy) body, in the manner of
+    :func:`use_parse_engine`: ``src/`` has no such switch, and a test that
+    asks for a kernel this platform could not build is skipped."""
+    if name == "python":
+        execute = batch_reconstruct._execute_numpy
+    elif native_execute.LIBRARY is None:
+        pytest.skip(f"no native execute: {native_execute.STATUS}")
+    else:
+        execute = batch_reconstruct._execute_native
+    monkeypatch.setattr(batch_reconstruct, "_execute", execute)
+
+
 def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan:
     """:class:`PlanBuilder` over the items of ``parsed`` (or ``members``)."""
     builder = PlanBuilder(
@@ -314,5 +339,6 @@ __all__ = [
     "dense_scans",
     "object_parse_picture",
     "reference_decode",
+    "use_execute_engine",
     "use_reference_vlc",
 ]

@@ -7,6 +7,13 @@ difference is speed.  Golden tests pin the session streams;
 the hypothesis test sweeps random GOP structures (I/P/B mixes, skipped
 macroblocks from frozen content, partial slices wherever a 2x2 tiling cuts
 a slice mid-row) through both the sequential decoder and the tiled wall.
+
+``execute_plan`` has two engines -- the native kernel around scipy's IDCT
+where it could be built, the numpy body otherwise -- and ``src/`` no switch
+between them: this module names the kernel (conftest's ``execute_engine``
+reads ``EXECUTE_ENGINE`` from the collecting module) and
+``tests/test_python_execute.py`` collects the same cases on the numpy body,
+so both meet every oracle here whichever one serves.
 """
 
 import sys
@@ -16,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.mpeg2 import batch_reconstruct, dct
+from repro.mpeg2 import batch_reconstruct, dct, plan_codec
 from repro.mpeg2.batch_reconstruct import (
     ExecuteScratch,
     _predict_plane_batch,
@@ -28,7 +35,7 @@ from repro.mpeg2.decoder import Decoder
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
 from repro.mpeg2.macroblock import Macroblock
-from repro.mpeg2.motion import predict_plane
+from repro.mpeg2.motion import Rect, predict_plane
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.mpeg2.plan import PlanBuilder, QuantMatrices, narrow_levels, plan_from_columns
 from repro.mpeg2.reconstruct import reconstruct_macroblock
@@ -37,6 +44,9 @@ from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
 from tests.oracles import reference_decode
+
+EXECUTE_ENGINE = "native"
+pytestmark = pytest.mark.usefixtures("execute_engine")
 
 
 def assert_frames_equal(a, b, context=""):
@@ -51,6 +61,30 @@ def _decode_both(stream):
     bat = Decoder().decode(stream)
     assert len(ref) == len(bat)
     return ref, bat
+
+
+class NamedScratch(ExecuteScratch):
+    """Remembers which buffers were taken from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken = set()
+
+    def take(self, name, shape, dtype):
+        self.taken.add(name)
+        return super().take(name, shape, dtype)
+
+
+def test_the_engine_this_module_names_is_the_one_that_executes(execute_engine, small_stream):
+    sequence, plans = _stream_plans(small_stream)
+    scratch = NamedScratch()
+    _execute_all(sequence, plans, scratch)
+    if execute_engine == "native":
+        assert batch_reconstruct._execute is batch_reconstruct._execute_native
+        assert scratch.taken == {"res", "coeffs", "lines", "slots"}
+    else:
+        assert batch_reconstruct._execute is batch_reconstruct._execute_numpy
+        assert {"res", "coeffs", "res_y", "acc"} < scratch.taken
 
 
 # ---------------------------------------------------------------------- #
@@ -460,6 +494,97 @@ def test_range_ends_match_the_per_macroblock_oracle(intra_first, fwd_level, bwd_
     got = Frame.blank(w, h)
     execute_plan(plan, got, fwd, bwd, PoisonedScratch())
     assert_frames_equal(got, want, "saturating picture")
+
+
+def test_every_half_pel_fraction_at_every_raster_edge():
+    """Through ``execute_plan``: each macroblock of the border of a raster
+    (and one inside), each half-pel fraction pair, forward, backward and
+    both, with the read window flush against the raster's edge where the
+    macroblock touches one -- against the per-macroblock oracle."""
+    mb_w, mb_h = 4, 3
+    w, h = 16 * mb_w, 16 * mb_h
+    rng = np.random.default_rng(7)
+    fwd, bwd = (
+        Frame(
+            rng.integers(0, 256, (h, w), dtype=np.uint8),
+            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+            rng.integers(0, 256, (h // 2, w // 2), dtype=np.uint8),
+        )
+        for _ in range(2)
+    )
+    for fy in (0, 1):
+        for fx in (0, 1):
+            for forward, backward in ((True, False), (False, True), (True, True)):
+                mbs = []
+                for address in range(mb_w * mb_h):
+                    mb_x, mb_y = address % mb_w, address // mb_w
+                    # a window one sample wider than the tile: inward at
+                    # the far edges, flush against them; outward elsewhere
+                    mv = (-fx if mb_x == mb_w - 1 else fx, -fy if mb_y == mb_h - 1 else fy)
+                    mbs.append(
+                        Macroblock(
+                            address=address, motion_forward=forward, motion_backward=backward,
+                            mv_fwd=mv if forward else None, mv_bwd=mv if backward else None,
+                            qscale_code=8,
+                        )
+                    )
+                builder = PlanBuilder(PictureType.B, mb_w, w, h)
+                builder.add_all(mbs)
+                want = Frame.blank(w, h)
+                for mb in mbs:
+                    reconstruct_macroblock(mb, PictureType.B, want, fwd, bwd, mb_w)
+                got = Frame.blank(w, h)
+                execute_plan(builder.build(), got, fwd, bwd, PoisonedScratch())
+                assert_frames_equal(got, want, f"fraction ({fx},{fy}) {forward} {backward}")
+
+
+def test_plans_decoded_from_the_wire_execute_as_read_only_views(small_stream):
+    """``plan_codec.decode_plan`` hands out read-only views into the payload:
+    the execute phase reads them where they lie."""
+    sequence, plans = _stream_plans(small_stream)
+    matrices = QuantMatrices.from_sequence(sequence)
+    shipped = []
+    for i, plan in enumerate(plans):
+        wire = plan_codec.encode_plan_bytes(
+            plan_codec.TilePlan(i, 0, plan.picture_type, 0, 0, plan)
+        )
+        decoded = plan_codec.decode_plan(wire, matrices)[0].plan
+        assert not decoded.mb_mv.flags.writeable and not decoded.coef_level.flags.writeable
+        shipped.append(decoded)
+    assert _execute_all(sequence, shipped, PoisonedScratch()) == _execute_all(sequence, plans)
+
+
+def test_rect_plans_equal_the_whole_picture_inside_the_rect(small_stream):
+    """A plan over the rows that intersect a rectangle (what ``rect=`` and a
+    wall receiver's partition build) writes those macroblocks as the whole
+    picture's plan does, and nothing else."""
+    sequence, pictures = PictureScanner(small_stream).scan()
+    parser = MacroblockParser(sequence)
+    matrices = QuantMatrices.from_sequence(sequence)
+    parsed = [parser.parse_picture(unit.data) for unit in pictures]
+    w, h = sequence.width, sequence.height
+    whole = _execute_all(
+        sequence, [plan_from_columns(p, w, h, matrices) for p in parsed]
+    )
+    rect = Rect(20, 10, 70, 40)  # macroblock columns 1-4, rows 0-2
+    x0, y0, x1, y1 = 16, 0, 80, 48
+    held = prev = None
+    for p, full in zip(parsed, whole):
+        plan = plan_from_columns(p, w, h, matrices, p.rows_in(rect))
+        assert 0 < plan.n_macroblocks < p.mb_width * p.mb_height
+        out = Frame.blank(w, h, y=99, c=77)
+        if plan.picture_type == PictureType.B:
+            execute_plan(plan, out, prev, held)
+        else:
+            execute_plan(plan, out, held if plan.picture_type == PictureType.P else None, None)
+            prev, held = held, full
+        assert np.array_equal(out.y[y0:y1, x0:x1], full.y[y0:y1, x0:x1])
+        assert np.array_equal(out.cb[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2],
+                              full.cb[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2])
+        out.y[y0:y1, x0:x1] = 99
+        out.cb[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] = 77
+        out.cr[y0 // 2 : y1 // 2, x0 // 2 : x1 // 2] = 77
+        assert out == Frame.blank(w, h, y=99, c=77)
 
 
 def test_two_tile_decoders_on_two_threads_share_nothing(small_stream):

@@ -214,11 +214,16 @@ class TestInfoAndStreams:
         out = capsys.readouterr().out
         assert "8 coded pictures" in out
         assert " I " in out
-        # which slice walk serves, and from where or why not
-        from repro.mpeg2 import native_walk
+        # which slice walk and which execute phase serve, and from where or
+        # why not
+        from repro.mpeg2 import native_execute, native_walk
 
-        assert f"parse engine: {native_walk.engine()}\n" in out
-        assert native_walk.engine().split(" ")[0] in ("native", "python")
+        assert (
+            f"parse engine: {native_walk.engine()}\n"
+            f"execute engine: {native_execute.engine()}\n"
+        ) in out
+        for engine in (native_walk.engine(), native_execute.engine()):
+            assert engine.split(" ")[0] in ("native", "python")
 
     def test_streams_listing(self, capsys):
         assert main(["streams"]) == 0

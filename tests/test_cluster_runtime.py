@@ -131,10 +131,14 @@ class TestForkContract:
             assert {p: d[0]["inherited_fds"] for p, d in starts.items()} == {
                 p: [] for p in starts
             }
-        # every worker says which slice walk it parses with
-        from repro.mpeg2 import native_walk
+        # every worker says which slice walk it parses with, and the ones
+        # that execute plans what they execute them with
+        from repro.mpeg2 import native_execute, native_walk
 
         assert {d[0]["parse_engine"] for d in starts.values()} == {native_walk.engine()}
+        assert {p: d[0].get("execute_engine") for p, d in starts.items()} == {
+            p: native_execute.engine() if p.startswith("dec") else None for p in starts
+        }
         # a trace buffer flushed on both sides of a fork would double a line
         lines = (rundir / f"supervisor{TRACE_SUFFIX}").read_text().splitlines()
         spawns = [json.loads(ln) for ln in lines if '"spawn"' in ln]

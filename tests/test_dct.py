@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,6 +44,74 @@ class TestTransform:
         want = dct.idct(coeffs)
         assert np.array_equal(coeffs, kept)  # the default leaves its input alone
         assert np.array_equal(dct.idct(kept, overwrite=True), want)
+
+
+def _single_coefficient_stacks():
+    """All 64 positions x all 4 096 twelve-bit values, a position at a time."""
+    values = np.arange(dct.COEFF_MIN, dct.COEFF_MAX + 1, dtype=np.float64)
+    for position in range(64):
+        stack = np.zeros((len(values), 64))
+        stack[:, position] = values
+        yield stack.reshape(-1, 8, 8)
+
+
+def _random_stacks(n_blocks, density, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(0, n_blocks, 4096):
+        levels = rng.integers(dct.COEFF_MIN, dct.COEFF_MAX + 1, (4096, 8, 8))
+        yield np.where(rng.random((4096, 8, 8)) < density, levels, 0).astype(np.float64)
+
+
+class TestTransformSplit:
+    """The native execute phase (``repro.mpeg2.native_execute``) does not
+    call ``dct.idct``: it runs scipy's 1-D IDCT down the block columns that
+    hold a nonzero coefficient, scatters them into a zeroed stack and runs it
+    along the rows.  That is ``dct.idct`` float for float -- as bit patterns,
+    not to a tolerance -- only because pocketfft's ``idctn`` makes the same
+    two passes in that order; a scipy that did otherwise must fail here, not
+    as a wrong digest in the field."""
+
+    @staticmethod
+    def _columns_then_rows(stack):
+        lines = stack.transpose(0, 2, 1)  # (block, column, row)
+        held = lines.any(axis=-1)
+        assert 0 < held.sum() <= held.size
+        piece = np.zeros_like(stack)
+        piece.transpose(0, 2, 1)[held] = scipy.fft.idct(
+            np.ascontiguousarray(lines[held]), axis=-1, norm="ortho", overwrite_x=True
+        )
+        return scipy.fft.idct(piece, axis=-1, norm="ortho", overwrite_x=True)
+
+    @staticmethod
+    def _same_bits(a, b):
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "stacks",
+        [
+            pytest.param(_single_coefficient_stacks, id="single-coefficient"),
+            pytest.param(lambda: _random_stacks(400_000, 4 / 64, 11), id="sparse"),
+            pytest.param(lambda: _random_stacks(100_000, 1.0, 12), id="dense"),
+        ],
+    )
+    def test_compacted_column_pass_then_row_pass_is_idct_bit_for_bit(self, stacks):
+        for stack in stacks():
+            assert self._same_bits(self._columns_then_rows(stack), dct.idct(stack))
+
+    def test_rows_then_columns_is_not(self):
+        """Which is why the kernel compacts columns and not rows: the other
+        order is the same transform to a tolerance and another one in the
+        last place (about half the words of dense blocks), so it could move
+        a sample that falls within an ulp of a half across the rounding."""
+        differing = 0
+        for stack in _random_stacks(20_000, 1.0, 12):
+            swapped = scipy.fft.idct(
+                scipy.fft.idct(stack, axis=-1, norm="ortho"), axis=-2, norm="ortho"
+            )
+            want = dct.idct(stack)
+            assert np.allclose(swapped, want, atol=1e-9)
+            differing += int((swapped.view(np.uint64) != want.view(np.uint64)).sum())
+        assert differing > 0
 
 
 class TestQuantization:

@@ -111,17 +111,22 @@ def test_no_worker_loads_what_only_the_driver_side_needs(role_modules, role):
 
 @pytest.mark.parametrize("role", ["root", "split"])
 def test_root_and_splitter_stay_off_scipy_and_small(role_modules, role):
-    """Neither ever runs an IDCT: no ``scipy``, no execute side, and about
-    250 modules where importing everything was 601."""
+    """Neither ever runs an IDCT: no ``scipy``, no execute side -- so its
+    kernel is never built or mapped there, only the slice walk's, through
+    the loader they share -- and about 250 modules where importing
+    everything was 601."""
     modules = role_modules[role]
     assert not loaded(modules, "scipy"), loaded(modules, "scipy")[:5]
     assert "repro.mpeg2.dct" not in modules
     assert "repro.mpeg2.batch_reconstruct" not in modules
+    assert "repro.mpeg2.native_execute" not in modules
+    assert {"repro.mpeg2.native", "repro.mpeg2.native_walk"} <= modules
     assert len(modules) <= 300, len(modules)
 
 
 def test_decoder_is_the_role_that_loads_the_transform(role_modules):
     assert "repro.mpeg2.batch_reconstruct" in role_modules["dec"]
+    assert "repro.mpeg2.native_execute" in role_modules["dec"]  # and the kernel around it
     assert "scipy.fft" in role_modules["dec"]
 
 
@@ -230,19 +235,33 @@ def test_only_the_encoder_imports_the_per_macroblock_reconstruction():
 
 def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
     """``repro.mpeg2.parser`` loads the native slice walk when it is imported
-    (so a supervisor pays once, before it forks).  Compiling is for the one
-    cold start of a checkout: with the library cached -- this process just
-    loaded it -- nothing that builds it is imported."""
-    from repro.mpeg2 import native_walk
+    and ``repro.mpeg2.batch_reconstruct`` the native execute phase (so a
+    supervisor pays once, before it forks).  Compiling is for the one cold
+    start of a checkout: with the libraries cached -- this process just
+    loaded them -- nothing that builds one is imported."""
+    from repro.mpeg2 import native_execute, native_walk
 
-    if native_walk.LIBRARY is None:
-        pytest.skip(f"no native walk: {native_walk.STATUS}")
+    for module in (native_walk, native_execute):
+        if module.LIBRARY is None:
+            pytest.skip(f"no {module.__name__}: {module.STATUS}")
     modules = modules_after(
         "from repro.mpeg2 import native_walk, parser\n"
         "assert native_walk.LIBRARY is not None, native_walk.STATUS"
     )
     for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
         assert builder not in modules, builder
+    # scipy.fft imports most of those for itself, so for the execute kernel:
+    # what the loader would call is there to be called, and is not
+    modules = modules_after(
+        "import subprocess, tempfile\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a cached kernel was rebuilt')\n"
+        "subprocess.run = tempfile.mkstemp = tempfile.mkdtemp = refuse\n"
+        "from repro.mpeg2 import batch_reconstruct, native_execute\n"
+        "assert native_execute.LIBRARY is not None, native_execute.STATUS\n"
+        "assert batch_reconstruct._execute is batch_reconstruct._execute_native"
+    )
+    assert "shlex" not in modules
 
 
 def test_the_coefficient_tables_are_not_built_window_by_window():

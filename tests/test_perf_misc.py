@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro.mpeg2 import plan_codec
 from repro.mpeg2.batch_reconstruct import ExecuteScratch, execute_plan
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.encoder import Encoder, EncoderConfig
@@ -15,6 +16,8 @@ from repro.perf.costmodel import CostModel
 from repro.wall.layout import TileLayout
 from repro.workloads.streams import TABLE4_STREAMS, stream_by_id
 from repro.workloads.synthetic import moving_pattern_frames
+from tests.oracles import use_execute_engine
+from tests.test_batch_reconstruct import NamedScratch
 
 
 class TestExperimentConfigTables:
@@ -102,7 +105,11 @@ class TestExecuteAllocations:
     # temporaries, index arrays and one group's gathered windows
     SLACK = 128 * 1024
 
-    def test_warm_scratch_allocates_a_fraction_of_a_cold_one(self):
+    @staticmethod
+    def _traced_cold_and_warm(scratch):
+        """Peak traced bytes, above where it started, of a first and a second
+        ``execute_plan`` of a densely coded P picture through ``scratch``;
+        and the plan and the frame it wrote."""
         w, h = 320, 192
         # a fine quantiser: most blocks of the P picture are coded
         stream = Encoder(
@@ -120,23 +127,39 @@ class TestExecuteAllocations:
         ref, out = Frame.blank(w, h), Frame.blank(w, h)
         execute_plan(intra, ref, None, None)
 
-        def traced(scratch):
-            """Peak traced bytes of one call above where it started."""
+        def traced():
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             execute_plan(inter, out, ref, None, scratch)
             return tracemalloc.get_traced_memory()[1] - before
 
-        scratch = ExecuteScratch()
         tracemalloc.start()
         try:
-            cold = traced(scratch)
-            warm = traced(scratch)
+            return traced(), traced(), inter, out
         finally:
             tracemalloc.stop()
+
+    def test_warm_scratch_allocates_a_fraction_of_a_cold_one(self, monkeypatch):
+        use_execute_engine("python", monkeypatch)
+        cold, warm, _plan, out = self._traced_cold_and_warm(ExecuteScratch())
         frame_bytes = out.y.nbytes + out.cb.nbytes + out.cr.nbytes
         assert 4 * warm < cold, (warm, cold)
         assert warm < frame_bytes + self.SLACK, (warm, frame_bytes)
+
+    def test_the_native_path_takes_four_buffers_and_allocates_by_the_plan(self, monkeypatch):
+        """No prediction, accumulator or tile stacks: the kernel predicts
+        from the reference planes and stores into the output.  What a warm
+        call still allocates is a few index words, whatever the raster."""
+        use_execute_engine("native", monkeypatch)
+        scratch = NamedScratch()
+        cold, warm, plan, out = self._traced_cold_and_warm(scratch)
+        assert scratch.taken <= {"res", "coeffs", "lines", "slots"}
+        plan_bytes = sum(
+            getattr(plan, name).nbytes for name, *_ in plan_codec._ARRAYS
+        )
+        frame_bytes = out.y.nbytes + out.cb.nbytes + out.cr.nbytes
+        assert 4 * warm < cold, (warm, cold)
+        assert warm < plan_bytes // 4 and warm < frame_bytes // 8, (warm, plan_bytes, frame_bytes)
 
 
 class TestThreadedCollectorAllocations:

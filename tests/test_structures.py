@@ -1,5 +1,6 @@
 """Header syntax round-trips (sequence, GOP, picture)."""
 
+import numpy as np
 import pytest
 
 from repro.bitstream import BitReader, BitstreamError, BitWriter
@@ -49,6 +50,60 @@ class TestSequenceHeader:
         out = _roundtrip_sequence(seq)
         assert out.bit_rate == 123456
         assert out.vbv_buffer_size == 777
+
+
+def _custom_matrices():
+    rng = np.random.default_rng(5)
+    return (rng.integers(1, 256, (8, 8)).astype(np.int32) for _ in range(2))
+
+
+class TestSequenceHeaderAsBytes:
+    """How the header crosses a process boundary (the cluster's ``MSG_SEQ``,
+    the wall's ``W_SEQ``): its own coded bytes, parsed on the other side."""
+
+    CASES = [
+        SequenceHeader(width=96, height=64, bit_rate=1),
+        SequenceHeader(width=3840, height=2800, frame_rate_code=8, bit_rate=123456,
+                       vbv_buffer_size=777),
+        SequenceHeader(64, 48, bit_rate=9, intra_matrix=next(_custom_matrices())),
+        SequenceHeader(64, 48, bit_rate=9, non_intra_matrix=next(_custom_matrices())),
+        SequenceHeader(64, 48, 5, 9, 112, *_custom_matrices()),
+    ]
+
+    @pytest.mark.parametrize("seq", CASES)
+    def test_roundtrip_through_both_message_layers(self, seq):
+        from repro.cluster.runtime.messages import decode_sequence, encode_sequence
+        from repro.wall.broadcast import decode_seq_payload, encode_seq_payload
+
+        assert SequenceHeader.from_bytes(seq.to_bytes()) == seq
+        assert decode_sequence(encode_sequence(seq)) == seq
+        assert decode_sequence(memoryview(encode_sequence(seq))) == seq
+        meta = {"width": seq.width, "anchors": [0, 6], "name": "w\u00e4ll"}
+        assert decode_seq_payload(encode_seq_payload(meta, seq)) == (meta, seq)
+
+    def test_a_stream_cannot_say_bit_rate_zero(self):
+        out = SequenceHeader.from_bytes(SequenceHeader(64, 48).to_bytes())
+        assert out == SequenceHeader(64, 48, bit_rate=1)
+
+    @pytest.mark.parametrize("seq", CASES[1::3])
+    def test_every_truncation_is_a_bitstream_error(self, seq):
+        coded = seq.to_bytes()
+        for cut in range(len(coded)):
+            with pytest.raises(BitstreamError):
+                SequenceHeader.from_bytes(coded[:cut])
+
+    def test_what_is_not_a_sequence_header_is_refused_not_run(self, tmp_path):
+        import pickle
+
+        class Touch:
+            def __reduce__(self):
+                return (open, (str(tmp_path / "ran"), "w"))
+
+        for payload in (pickle.dumps(Touch()), pickle.dumps(self.CASES[0]), b"", b"\x00" * 40,
+                        b"junk" + self.CASES[0].to_bytes()):
+            with pytest.raises(BitstreamError):
+                SequenceHeader.from_bytes(payload)
+        assert not (tmp_path / "ran").exists()
 
 
 class TestGOPHeader:

@@ -11,10 +11,14 @@ from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.parser import PictureScanner
 from repro.service import ServiceClient, ServiceConfig, WallService
+from repro.bitstream import BitstreamError
+from repro.mpeg2.structures import SequenceHeader
 from repro.wall.broadcast import (
     WallBroadcaster,
     _parse_picture_header,
     decode_margins,
+    decode_seq_payload,
+    encode_seq_payload,
     tune_anchors,
 )
 from repro.wall.clock import PresentationClock
@@ -39,6 +43,36 @@ def wall_spec():
 
 def unix_addr(tmp_path, name="wall.sock"):
     return ("unix", str(tmp_path / name))
+
+
+# --------------------------------------------------------------------- #
+# the W_SEQ payload: JSON and coded header bytes, nothing that executes
+# --------------------------------------------------------------------- #
+
+
+def test_every_byte_mutation_of_a_seq_payload_parses_or_is_refused(clip_stream):
+    """The one record a receiver takes from a multicast group before it has
+    checked anything: whatever a byte of it is changed to, decoding returns
+    a (meta, header) pair or raises ``ValueError`` / ``BitstreamError``."""
+    sequence, _ = PictureScanner(clip_stream).scan()
+    meta = {"width": sequence.width, "height": sequence.height, "anchors": [0, 6, 12]}
+    payload = encode_seq_payload(meta, sequence)
+    assert decode_seq_payload(payload) == (meta, sequence)
+    outcomes = {"parsed": 0, "refused": 0}
+    for at in range(len(payload)):
+        for value in (0x00, 0xFF, payload[at] ^ 0x01, payload[at] ^ 0x80):
+            damaged = payload[:at] + bytes([value]) + payload[at + 1 :]
+            try:
+                got_meta, got = decode_seq_payload(damaged)
+            except (ValueError, BitstreamError):
+                outcomes["refused"] += 1
+            else:
+                assert isinstance(got_meta, dict) and isinstance(got, SequenceHeader)
+                outcomes["parsed"] += 1
+    assert outcomes["parsed"] and outcomes["refused"]
+    for cut in range(len(payload)):
+        with pytest.raises((ValueError, BitstreamError)):
+            decode_seq_payload(payload[:cut])
 
 
 # --------------------------------------------------------------------- #
