@@ -387,7 +387,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from repro.mpeg2 import native_execute, native_walk
+    from repro.mpeg2 import native_columns, native_execute, native_walk
     from repro.mpeg2.parser import MacroblockParser, PictureScanner
 
     stream = _load_stream(args.input)
@@ -398,6 +398,7 @@ def cmd_info(args) -> int:
     )
     print(f"parse engine: {native_walk.engine()}")
     print(f"execute engine: {native_execute.engine()}")
+    print(f"columns engine: {native_columns.engine()}")
     if args.pictures:
         parser = MacroblockParser(sequence)
         for unit in pictures:

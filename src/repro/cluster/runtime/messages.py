@@ -6,9 +6,10 @@ payload is encoded.  The two high-volume payloads — reference-pixel
 blocks and decoded tile frames — use hand-rolled struct + raw-plane
 encodings so the runtime moves pixels, not pickles, and the sequence
 header travels as its own coded bytes.  The other low-volume control
-payloads (picture units, MEI programs) use pickle: every peer is a worker
-this package spawned itself, so the usual pickle trust caveat does not
-bite.
+payload left (MEI programs, inside the sub-picture and plan messages) uses
+pickle: every peer is a worker this package spawned itself, so the usual
+pickle trust caveat does not bite.  Picture units travel as a fixed head,
+the GOP header's own coded bytes and the picture's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.mpeg2.motion import Rect
 from repro.mpeg2.parser import PictureUnit
 from repro.mpeg2.plan import QuantMatrices
 from repro.mpeg2.plan_codec import Buffers, TilePlan
-from repro.mpeg2.structures import SequenceHeader
+from repro.mpeg2.structures import GOPHeader, SequenceHeader
 from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
 
 # ---------------------------- message types ----------------------------- #
@@ -35,7 +36,7 @@ from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
 
 MSG_HELLO = 1  # dialer -> accepter: who is calling           (json)
 MSG_SEQ = 2  # root -> splitters -> decoders: SequenceHeader  (its coded bytes)
-MSG_PICTURE = 3  # root -> splitter: one coded picture        (pickle)
+MSG_PICTURE = 3  # root -> splitter: one coded picture        (struct+coded bytes)
 MSG_SUBPICTURE = 4  # splitter -> decoder: SP + MEI program   (struct+pickle)
 MSG_ACK = 5  # decoder -> ANID splitter: picture received     (empty)
 MSG_BLOCK = 6  # decoder -> decoder: reference pixels         (struct+planes)
@@ -99,20 +100,49 @@ def decode_sequence(payload: bytes) -> SequenceHeader:
     return SequenceHeader.from_bytes(payload)
 
 
-def encode_picture(nsid: int, unit: PictureUnit, t_ingress: float = 0.0) -> bytes:
+# nsid, coded_index, new_gop, t_ingress, bytes of the GOP header that follows
+_PICTURE_HEAD = "<HIBdB"
+
+
+def encode_picture(nsid: int, unit: PictureUnit, t_ingress: float = 0.0) -> Buffers:
     """``t_ingress`` is the root's wall-clock stamp (``time.time()``) taken
     when the picture entered the pipeline — the origin of the end-to-end
     latency measurement.  ``time.time()`` is the one clock every process
     on the same host shares; stamps always travel (they never influence
-    pixels), so the telemetry kill-switch stays bit-identical."""
-    return pickle.dumps((nsid, unit, t_ingress), protocol=pickle.HIGHEST_PROTOCOL)
+    pixels), so the telemetry kill-switch stays bit-identical.
+
+    A buffer list: the head, the unit's GOP header as its own coded bytes
+    (if it opens a GOP with one), and the picture's bytes untouched."""
+    gop = unit.gop.to_bytes() if unit.gop is not None else b""
+    head = struct.pack(
+        _PICTURE_HEAD, nsid, unit.coded_index, bool(unit.new_gop), t_ingress, len(gop)
+    )
+    return [head + gop, memoryview(unit.data)]
 
 
-def decode_picture(payload: bytes) -> Tuple[int, PictureUnit, float]:
-    rec = pickle.loads(payload)
-    if len(rec) == 2:  # legacy 2-tuple: no ingress stamp
-        return rec[0], rec[1], 0.0
-    return rec
+def decode_picture(payload) -> Tuple[int, PictureUnit, float]:
+    """``(nsid, unit, t_ingress)``.  The bytes come off a wire: a payload
+    too short for its head or its GOP header is a ``ValueError``, a GOP
+    header that is not one a ``BitstreamError`` -- nothing in them is
+    executed.  What follows the GOP header is the picture, whatever it is
+    (the parser's to judge)."""
+    payload = memoryview(payload)
+    size = struct.calcsize(_PICTURE_HEAD)
+    if len(payload) < size:
+        raise ValueError(f"picture message of {len(payload)} bytes: shorter than its head")
+    nsid, coded_index, new_gop, t_ingress, gop_bytes = struct.unpack_from(_PICTURE_HEAD, payload)
+    if new_gop > 1:
+        raise ValueError(f"picture message: new_gop flag is {new_gop}")
+    if len(payload) < size + gop_bytes:
+        raise ValueError("picture message: shorter than the GOP header it announces")
+    gop = GOPHeader.from_bytes(payload[size : size + gop_bytes]) if gop_bytes else None
+    unit = PictureUnit(
+        coded_index=coded_index,
+        data=bytes(payload[size + gop_bytes :]),
+        new_gop=bool(new_gop),
+        gop=gop,
+    )
+    return nsid, unit, t_ingress
 
 
 #: Two latency stamps ride every downstream header: ``t_root`` (pipeline

@@ -136,11 +136,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             # ``python -m``.  ``inherited_fds`` is what it was handed beyond
             # stdio: a leaked socket would keep a dead peer's connection
             # open, so the list must be empty.  ``parse_engine`` is the slice
-            # walk this process parses with; ``execute_engine``, in the role
-            # that executes plans, what it reconstructs with.
+            # walk this process parses with; ``columns_engine``, in the roles
+            # that parse pictures and build or check plans, what turns its
+            # records into columns and those into plans; ``execute_engine``,
+            # in the role that executes plans, what it reconstructs with.
             from repro.mpeg2.native_walk import engine  # every role's parser loaded it
 
             started = {"pid": os.getpid(), "role": role_kind(name), "parse_engine": engine()}
+            if role_kind(name) in ("split", "dec"):
+                from repro.mpeg2 import native_columns  # its parser and plan loaded it
+
+                started["columns_engine"] = native_columns.engine()
             if role_kind(name) == "dec":
                 from repro.mpeg2 import native_execute  # its batch_reconstruct loaded it
 

@@ -26,7 +26,11 @@ it records the window and moves on, and :func:`expand_entries` decodes a
 picture's windows with numpy gathers afterwards -- and it keeps no
 predictor: DC differentials and motion deltas are recorded as coded, a run
 of skipped macroblocks as one record, and ``parser._columns`` rebuilds DC
-levels, vectors and skipped rows as segmented prefix sums.  A third set of
+levels, vectors and skipped rows as segmented prefix sums.  (Those two numpy
+passes are specifications in their turn: where the walk is native,
+``_columns.c`` runs both behind it inside the same foreign call, against
+``_NSYM`` / ``_SYM`` / ``_EOB`` below as they are, and
+``tests/test_native_columns.py`` holds it to them array for array.)  A third set of
 tables, the *fused* ones, answers its common cases in one lookup each: an
 address increment of one with the macroblock type and quantiser, a DC size
 with its differential, a motion code with its residual (the kernel does

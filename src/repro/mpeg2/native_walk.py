@@ -70,12 +70,15 @@ def _tables(picture_type: int) -> _Tables:
 #: The library, or ``None``; and its path, or why there is none
 #: (``no compiler`` | ``compile failed: ...`` | ``load failed: ...``).
 LIBRARY, STATUS = _load()
+#: ``walk_picture``'s parameters: the picture unit, its length and the bit to
+#: start at, the tables, ``pic``, the buffers, their capacities, the result.
+WALK_ARGTYPES = [
+    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(_Tables),
+    ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p), ctypes.c_void_p, ctypes.c_void_p,
+]
 if LIBRARY is not None:
     LIBRARY.walk_picture.restype = ctypes.c_int
-    LIBRARY.walk_picture.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(_Tables),
-        ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p), ctypes.c_void_p, ctypes.c_void_p,
-    ]
+    LIBRARY.walk_picture.argtypes = WALK_ARGTYPES
     _TABLES = {int(ptype): _tables(int(ptype)) for ptype in PictureType}
 
 
@@ -142,16 +145,17 @@ def _buffers(nbits: int) -> List[np.ndarray]:
         fast_vlc.SLICE_WIDTH * (nbits // 32 + 1),
     )
     pages = mmap.mmap(-1, 8 * sum(words), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return np.split(np.frombuffer(pages, dtype=np.int64), np.cumsum(words)[:-1])
+    whole, buffers, start = np.frombuffer(pages, dtype=np.int64), [], 0
+    for n in words:
+        buffers.append(whole[start : start + n])
+        start += n
+    return buffers
 
 
-def walk_picture(
-    data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int
-) -> Tuple[fast_vlc.ColumnArrays, Optional[Exception]]:
-    """Walk the slices of picture unit ``data`` from bit ``pos``, the first
-    after its headers.  Returns what was recorded and, if the walk stopped
-    at an error, the exception the Python loop raises there (the records
-    then end where its lists would)."""
+def _prepare(data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int):
+    """``walk_picture``'s arguments for picture unit ``data`` from bit
+    ``pos``; the output buffers and the result words among them; and the
+    arrays the pointers point into, which the caller keeps for the call."""
     if pos < 0:
         raise ValueError("negative bit position")  # the kernel trusts it
     view = np.frombuffer(data, dtype=np.uint8)
@@ -167,13 +171,34 @@ def walk_picture(
     )
     capacity = np.array([len(b) for b in buffers], dtype=np.int64)
     result = np.zeros(len(buffers) + 2, dtype=np.int64)
-    code = LIBRARY.walk_picture(
+    arguments = (
         view.ctypes.data, len(view), pos, _TABLES[picture.picture_type], pic.ctypes.data,
         (ctypes.c_void_p * len(buffers))(*[b.ctypes.data for b in buffers]),
         capacity.ctypes.data, result.ctypes.data,
     )
-    *written, error_pos, aux = result.tolist()
-    rows, skips, mvd, entries, t1_spans, slices = (b[:n] for b, n in zip(buffers, written))
+    return arguments, buffers, result, (view, pic, capacity)
+
+
+def error(code: int, result: np.ndarray) -> Exception:
+    """The exception the Python loop raises where the kernel returned
+    ``code`` (from 1), from the position and detail in its result words."""
+    exception, text = _ERRORS[code - 1]
+    error_pos, aux = result[-2:].tolist()
+    return exception(text.format(pos=error_pos, aux=aux))
+
+
+def walk_picture(
+    data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int
+) -> Tuple[fast_vlc.ColumnArrays, Optional[Exception]]:
+    """Walk the slices of picture unit ``data`` from bit ``pos``, the first
+    after its headers.  Returns what was recorded and, if the walk stopped
+    at an error, the exception the Python loop raises there (the records
+    then end where its lists would)."""
+    arguments, buffers, result, _alive = _prepare(data, pos, picture, mb_width, mb_height)
+    code = LIBRARY.walk_picture(*arguments)
+    rows, skips, mvd, entries, t1_spans, slices = (
+        b[:n] for b, n in zip(buffers, result.tolist())
+    )
     lists = fast_vlc.ColumnArrays(
         rows=rows.reshape(-1, fast_vlc.ROW_WIDTH),
         skips=skips.reshape(-1, fast_vlc.SKIP_WIDTH),
@@ -182,7 +207,4 @@ def walk_picture(
         t1_spans=t1_spans,
         slices=slices.reshape(-1, fast_vlc.SLICE_WIDTH),
     )
-    if not code:
-        return lists, None
-    exception, text = _ERRORS[code - 1]
-    return lists, exception(text.format(pos=error_pos, aux=aux))
+    return lists, error(code, result) if code else None

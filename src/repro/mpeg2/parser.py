@@ -6,8 +6,7 @@ sequence/GOP headers they travel with).  It does **no** VLC work — that is
 exactly why picture-level splitting is cheap (paper Table 1).
 
 :class:`MacroblockParser` is the second-level splitter's engine: a full VLC
-parse of one coded picture, by the fused slice parser in
-:mod:`repro.mpeg2.fast_vlc`, straight into :class:`PictureColumns` — one
+parse of one coded picture straight into :class:`PictureColumns` -- one
 row per macroblock with its flags, vectors, quantiser and bit extents, the
 coded blocks' levels as flat columns, and (unless ``lean``) the predictor
 state at every macroblock boundary: everything plan building, the
@@ -15,19 +14,26 @@ sub-picture builder's State Propagation Headers and the MEI
 pre-calculation need, with no per-macroblock objects.  The slice walk
 records the syntax raw: where the run/level codes are (one entry per 16-bit
 window of them), DC differentials, motion deltas, one record per run of
-skipped macroblocks.  It has two engines and no switch: ``_walk.c`` through
-:mod:`repro.mpeg2.native_walk` -- one foreign call per picture -- when that
-library could be built or found when this module was imported, and
-otherwise :func:`_walk_python`, the loop over
-:func:`fast_vlc.parse_slice_columns` that the kernel is a port of and is
-tested against.  Both return a :class:`fast_vlc.ColumnArrays`, and
-everything after them is one path.  What the standard defines serially
-is rebuilt here a picture at a time, with numpy: :func:`fast_vlc.expand_entries`
-decodes the windows to positions and levels, and :func:`_columns` turns
-differentials into DC levels and deltas into vectors -- running sums that
-begin again where the standard resets a predictor -- and derives the state
-columns from the same arrays.  It does no pixel reconstruction ("a splitter
-does not motion compensate").
+skipped macroblocks; what the standard defines serially on top of that --
+levels and positions from the windows, DC levels from differentials,
+vectors from deltas, the state before every macroblock -- is rebuilt from
+the records a picture at a time.  It does no pixel reconstruction ("a
+splitter does not motion compensate").
+
+There are two engines and no switch (``_parse``, bound below).  Where the
+libraries could be built or found when this module was imported,
+:func:`_parse_native`: ``_walk.c`` and, chained behind it, ``_columns.c``,
+through :mod:`repro.mpeg2.native_columns` -- **one foreign call per
+picture**, the records never visiting the interpreter.  Otherwise
+:func:`_parse_python`, the specification both kernels are ports of and are
+tested against: :func:`_walk_python`, the loop over
+:func:`fast_vlc.parse_slice_columns`, then numpy --
+:func:`fast_vlc.expand_entries` decodes the windows to positions and levels
+and :func:`_columns` turns differentials into DC levels and deltas into
+vectors, as running sums that begin again where the standard resets a
+predictor, and derives the state columns from the same arrays.  Either
+returns a :class:`PictureColumns` equal to the other's in value, dtype and
+shape, or raises the same exception, and everything after them is one path.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from repro.mpeg2.constants import (
     SEQUENCE_HEADER_CODE,
     is_slice_start_code,
 )
-from repro.mpeg2 import fast_vlc, native_walk
+from repro.mpeg2 import fast_vlc, native_columns, native_walk
 from repro.mpeg2.macroblock import Macroblock
 from repro.mpeg2.structures import GOPHeader, PictureHeader, SequenceHeader
 
@@ -552,16 +558,44 @@ class MacroblockParser:
         if code != PICTURE_START_CODE:
             raise BitstreamError("picture unit does not start with picture code")
         header = PictureHeader.parse(br)
-        lists, error = _walk_picture(br.data, br.pos, header, self.mb_width, self.mb_height)
-        if error is not None:
-            if isinstance(error, BitstreamError):
-                # The walk leaves run overruns to the expansion: one in a
-                # block before this error is the first error in stream order.
-                # (Nothing else is rebuilt from a half-recorded macroblock.)
-                fast_vlc.expand_entries(lists)
-            raise error
-        columns = _columns(lists, header, lean)
+        columns = _parse(br.data, br.pos, header, self.mb_width, self.mb_height, lean)
         return ParsedPicture(header, br.data, self.mb_width, self.mb_height, columns)
+
+
+def _parse_python(
+    data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int, lean: bool
+) -> PictureColumns:
+    """A picture unit's columns from bit ``pos``, the first after its
+    headers: the slice walk, then numpy over its records.  The
+    specification of :func:`_parse_native`, its differential reference, and
+    the engine where no compiler is."""
+    lists, error = _walk_picture(data, pos, picture, mb_width, mb_height)
+    if error is not None:
+        if isinstance(error, BitstreamError):
+            # The walk leaves run overruns to the expansion: one in a
+            # block before this error is the first error in stream order.
+            # (Nothing else is rebuilt from a half-recorded macroblock.)
+            fast_vlc.expand_entries(lists)
+        raise error
+    return _columns(lists, picture, lean)
+
+
+def _parse_native(
+    data: bytes, pos: int, picture: PictureHeader, mb_width: int, mb_height: int, lean: bool
+) -> PictureColumns:
+    """The same through ``_walk.c`` and ``_columns.c``, the second chained
+    behind the first inside one foreign call: equal columns, or the same
+    exception."""
+    return _picture_columns(native_columns.parse_picture(data, pos, picture, mb_width, mb_height, lean))
+
+
+def _picture_columns(fields: dict) -> PictureColumns:
+    """:mod:`native_columns`' arrays by name as a :class:`PictureColumns`."""
+    state = {
+        name.removeprefix("state."): fields.pop(name)
+        for name in [name for name in fields if name.startswith("state.")]
+    }
+    return PictureColumns(**fields, state=StateColumns(**state) if state else None)
 
 
 def _walk_python(
@@ -600,6 +634,11 @@ def _walk_python(
     return lists.freeze(), error
 
 
-# Selected by what this process could observe, once: the library loaded or
-# it did not.  No flag, field or variable chooses; tests substitute the name.
+# Selected by what this process could observe, once: a library loaded or it
+# did not.  No flag, field or variable chooses; tests substitute the names.
 _walk_picture = native_walk.walk_picture if native_walk.LIBRARY is not None else _walk_python
+_parse = (
+    _parse_native
+    if native_walk.LIBRARY is not None and native_columns.LIBRARY is not None
+    else _parse_python
+)

@@ -9,6 +9,17 @@ from the parser's columns) and checking them against a raster
 (:func:`check_staging`, :func:`check_plan`).  The execute side — dequantise,
 IDCT, motion compensation — is :mod:`repro.mpeg2.batch_reconstruct`.
 
+Checking and assembling have two engines and no switch (``_build`` and
+``_check``, bound at the end of the module): ``_columns.c`` through
+:mod:`repro.mpeg2.native_columns` where that library could be built or found
+when this module was imported -- :func:`_build_native`, check and assembly in
+one foreign call, and :func:`_check_native` -- and otherwise numpy's
+:func:`check_staging` + :func:`assemble_plan` over :func:`_check_vectors`,
+the specification the kernel is a port of and is tested against.  Either
+builds a plan equal to the other's in value, dtype and shape, or raises the
+same exception (a refused vector is raised by ``validate_mv`` whichever
+engine found it).
+
 The split is an import boundary as much as a phase boundary: everything here
 is numpy only, so a process that compiles or ships plans but never executes
 one (a cluster splitter, the plan codec, the message layer) does not load the
@@ -23,6 +34,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
+from repro.mpeg2 import native_columns
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.tables import (
     DEFAULT_INTRA_QUANT_MATRIX,
@@ -410,7 +422,7 @@ def check_staging(
     if idx is not None:
         mb_dir, mb_mv, address, intra = mb_dir[idx], mb_mv[idx], address[idx], intra[idx]
     mb_x, mb_y = address % parsed.mb_width, address // parsed.mb_width
-    _check_vectors(mb_x, mb_y, intra, mb_dir, mb_mv, frame_width, frame_height)
+    _check(mb_x, mb_y, intra, mb_dir, mb_mv, frame_width, frame_height)
 
 
 def check_plan(plan: ReconstructionPlan, frame_width: int, frame_height: int) -> None:
@@ -425,7 +437,7 @@ def check_plan(plan: ReconstructionPlan, frame_width: int, frame_height: int) ->
     for name, arr, high in (("mb_x", plan.mb_x, mb_w), ("mb_y", plan.mb_y, mb_h)):
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= high):
             raise ValueError(f"plan.{name} outside [0, {high})")
-    _check_vectors(
+    _check(
         plan.mb_x, plan.mb_y, plan.mb_intra, plan.mb_dir, plan.mb_mv,
         frame_width, frame_height,
     )
@@ -507,5 +519,84 @@ def plan_from_columns(
     idx: Optional[np.ndarray] = None,
 ) -> ReconstructionPlan:
     """Validate (:func:`check_staging`) and build (:func:`assemble_plan`)."""
-    check_staging(parsed, frame_width, frame_height, idx)
+    return _build(parsed, matrices, idx, (frame_width, frame_height))
+
+
+def plan_of_rows(
+    parsed: "ParsedPicture", matrices: QuantMatrices, idx: Optional[np.ndarray] = None
+) -> ReconstructionPlan:
+    """Build (:func:`assemble_plan`) without validating: for a caller that
+    has held the whole picture to :func:`check_staging` and plans it in
+    several selections (the splitter's tiles)."""
+    return _build(parsed, matrices, idx, None)
+
+
+def _build_numpy(
+    parsed: "ParsedPicture",
+    matrices: QuantMatrices,
+    idx: Optional[np.ndarray],
+    raster: Optional[Tuple[int, int]],
+) -> ReconstructionPlan:
+    """The plan of rows ``idx`` of ``parsed``, first held to the ``(width,
+    height)`` ``raster`` if there is one: numpy's :func:`check_staging` and
+    :func:`assemble_plan`.  The specification of :func:`_build_native`, its
+    differential reference, and the engine where no compiler is."""
+    if raster is not None:
+        check_staging(parsed, *raster, idx)
     return assemble_plan(parsed, matrices, idx)
+
+
+def _build_native(
+    parsed: "ParsedPicture",
+    matrices: QuantMatrices,
+    idx: Optional[np.ndarray],
+    raster: Optional[Tuple[int, int]],
+) -> ReconstructionPlan:
+    """The same through ``_columns.c``, check and assembly in one foreign
+    call: an equal plan, or the same exception."""
+    c, hdr = parsed.columns, parsed.header
+    try:
+        arrays, n_intra_blocks, n_res = native_columns.build_plan(
+            c, hdr.picture_type == PictureType.P, parsed.mb_width, parsed.mb_height,
+            idx, raster, _QSCALE_OF_CODE,
+        )
+    except native_columns.StagingRefusal as refusal:  # the first row refused
+        check_staging(parsed, *raster, np.array([refusal.row]))
+        raise AssertionError("native staging check disagreed with validate_mv") from refusal
+    if idx is None:  # as assemble_plan: the columns' own arrays
+        arrays["mb_intra"], arrays["mb_mv"] = c.intra, c.mv
+    return ReconstructionPlan(
+        picture_type=hdr.picture_type,
+        mb_width=parsed.mb_width,
+        matrices=matrices,
+        dc_scaler=hdr.dc_scaler,
+        n_intra_blocks=n_intra_blocks,
+        n_res=n_res,
+        **arrays,
+    )
+
+
+def _check_native(
+    mb_x: np.ndarray,
+    mb_y: np.ndarray,
+    intra: np.ndarray,
+    mb_dir: np.ndarray,
+    mb_mv: np.ndarray,
+    frame_width: int,
+    frame_height: int,
+) -> None:
+    """:func:`_check_vectors` with the test in ``_columns.c``: it names the
+    first macroblock refused, and that function raises about it."""
+    i = native_columns.check_vectors(mb_x, mb_y, intra, mb_dir, mb_mv, frame_width, frame_height)
+    if i is not None:
+        row = slice(i, i + 1)
+        _check_vectors(
+            mb_x[row], mb_y[row], intra[row], mb_dir[row], mb_mv[row], frame_width, frame_height
+        )
+        raise AssertionError("native staging check disagreed with validate_mv")
+
+
+# Selected by what this process could observe, once: the library loaded or
+# it did not.  No flag, field or variable chooses; tests substitute the names.
+_build = _build_native if native_columns.LIBRARY is not None else _build_numpy
+_check = _check_native if native_columns.LIBRARY is not None else _check_vectors

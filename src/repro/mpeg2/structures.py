@@ -219,6 +219,28 @@ class GOPHeader:
         broken = bool(br.read(1))
         return cls(closed_gop=closed, broken_link=broken, time_code=time_code)
 
+    def to_bytes(self) -> bytes:
+        """The header as its own coded bytes (:meth:`write`): how it travels
+        between processes, as :meth:`SequenceHeader.to_bytes`."""
+        bw = BitWriter()
+        self.write(bw)
+        bw.align()
+        return bw.getvalue()
+
+    @classmethod
+    def from_bytes(cls, payload) -> "GOPHeader":
+        """Inverse of :meth:`to_bytes`.  The bytes may come off a wire:
+        anything but one whole GOP header, start code first, is a
+        :class:`BitstreamError` -- nothing in them is executed."""
+        data = bytes(payload)
+        if data[:4] != bytes((0, 0, 1, GROUP_START_CODE)):
+            raise BitstreamError("GOP header does not start with its start code")
+        br = BitReader(data, 32)
+        gop = cls.parse(br)
+        if br.pos > 8 * len(data) or len(data) != (br.pos + 7) // 8:
+            raise BitstreamError("GOP header truncated or followed by other bytes")
+        return gop
+
 
 @dataclass
 class PictureHeader:

@@ -25,8 +25,8 @@ from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
 from repro.mpeg2.parser import MacroblockParser, ParsedMB, ParsedPicture, PictureUnit
 from repro.mpeg2.plan import (
     QuantMatrices,
-    assemble_plan,
     check_staging,
+    plan_of_rows,
     reference_rects,
 )
 from repro.mpeg2.plan_codec import TilePlan
@@ -218,7 +218,7 @@ class MacroblockSplitter:
                 picture_type=hdr.picture_type,
                 n_coded=m - n_sk,
                 n_skipped=n_sk,
-                plan=assemble_plan(parsed, self.matrices, idx),
+                plan=plan_of_rows(parsed, self.matrices, idx),
             )
             if m == 0:
                 continue

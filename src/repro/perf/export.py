@@ -219,8 +219,8 @@ class TraceReport:
     slo_burns: List[Dict] = field(default_factory=list)
     # cluster workers' lifecycle stamps (wall clock), per process: the
     # supervisor's ``spawn`` and ``child_exit``, the worker's ``start``
-    # (with its ``import_s``, ``parse_engine`` and, a decoder's,
-    # ``execute_engine``) and its first per-picture event
+    # (with its ``import_s``, ``parse_engine`` and, by role,
+    # ``columns_engine`` and ``execute_engine``) and its first per-picture event
     lifecycle: Dict[str, Dict[str, object]] = field(default_factory=dict)
     # the supervisor's ``preload`` (roles, modules, seconds): the imports
     # the first job of a process pays before it forks its workers
@@ -354,9 +354,10 @@ class TraceReport:
         ``start_to_first_picture_s`` (connect, handshakes, waiting for
         upstream) and ``last_frame_to_exit_s`` (the collector's last paste
         until the supervisor reaped the child: drain, trace flush, exit);
-        and ``parse_engine`` / ``execute_engine``, the slice walk the worker
-        said it parses with and -- a decoder -- what it executes plans with
-        (``native`` or ``python``, without the path or reason)."""
+        and ``parse_engine`` / ``columns_engine`` / ``execute_engine``, the
+        slice walk the worker said it parses with, what -- in a splitter or a
+        decoder -- builds its columns and plans and what -- in a decoder --
+        executes them (``native`` or ``python``, without the path or reason)."""
 
         def gap(a: Optional[float], b: Optional[float]) -> Optional[float]:
             return None if a is None or b is None else b - a
@@ -368,6 +369,7 @@ class TraceReport:
                 "start_to_first_picture_s": gap(st.get("start"), st.get("first_picture")),
                 "last_frame_to_exit_s": gap(self.last_frame_ts, st.get("child_exit")),
                 "parse_engine": st.get("parse_engine"),
+                "columns_engine": st.get("columns_engine"),
                 "execute_engine": st.get("execute_engine"),
             }
             for proc, st in self.lifecycle.items()
@@ -499,7 +501,7 @@ def build_report(events: Sequence[TraceEvent]) -> TraceReport:
             stamps["start"] = ev.ts
             if "import_s" in ev.data:
                 stamps["import_s"] = float(ev.data["import_s"])
-            for engine in ("parse_engine", "execute_engine"):
+            for engine in ("parse_engine", "columns_engine", "execute_engine"):
                 if engine in ev.data:
                     # "native (<path>)" | "python (<reason>)": which, not where
                     stamps[engine] = str(ev.data[engine]).split(" ", 1)[0]
@@ -680,6 +682,7 @@ def render_report(report: TraceReport) -> str:
                 secs(c["last_frame_to_exit_s"]),
                 c["parse_engine"] or "-",
                 c["execute_engine"] or "-",
+                c["columns_engine"] or "-",
             ]
             for proc, c in sorted(cold.items(), key=lambda kv: _proc_rank(kv[0]))
         ]
@@ -689,12 +692,12 @@ def render_report(report: TraceReport) -> str:
             roles = "+".join(report.preload.get("roles", []))
             rows.insert(
                 0,
-                [f"preload {roles}", "-", secs(report.preload.get("seconds")), "-", "-", "-", "-"],
+                [f"preload {roles}", "-", secs(report.preload.get("seconds")), "-", "-", "-", "-", "-"],
             )
         L.append("Cold start and exit (seconds; the job's fixed cost, per worker):")
         L += _table(
             ["proc", "spawn->start", "(import_s)", "start->first picture",
-             "last frame->child_exit", "parse engine", "execute engine"],
+             "last frame->child_exit", "parse engine", "execute engine", "columns engine"],
             rows,
         )
         L.append("")

@@ -41,7 +41,7 @@ def _fresh_channel_rollup():
 
 @pytest.fixture
 def parse_engine(request, monkeypatch):
-    """Run the test on the slice walk its module names in ``PARSE_ENGINE``
+    """Run the test on the parse engine its module names in ``PARSE_ENGINE``
     (``"native"`` or ``"python"``, see ``tests.oracles.use_parse_engine``).
     The parser suites opt in with ``usefixtures``; ``tests/
     test_python_engine.py`` collects the same cases under the other name."""
@@ -49,6 +49,21 @@ def parse_engine(request, monkeypatch):
 
     use_parse_engine(request.module.PARSE_ENGINE, monkeypatch)
     return request.module.PARSE_ENGINE
+
+
+@pytest.fixture(scope="module")
+def plan_engine(request):
+    """Run the module's tests on the plan engine it names in ``PLAN_ENGINE``
+    (``"native"`` or ``"python"``, see ``tests.oracles.use_plan_engine``).
+    The plan suites opt in with ``usefixtures``; ``tests/
+    test_python_engine.py`` collects the same cases under the other name.
+    Module-scoped, so the suites' module-scoped fixtures (splitters and the
+    plans they compile once) are built under it too."""
+    from tests.oracles import use_plan_engine
+
+    with pytest.MonkeyPatch.context() as patch:
+        use_plan_engine(request.module.PLAN_ENGINE, patch)
+        yield request.module.PLAN_ENGINE
 
 
 @pytest.fixture

@@ -13,10 +13,15 @@ compare against:
 - :func:`use_reference_vlc`: the bit-at-a-time :mod:`repro.mpeg2.vlc`
   decoders put under the object parser in place of the ``fast_vlc`` LUT
   decoders it calls;
-- :func:`use_parse_engine`: one of the two slice walks -- the native kernel
-  or the Python loop it is a port of -- put under
+- :func:`use_parse_engine`: one of the two parse engines -- the native
+  kernels (slice walk and columns, one foreign call) or the Python loop and
+  numpy body they are ports of -- put under
   ``MacroblockParser.parse_picture`` by name, whichever the process would
   have chosen for itself;
+- :func:`use_plan_engine`: likewise one of the two plan engines -- the
+  native kernel or numpy's ``assemble_plan`` + ``_check_vectors`` -- put
+  under ``plan_from_columns``, ``plan_of_rows``, ``check_staging`` and
+  ``check_plan``;
 - :func:`use_execute_engine`: likewise one of the two execute phases -- the
   native kernel around scipy's IDCT or the numpy body it is a port of -- put
   under ``batch_reconstruct.execute_plan`` by name;
@@ -46,9 +51,11 @@ from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import (
     batch_reconstruct,
     fast_vlc,
+    native_columns,
     native_execute,
     native_walk,
     parser as parser_module,
+    plan as plan_module,
     plan_codec,
     vlc,
 )
@@ -208,18 +215,37 @@ def use_reference_vlc(monkeypatch) -> None:
 
 
 def use_parse_engine(name: str, monkeypatch) -> None:
-    """Until ``monkeypatch`` is undone, ``parse_picture`` walks slices with
-    the ``"native"`` kernel or the ``"python"`` loop.  ``src/`` has no such
-    switch (it uses the library when it loaded); a test names its engine so
+    """Until ``monkeypatch`` is undone, ``parse_picture`` parses with the
+    ``"native"`` kernels -- ``_walk.c`` and ``_columns.c`` chained in one
+    foreign call -- or with the ``"python"`` engine, ``_walk_python`` then
+    numpy's ``expand_entries`` + ``_columns``.  ``src/`` has no such switch
+    (it uses the libraries when they loaded); a test names its engine so
     that both are exercised where either could serve.  Skips the test when
-    it asks for a kernel this platform could not build."""
+    it asks for kernels this platform could not build."""
     if name == "python":
-        walk = parser_module._walk_python
-    elif native_walk.LIBRARY is None:
-        pytest.skip(f"no native walk: {native_walk.STATUS}")
+        monkeypatch.setattr(parser_module, "_walk_picture", parser_module._walk_python)
+        monkeypatch.setattr(parser_module, "_parse", parser_module._parse_python)
+        return
+    for module in (native_walk, native_columns):
+        if module.LIBRARY is None:
+            pytest.skip(f"no {module.__name__}: {module.STATUS}")
+    monkeypatch.setattr(parser_module, "_walk_picture", native_walk.walk_picture)
+    monkeypatch.setattr(parser_module, "_parse", parser_module._parse_native)
+
+
+def use_plan_engine(name: str, monkeypatch) -> None:
+    """Until ``monkeypatch`` is undone, plans are checked and assembled by
+    the ``"native"`` kernel (``_columns.c``) or by the ``"python"`` (numpy)
+    bodies, ``check_staging`` + ``assemble_plan`` over ``_check_vectors``,
+    in the manner of :func:`use_parse_engine`."""
+    if name == "python":
+        build, check = plan_module._build_numpy, plan_module._check_vectors
+    elif native_columns.LIBRARY is None:
+        pytest.skip(f"no native columns: {native_columns.STATUS}")
     else:
-        walk = native_walk.walk_picture
-    monkeypatch.setattr(parser_module, "_walk_picture", walk)
+        build, check = plan_module._build_native, plan_module._check_native
+    monkeypatch.setattr(plan_module, "_build", build)
+    monkeypatch.setattr(plan_module, "_check", check)
 
 
 def use_execute_engine(name: str, monkeypatch) -> None:

@@ -214,15 +214,16 @@ class TestInfoAndStreams:
         out = capsys.readouterr().out
         assert "8 coded pictures" in out
         assert " I " in out
-        # which slice walk and which execute phase serve, and from where or
-        # why not
-        from repro.mpeg2 import native_execute, native_walk
+        # which slice walk, which execute phase and which columns-and-plans
+        # kernel serve, and from where or why not
+        from repro.mpeg2 import native_columns, native_execute, native_walk
 
         assert (
             f"parse engine: {native_walk.engine()}\n"
             f"execute engine: {native_execute.engine()}\n"
+            f"columns engine: {native_columns.engine()}\n"
         ) in out
-        for engine in (native_walk.engine(), native_execute.engine()):
+        for engine in (native_walk.engine(), native_execute.engine(), native_columns.engine()):
             assert engine.split(" ")[0] in ("native", "python")
 
     def test_streams_listing(self, capsys):

@@ -131,11 +131,15 @@ class TestForkContract:
             assert {p: d[0]["inherited_fds"] for p, d in starts.items()} == {
                 p: [] for p in starts
             }
-        # every worker says which slice walk it parses with, and the ones
-        # that execute plans what they execute them with
-        from repro.mpeg2 import native_execute, native_walk
+        # every worker says which slice walk it parses with, the ones that
+        # build or check plans what builds them, and the ones that execute
+        # plans what they execute them with
+        from repro.mpeg2 import native_columns, native_execute, native_walk
 
         assert {d[0]["parse_engine"] for d in starts.values()} == {native_walk.engine()}
+        assert {p: d[0].get("columns_engine") for p, d in starts.items()} == {
+            p: None if p == "root" else native_columns.engine() for p in starts
+        }
         assert {p: d[0].get("execute_engine") for p, d in starts.items()} == {
             p: native_execute.engine() if p.startswith("dec") else None for p in starts
         }

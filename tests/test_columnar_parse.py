@@ -40,11 +40,31 @@ from tests.oracles import (
     use_parse_engine,
 )
 
-#: The slice walk under every ``parse_picture`` of this module (conftest's
-#: ``parse_engine``): the C kernel here, and the Python loop it is a port of
-#: in ``tests/test_python_engine.py``, which collects these cases again.
-PARSE_ENGINE = "native"
-pytestmark = pytest.mark.usefixtures("parse_engine")
+#: The engines under every ``parse_picture`` and every plan of this module
+#: (conftest's ``parse_engine`` and ``plan_engine``): the C kernels here, and
+#: the Python loop and numpy bodies they are ports of in ``tests/
+#: test_python_engine.py``, which collects these cases again.
+PARSE_ENGINE = PLAN_ENGINE = "native"
+pytestmark = pytest.mark.usefixtures("parse_engine", "plan_engine")
+
+
+def test_the_engines_this_module_names_are_the_ones_that_serve(request, parse_engine, plan_engine):
+    """No call made while a test of this module runs reaches the other
+    engine: every dispatching name is bound to the named one."""
+    from repro.mpeg2 import parser as parser_module, plan as plan_module
+
+    named = request.module  # this one, or the one that collected its cases
+    assert parse_engine == named.PARSE_ENGINE and plan_engine == named.PLAN_ENGINE
+    suffix = "_native" if parse_engine == "native" else "_python"
+    assert parser_module._parse.__name__ == "_parse" + suffix
+    assert parser_module._walk_picture.__name__ == (
+        "walk_picture" if parse_engine == "native" else "_walk_python"
+    )
+    assert (plan_module._build.__name__, plan_module._check.__name__) == (
+        ("_build_native", "_check_native")
+        if plan_engine == "native"
+        else ("_build_numpy", "_check_vectors")
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -219,7 +239,7 @@ def test_the_differential_reaches_every_syntax_shape():
 
 
 @pytest.fixture(scope="module")
-def small_stream():
+def busy_stream():
     cfg = EncoderConfig(
         gop_size=4, b_frames=1, search_range=3, quant_modulator=_busy_quant,
         slices_per_row=2,
@@ -230,12 +250,12 @@ def small_stream():
     return sequence, pictures[:3]
 
 
-def test_truncation_parity_at_every_byte(small_stream):
+def test_truncation_parity_at_every_byte(busy_stream):
     """Cutting a picture unit after any byte lands in every place a parser
     can run dry: picture header, extension, slice header, increment, type,
     quantiser, vectors, pattern, DC size and differential, run/level codes,
     escapes, and the zero padding before the next start code."""
-    sequence, pictures = small_stream
+    sequence, pictures = busy_stream
     parser = MacroblockParser(sequence)
     matrices = QuantMatrices.from_sequence(sequence)
     raised = set()
@@ -245,8 +265,8 @@ def test_truncation_parity_at_every_byte(small_stream):
     assert {cls.__name__ for cls in raised if cls} >= {"BitstreamError", "VLCError"}
 
 
-def test_bit_flip_parity(small_stream):
-    sequence, pictures = small_stream
+def test_bit_flip_parity(busy_stream):
+    sequence, pictures = busy_stream
     parser = MacroblockParser(sequence)
     matrices = QuantMatrices.from_sequence(sequence)
     rng = random.Random(20260928)
@@ -263,10 +283,10 @@ def test_bit_flip_parity(small_stream):
     assert raised.get(None, 0) > 0  # some flips still parse, to equal output
 
 
-def test_zero_quantiser_and_address_checks(small_stream):
+def test_zero_quantiser_and_address_checks(busy_stream):
     """The checks a flip rarely hits, forced: a slice quantiser of zero and
     a slice placed beyond the last macroblock row."""
-    sequence, pictures = small_stream
+    sequence, pictures = busy_stream
     parser = MacroblockParser(sequence)
     matrices = QuantMatrices.from_sequence(sequence)
     data = pictures[0].data
@@ -279,8 +299,8 @@ def test_zero_quantiser_and_address_checks(small_stream):
         assert assert_same_outcome(bytes(damaged), parser, sequence, matrices) is not None
 
 
-def test_missing_macroblocks_are_reported(small_stream):
-    sequence, pictures = small_stream
+def test_missing_macroblocks_are_reported(busy_stream):
+    sequence, pictures = busy_stream
     parser = MacroblockParser(sequence)
     data = pictures[0].data
     last = data.rindex(b"\x00\x00\x01")
@@ -301,10 +321,10 @@ def test_missing_macroblocks_are_reported(small_stream):
         reconstruct_picture(twice, sequence, None, None)
 
 
-def test_rect_plan_matches_builder_over_the_same_macroblocks(small_stream):
+def test_rect_plan_matches_builder_over_the_same_macroblocks(busy_stream):
     """``reconstruct_rect``'s box mask: the plan over a rect's macroblocks
     is the plan ``PlanBuilder`` makes from exactly those macroblocks."""
-    sequence, pictures = small_stream
+    sequence, pictures = busy_stream
     parser = MacroblockParser(sequence)
     matrices = QuantMatrices.from_sequence(sequence)
     for unit in pictures:
@@ -320,10 +340,10 @@ def test_rect_plan_matches_builder_over_the_same_macroblocks(small_stream):
         )
 
 
-def test_view_blocks_are_read_only_rows_of_the_stack(small_stream):
+def test_view_blocks_are_read_only_rows_of_the_stack(busy_stream):
     """A consumer of ``items`` cannot alter later plans: its blocks are rows
     of the picture's one coefficient stack, and that stack refuses writes."""
-    sequence, pictures = small_stream
+    sequence, pictures = busy_stream
     parsed = MacroblockParser(sequence).parse_picture(pictures[0].data)
     block = next(b for b in parsed.items[0].mb.blocks if b is not None)
     assert np.shares_memory(block, parsed.columns.scans)

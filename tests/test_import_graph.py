@@ -112,16 +112,34 @@ def test_no_worker_loads_what_only_the_driver_side_needs(role_modules, role):
 @pytest.mark.parametrize("role", ["root", "split"])
 def test_root_and_splitter_stay_off_scipy_and_small(role_modules, role):
     """Neither ever runs an IDCT: no ``scipy``, no execute side -- so its
-    kernel is never built or mapped there, only the slice walk's, through
-    the loader they share -- and about 250 modules where importing
-    everything was 601."""
+    kernel is never built or mapped there, only the parser's two (the slice
+    walk, and the columns and plans behind it), through the loader they
+    share -- and about 250 modules where importing everything was 601."""
     modules = role_modules[role]
     assert not loaded(modules, "scipy"), loaded(modules, "scipy")[:5]
     assert "repro.mpeg2.dct" not in modules
     assert "repro.mpeg2.batch_reconstruct" not in modules
     assert "repro.mpeg2.native_execute" not in modules
-    assert {"repro.mpeg2.native", "repro.mpeg2.native_walk"} <= modules
+    assert {
+        "repro.mpeg2.native", "repro.mpeg2.native_walk", "repro.mpeg2.native_columns",
+    } <= modules
     assert len(modules) <= 300, len(modules)
+
+
+def test_the_splitter_maps_the_columns_kernel_and_not_the_execute_kernel():
+    """A kernel is mapped by importing the module that calls it: the
+    splitter's parser and plan side bring ``_walk`` and ``_columns``,
+    nothing there brings ``_execute``."""
+    from repro.mpeg2 import native_columns
+
+    if native_columns.LIBRARY is None:
+        pytest.skip(f"no native columns: {native_columns.STATUS}")
+    mapped = fresh_interpreter(
+        "from repro.cluster.runtime.worker import load_role; load_role('split0')\n"
+        "import re\n"
+        "print(sorted(set(re.findall(r'/(_[a-z]+)-[^/]*[.]so', open('/proc/self/maps').read()))))"
+    )
+    assert mapped == "['_columns', '_walk']"
 
 
 def test_decoder_is_the_role_that_loads_the_transform(role_modules):
@@ -234,19 +252,22 @@ def test_only_the_encoder_imports_the_per_macroblock_reconstruction():
 
 
 def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
-    """``repro.mpeg2.parser`` loads the native slice walk when it is imported
-    and ``repro.mpeg2.batch_reconstruct`` the native execute phase (so a
-    supervisor pays once, before it forks).  Compiling is for the one cold
-    start of a checkout: with the libraries cached -- this process just
-    loaded them -- nothing that builds one is imported."""
-    from repro.mpeg2 import native_execute, native_walk
+    """``repro.mpeg2.parser`` loads the native slice walk and the native
+    columns and plans when it is imported and ``repro.mpeg2.batch_reconstruct``
+    the native execute phase (so a supervisor pays once, before it forks).
+    Compiling is for the one cold start of a checkout: with the libraries
+    cached -- this process just loaded them -- nothing that builds one is
+    imported, and what would build one is there to be called and is not."""
+    from repro.mpeg2 import native_columns, native_execute, native_walk
 
-    for module in (native_walk, native_execute):
+    for module in (native_walk, native_columns, native_execute):
         if module.LIBRARY is None:
             pytest.skip(f"no {module.__name__}: {module.STATUS}")
     modules = modules_after(
-        "from repro.mpeg2 import native_walk, parser\n"
-        "assert native_walk.LIBRARY is not None, native_walk.STATUS"
+        "from repro.mpeg2 import native_columns, native_walk, parser, plan\n"
+        "assert native_walk.LIBRARY is not None, native_walk.STATUS\n"
+        "assert native_columns.LIBRARY is not None, native_columns.STATUS\n"
+        "assert parser._parse is parser._parse_native and plan._build is plan._build_native"
     )
     for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
         assert builder not in modules, builder
@@ -257,7 +278,8 @@ def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
         "def refuse(*args, **kwargs):\n"
         "    raise AssertionError('a cached kernel was rebuilt')\n"
         "subprocess.run = tempfile.mkstemp = tempfile.mkdtemp = refuse\n"
-        "from repro.mpeg2 import batch_reconstruct, native_execute\n"
+        "from repro.mpeg2 import batch_reconstruct, native_columns, native_execute\n"
+        "assert native_columns.LIBRARY is not None, native_columns.STATUS\n"
         "assert native_execute.LIBRARY is not None, native_execute.STATUS\n"
         "assert batch_reconstruct._execute is batch_reconstruct._execute_native"
     )

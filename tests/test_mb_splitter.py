@@ -8,6 +8,12 @@ from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.subpicture import RunRecord, SkipRecord
 from repro.wall.layout import TileLayout
 
+#: What checks and assembles every plan of this module (conftest's
+#: ``plan_engine``): the C kernel here, and the numpy bodies it is a port of
+#: in ``tests/test_python_engine.py``, which collects these cases again.
+PLAN_ENGINE = "native"
+pytestmark = pytest.mark.usefixtures("plan_engine")
+
 
 @pytest.fixture(scope="module")
 def split_setup(small_stream):

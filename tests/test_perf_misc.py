@@ -16,7 +16,7 @@ from repro.perf.costmodel import CostModel
 from repro.wall.layout import TileLayout
 from repro.workloads.streams import TABLE4_STREAMS, stream_by_id
 from repro.workloads.synthetic import moving_pattern_frames
-from tests.oracles import use_execute_engine
+from tests.oracles import use_execute_engine, use_parse_engine, use_plan_engine
 from tests.test_batch_reconstruct import NamedScratch
 
 
@@ -160,6 +160,94 @@ class TestExecuteAllocations:
         frame_bytes = out.y.nbytes + out.cb.nbytes + out.cr.nbytes
         assert 4 * warm < cold, (warm, cold)
         assert warm < plan_bytes // 4 and warm < frame_bytes // 8, (warm, plan_bytes, frame_bytes)
+
+
+class CountingLibrary:
+    """A ``ctypes`` library whose every foreign call is counted by name."""
+
+    def __init__(self, library):
+        self.library = library
+        self.calls = []
+
+    def __getattr__(self, name):
+        function = getattr(self.library, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return function(*args)
+
+        return counted
+
+
+class TestParseAndPlanAllocations:
+    """Between the coded bits and the plan the native engines make two
+    foreign calls and keep nothing but their results: counts of calls and of
+    bytes, not timings.  The numpy bodies' own figures are pinned beside
+    them, so the difference is on record."""
+
+    # the records' Python-side bookkeeping: argument arrays, ctypes structs
+    SLACK = 16 * 1024
+
+    @staticmethod
+    def _traced_warm(engine, monkeypatch):
+        """Peak traced bytes, above where it started, of a warm lean parse +
+        plan of a densely coded P picture on ``engine``; the bytes of the
+        columns and of the plan's own arrays; the foreign calls made."""
+        import dataclasses
+
+        import numpy as np
+
+        from repro.mpeg2 import native_columns, native_walk
+
+        use_parse_engine(engine, monkeypatch)
+        use_plan_engine(engine, monkeypatch)
+        libraries = [CountingLibrary(m.LIBRARY) for m in (native_walk, native_columns)]
+        monkeypatch.setattr(native_walk, "LIBRARY", libraries[0])
+        monkeypatch.setattr(native_columns, "LIBRARY", libraries[1])
+        w, h = 320, 192
+        stream = Encoder(
+            EncoderConfig(gop_size=2, b_frames=0, qscale_code_inter=4)
+        ).encode(moving_pattern_frames(w, h, 2, seed=1))
+        sequence, pictures = PictureScanner(stream).scan()
+        parser = MacroblockParser(sequence)
+        matrices = QuantMatrices.from_sequence(sequence)
+
+        def parse_and_plan():
+            parsed = parser.parse_picture(pictures[1].data, lean=True)
+            return parsed, plan_from_columns(parsed, w, h, matrices)
+
+        parse_and_plan()  # warm
+        del libraries[0].calls[:], libraries[1].calls[:]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            parsed, plan = parse_and_plan()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert plan.picture_type == PictureType.P and plan.n_blocks > 3 * plan.n_macroblocks
+        own = {
+            id(a): a.nbytes
+            for record in (parsed.columns, plan)
+            for a in (getattr(record, f.name) for f in dataclasses.fields(record))
+            if isinstance(a, np.ndarray)
+        }
+        return peak, sum(own.values()), libraries[0].calls + libraries[1].calls
+
+    def test_the_native_engines_make_two_calls_and_keep_only_their_results(self, monkeypatch):
+        peak, kept, calls = self._traced_warm("native", monkeypatch)
+        print(f"\nnative parse + plan: {calls}, peak {peak} bytes for {kept} kept")
+        assert calls == ["parse_picture", "build_plan"]
+        assert peak < kept + self.SLACK, (peak, kept)
+
+    def test_the_numpy_bodies_make_none_and_hold_temporaries_the_size_of_the_results(
+        self, monkeypatch
+    ):
+        peak, kept, calls = self._traced_warm("python", monkeypatch)
+        print(f"\nnumpy parse + plan: {calls}, peak {peak} bytes for {kept} kept")
+        assert calls == []
+        assert peak > 1.5 * kept, (peak, kept)
 
 
 class TestThreadedCollectorAllocations:

@@ -29,6 +29,12 @@ from repro.parallel.pdecoder import TileDecoder
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
 
+#: What checks and assembles every plan of this module (conftest's
+#: ``plan_engine``): the C kernel here, and the numpy bodies it is a port of
+#: in ``tests/test_python_engine.py``, which collects these cases again.
+PLAN_ENGINE = "native"
+pytestmark = pytest.mark.usefixtures("plan_engine")
+
 
 @pytest.fixture(scope="module")
 def clip_stream():
@@ -39,7 +45,7 @@ def clip_stream():
 
 
 @pytest.fixture(scope="module")
-def split_setup(clip_stream):
+def codec_setup(clip_stream):
     _, stream = clip_stream
     sequence, pictures = PictureScanner(stream).scan()
     layout = TileLayout(sequence.width, sequence.height, 2, 2)
@@ -74,10 +80,10 @@ class TestRoundTrip:
         assert out.plan.n_macroblocks == 0 and out.plan.n_blocks == 0
         _assert_plans_equal(tp, out)
 
-    def test_real_plans_round_trip(self, split_setup):
+    def test_real_plans_round_trip(self, codec_setup):
         """Every tile of every picture — covers intra, P with half-pel MVs,
         bidirectional B, and skipped-only tiles."""
-        _, pictures, layout, splitter = split_setup
+        _, pictures, layout, splitter = codec_setup
         saw_skipped_only = saw_halfpel = saw_bidir = False
         for i, unit in enumerate(pictures):
             result = splitter.split_plans(unit, i)
@@ -100,9 +106,9 @@ class TestRoundTrip:
         # the loop above round-trips them whenever they occur.
         del saw_skipped_only
 
-    def test_offset_decoding(self, split_setup):
+    def test_offset_decoding(self, codec_setup):
         """Plans embedded mid-payload decode from their offset."""
-        _, pictures, _, splitter = split_setup
+        _, pictures, _, splitter = codec_setup
         tp = splitter.split_plans(pictures[0], 0).plans[0]
         prefix = b"\xaa" * 13
         payload = prefix + encode_plan_bytes(tp) + b"\xbb" * 5
@@ -110,8 +116,8 @@ class TestRoundTrip:
         assert end == len(payload) - 5
         _assert_plans_equal(tp, out)
 
-    def test_buffer_list_matches_joined_bytes(self, split_setup):
-        _, pictures, _, splitter = split_setup
+    def test_buffer_list_matches_joined_bytes(self, codec_setup):
+        _, pictures, _, splitter = codec_setup
         tp = splitter.split_plans(pictures[1], 1).plans[2]
         bufs = encode_plan(tp)
         joined = encode_plan_bytes(tp)
@@ -127,8 +133,8 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="version"):
             decode_plan(bytes(payload), matrices)
 
-    def test_plan_message_round_trip(self, split_setup):
-        _, pictures, layout, splitter = split_setup
+    def test_plan_message_round_trip(self, codec_setup):
+        _, pictures, layout, splitter = codec_setup
         result = splitter.split_plans(pictures[2], 2)
         for tid in range(layout.n_tiles):
             program = result.mei.program(tid)
@@ -208,10 +214,10 @@ def test_v2_record_round_trips(tp):
 
 
 @pytest.fixture(scope="module")
-def wire_case(split_setup):
+def wire_case(codec_setup):
     """A P-picture tile plan with intra and inter blocks, its payload, and
     the two references it executes against."""
-    sequence, pictures, _, splitter = split_setup
+    sequence, pictures, _, splitter = codec_setup
     tp = next(
         tp
         for i, unit in enumerate(pictures)
@@ -331,11 +337,11 @@ class TestDamagedRecords:
         ],
     )
     def test_tile_decoder_holds_a_wire_plan_to_its_raster(
-        self, split_setup, wire_case, field, value, message
+        self, codec_setup, wire_case, field, value, message
     ):
         """What the record cannot bound (it carries no raster) the consumer
         does, before the plan indexes a plane."""
-        sequence, _, layout, _ = split_setup
+        sequence, _, layout, _ = codec_setup
         _, matrices, tp, _, ref = wire_case
         arr = getattr(tp.plan, field).copy()
         inter = int(np.flatnonzero(tp.plan.mb_dir[:, 0])[0])
@@ -367,11 +373,11 @@ class TestDamagedRecords:
 
 
 class TestPlanDecodeEquivalence:
-    def test_decode_plan_matches_decode_subpicture(self, split_setup):
+    def test_decode_plan_matches_decode_subpicture(self, codec_setup):
         """The tentpole property: per-tile frames from wire-shipped plans
         are bit-identical to sub-picture bitstream decoding, and the plan
         decoder does zero VLC work."""
-        sequence, pictures, layout, splitter = split_setup
+        sequence, pictures, layout, splitter = codec_setup
         dec_sp = {
             t.tid: TileDecoder(t, layout, sequence) for t in layout
         }

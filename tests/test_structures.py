@@ -119,6 +119,85 @@ class TestGOPHeader:
         assert out.time_code == 12345
 
 
+class TestPictureUnitAsBytes:
+    """How a coded picture crosses from the root to a splitter (the
+    cluster's ``MSG_PICTURE``): a fixed head, the GOP header as its own coded
+    bytes, the picture's bytes -- no pickle."""
+
+    DATA = bytes(range(256)) * 3
+
+    @staticmethod
+    def _units():
+        from repro.mpeg2.parser import PictureUnit
+
+        data = TestPictureUnitAsBytes.DATA
+        return [
+            PictureUnit(0, data, new_gop=True, gop=GOPHeader(True, False, 12345)),
+            PictureUnit(7, data[:5], new_gop=True, gop=GOPHeader(False, True, (1 << 25) - 1)),
+            PictureUnit(2**32 - 1, data, new_gop=False, gop=None),
+            PictureUnit(3, b"", new_gop=True, gop=None),
+        ]
+
+    def test_roundtrip_with_and_without_a_gop_header(self):
+        from repro.cluster.runtime.messages import decode_picture, encode_picture
+
+        for nsid, unit in enumerate(self._units()):
+            buffers = encode_picture(nsid, unit, 1234.5 + nsid)
+            assert buffers[-1].obj is unit.data  # the picture's bytes are not copied
+            payload = b"".join(bytes(b) for b in buffers)
+            for wire in (payload, memoryview(payload), bytearray(payload)):
+                assert decode_picture(wire) == (nsid, unit, 1234.5 + nsid)
+            assert type(decode_picture(payload)[1].data) is bytes
+        assert GOPHeader.from_bytes(GOPHeader(False, True, 99).to_bytes()) == GOPHeader(False, True, 99)
+
+    def test_every_truncation_and_byte_mutation_is_refused_or_a_record(self):
+        from repro.cluster.runtime.messages import decode_picture, encode_picture
+        from repro.mpeg2.parser import PictureUnit
+
+        outcomes = {"refused": 0, "record": 0}
+
+        def drive(wire):
+            try:
+                nsid, unit, stamp = decode_picture(wire)
+            except (ValueError, BitstreamError):
+                outcomes["refused"] += 1
+                return
+            assert isinstance(unit, PictureUnit) and type(unit.data) is bytes
+            assert unit.gop is None or isinstance(unit.gop, GOPHeader)
+            assert isinstance(stamp, float) and isinstance(unit.new_gop, bool)
+            outcomes["record"] += 1
+
+        for unit in self._units()[:3]:
+            payload = b"".join(bytes(b) for b in encode_picture(1, unit, 2.0))
+            head = len(payload) - len(unit.data)
+            for cut in range(len(payload)):
+                drive(payload[:cut])
+            for at in range(head + 2):  # the head, the GOP header, into the picture
+                for value in (0, 1, 2, 8, 0x7F, 0x80, 0xB8, 0xFF):
+                    damaged = bytearray(payload)
+                    damaged[at] = value
+                    drive(bytes(damaged))
+        assert outcomes["refused"] > 100 and outcomes["record"] > 100
+
+    def test_what_is_not_a_picture_message_is_refused_not_run(self, tmp_path):
+        import pickle
+
+        from repro.cluster.runtime.messages import decode_picture
+
+        class Touch:
+            def __reduce__(self):
+                return (open, (str(tmp_path / "ran"), "w"))
+
+        unit = self._units()[0]
+        for payload in (pickle.dumps(Touch()), pickle.dumps((1, unit, 0.0)), pickle.dumps((1, unit)), b""):
+            with pytest.raises((ValueError, BitstreamError)):
+                decode_picture(payload)
+        for junk in (b"", b"\x00" * 8, b"junk" + GOPHeader().to_bytes(), GOPHeader().to_bytes() + b"\x00"):
+            with pytest.raises(BitstreamError):
+                GOPHeader.from_bytes(junk)
+        assert not (tmp_path / "ran").exists()
+
+
 class TestPictureHeader:
     def _roundtrip(self, hdr: PictureHeader) -> PictureHeader:
         bw = BitWriter()

@@ -179,7 +179,8 @@ class TestReport:
             ev(ts=10.6, proc="dec0", event="start",
                data={"import_s": 0.58, "pid": 1,
                      "parse_engine": "native (/site/repro/mpeg2/_walk-x86_64-0a1b2c3d.so)",
-                     "execute_engine": "python (compile failed: cc exited 1)"}),
+                     "execute_engine": "python (compile failed: cc exited 1)",
+                     "columns_engine": "native (/site/repro/mpeg2/_columns-x86_64-4d5e6f70.so)"}),
             ev(ts=10.7, proc="dec0", event="connect", data={"peer": "collector"}),
             ev(ts=11.0, proc="dec0", event="decode", picture=0, data={"ph": "B"}),
             ev(ts=11.1, proc="dec0", event="decode", picture=0,
@@ -198,14 +199,15 @@ class TestReport:
         assert cold["dec0"]["last_frame_to_exit_s"] == pytest.approx(0.1)
         assert cold["dec0"]["parse_engine"] == "native"  # which, not from where
         assert cold["dec0"]["execute_engine"] == "python"  # ... or why not
+        assert cold["dec0"]["columns_engine"] == "native"
         text = render_report(rep)
         assert "Cold start and exit" in text
         section = text[text.index("Cold start and exit"):].split("\n\n")[0]
         (row,) = [ln for ln in section.splitlines() if ln.startswith("dec0 ")]
-        assert row.split()[-2:] == ["native", "python"]
+        assert row.split()[-3:] == ["native", "python", "native"]
         # what the supervisor imported for its forks, once, is a row of its own
         (row,) = [ln for ln in text.splitlines() if ln.startswith("preload dec+root")]
-        assert row.split()[2:] == ["-", "0.341", "-", "-", "-", "-"]
+        assert row.split()[2:] == ["-", "0.341", "-", "-", "-", "-", "-"]
         # a run that is not a cluster job (no spawn events) has no such section
         assert "Cold start" not in render_report(build_report(_span_events()))
         # a worker killed before it started leaves gaps, not a crash
