@@ -7,11 +7,20 @@ hold the import graph to *membership and count* (never a timing): each
 role is imported in a fresh interpreter that then prints ``sys.modules``.
 The other half — laziness must not change what the packages export — is
 checked in-process.
+
+The fresh interpreter starts with ``-S`` and the parent's ``sys.path`` on
+``PYTHONPATH``: it imports what this process can, but runs no site hooks.
+A ``.pth`` file in site-packages is code that runs at start-up -- one that
+imports ``certifi`` loads ``pathlib``, ``shutil`` and ``tempfile``
+(through ``importlib.resources``) before the first statement, and an
+editable install's finder loads ``pathlib`` -- so membership and counts
+would describe the site configuration, not the package.
 """
 
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,10 +62,17 @@ NEVER_IN_A_WORKER = (
 
 
 def fresh_interpreter(script: str) -> str:
-    """The last line a fresh interpreter printed running ``script``."""
+    """The last line a fresh interpreter printed running ``script``.
+
+    It starts with ``-S`` so that no site hook runs, with ``SRC`` and then
+    this process's ``sys.path`` directories on ``PYTHONPATH`` so that it
+    still finds numpy, scipy and whatever a ``.pth`` file added: what is in
+    its ``sys.modules`` was loaded by ``script``, not by a ``.pth`` file.
+    """
+    path = [SRC] + [d for d in sys.path if os.path.isdir(d)]
     out = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": SRC, "PATH": ""},
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": os.pathsep.join(path), "PATH": ""},
         capture_output=True,
         text=True,
         timeout=120,
@@ -263,6 +279,9 @@ def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
     for module in (native_walk, native_columns, native_execute):
         if module.LIBRARY is None:
             pytest.skip(f"no {module.__name__}: {module.STATUS}")
+    at_start = modules_after("pass")
+    for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
+        assert builder not in at_start, f"the interpreter's start-up loaded {builder}"
     modules = modules_after(
         "from repro.mpeg2 import native_columns, native_walk, parser, plan\n"
         "assert native_walk.LIBRARY is not None, native_walk.STATUS\n"
