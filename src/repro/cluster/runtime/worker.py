@@ -14,7 +14,7 @@ leaves through ``os._exit``.  ``python -m repro.cluster.runtime.worker`` runs
 the same :func:`main` in a fresh interpreter — the hand-debug entry.  For
 that entry this module still dispatches first and imports second: a root
 never loads the splitter's plan compiler, neither loads the decoder's
-transform (``scipy.fft``), and none of them loads the encoder, the
+transform (``dct`` and the execute kernel), and none of them loads the encoder, the
 simulator or the supervisor (``tests/test_import_graph.py`` holds the
 line).
 """

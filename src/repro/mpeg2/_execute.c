@@ -1,28 +1,30 @@
-/* The execute phase around the IDCT, natively: what batch_reconstruct's
- * numpy body does with gathers, scatters and stacks, done once per sample.
+/* The execute phase, natively: one call per picture dequantises and
+ * inverse-transforms every coded block, then predicts, adds, clips and
+ * stores every macroblock -- what batch_reconstruct's numpy body does with
+ * gathers, scatters and stacks, done once per sample.
  *
  * This file is a port, not a second reconstruction.  The numpy body
  * (batch_reconstruct._execute_numpy) is the specification, and the engine
  * where no compiler is: the integer arithmetic here is dct.py's and
- * motion.py's, entry for entry and sample for sample.  The transform itself
- * stays scipy's -- Python calls it between dequantize_place, scatter_lines
- * and round_store -- and no table is restated: the scan-order weights and
- * RASTER_OF_SCAN come in as arguments.
+ * motion.py's, entry for entry and sample for sample -- the IDCT included,
+ * which is dct.idct's integer transform, not an approximation of it.  No
+ * table is restated: the scan-order weights and RASTER_OF_SCAN come in as
+ * arguments.
  *
  * Memory safety: no index from a plan is dereferenced before it is checked
  * against the lengths and plane shapes the caller gives (a nonzero return is
- * an error code, native_execute._ERRORS, with the offending row in *at),
- * and reconstruct() checks every row before it writes the first sample.  No
- * state outlives a call and there are no mutable globals, so calls may run
- * concurrently.  Built without Python headers (cc -O2 -shared -fPIC), no
- * libm; called via ctypes.
+ * an error code, native_execute._ERRORS, with the offending row in *at), and
+ * execute() checks every macroblock before it writes the first sample of the
+ * output.  No state outlives a call and there are no mutable globals, so
+ * calls may run concurrently.  Built without Python headers (cc -O2 -shared
+ * -fPIC), no libm; called via ctypes, which releases the GIL for the call.
  */
 #include <stdint.h>
 #include <string.h>
 
 enum {
-    OK, E_NCOEF, E_SCAN, E_RASTER, E_LINES, E_SLOT_MAP, E_BLOCK_RES, E_BLOCK_SLOT,
-    E_MB_X, E_MB_Y, E_RES_ROW, E_NO_DIRECTION, E_NO_FORWARD, E_NO_BACKWARD, E_MB_MV
+    OK, E_NCOEF, E_SCAN, E_RASTER, E_BLOCK_RES, E_BLOCK_SLOT, E_MB_X, E_MB_Y, E_RES_ROW,
+    E_NO_DIRECTION, E_NO_FORWARD, E_NO_BACKWARD, E_MB_MV, E_COEFF
 };
 enum { COEFF_MIN = -2048, COEFF_MAX = 2047 }; /* dct.COEFF_MIN, COEFF_MAX */
 
@@ -32,105 +34,156 @@ typedef struct {
     int64_t width, height; /* luma; both chroma planes are half of each */
 } frame_t;
 
-/* numpy's int64 `*`: wraps. */
-static inline int64_t mul(int64_t a, int64_t b) { return (int64_t)((uint64_t)a * (uint64_t)b); }
+/* A ReconstructionPlan's columns, with the lengths the caller checked them
+ * to have (native_execute._Plan). */
+typedef struct {
+    int64_t n_blocks, n_intra, n_coefs, n_res, n_mb, dc_scaler;
+    const uint8_t *block_ncoef;
+    const int64_t *block_qscale, *block_res, *block_slot;
+    const uint8_t *coef_scan;
+    const int16_t *coef_level;
+    const int64_t *intra_scan, *non_intra_scan, *raster_of_scan; /* 64 each */
+    const int64_t *mb_x, *mb_y;
+    const uint8_t *mb_intra, *mb_dir; /* mb_dir: 2 per macroblock */
+    const int64_t *mb_mv, *mb_res_row; /* mb_mv: 4 per macroblock */
+} plan_t;
 
-/* numpy's `//` by a positive divisor: floors. */
-static inline int64_t floor_div(int64_t a, int64_t d) { return a / d - (a % d < 0); }
+/* ---------------------------------------------------------------------- */
+/* dct.idct: the MPEG Software Simulation Group's integer Chen-Wang IDCT   */
+/* ---------------------------------------------------------------------- */
 
-/* 1. dct.dequantize_intra_sparse / dequantize_non_intra_sparse over blocks
- * b0..b1 (whose entries start at entry c0), placed not in a dense stack but
- * in the block *columns* that hold a nonzero value: column `col` of block b
- * is line slots[8 * (b - b0) + col] of `lines` (8 doubles, by row), or -1
- * and all zero.  A later entry at a scan position overwrites an earlier one,
- * as the numpy scatter has it.  out[0]: lines used; out[1]: entries read. */
-int64_t dequantize_place(
-    const uint8_t *block_ncoef, const int64_t *block_qscale, int64_t b0, int64_t b1,
-    int64_t n_intra, const uint8_t *coef_scan, const int16_t *coef_level, int64_t c0,
-    int64_t n_coefs, const int64_t *intra_scan, const int64_t *non_intra_scan,
-    const int64_t *raster_of_scan, int64_t dc_scaler, double *lines, int64_t line_cap,
-    int32_t *slots, int64_t *out, int64_t *at)
+/* W_k = 2048 sqrt(2) cos(k pi / 16), rounded */
+enum { W1 = 2841, W2 = 2676, W3 = 2408, W5 = 1609, W6 = 1108, W7 = 565 };
+
+/* One row in place.  The arithmetic is 64-bit, so no intermediate wraps for
+ * any 12-bit input (the reference's 32-bit int can, on saturated blocks);
+ * a row's output stays below 2**18 in magnitude. */
+static inline void idct_row(int32_t *b)
 {
-    int64_t n_lines = 0, c = c0;
-    for (int64_t b = b0; b < b1; b++) {
-        int32_t *slot = slots + 8 * (b - b0);
-        const int64_t end = c + block_ncoef[b], qscale = block_qscale[b];
+    if (!(b[1] | b[2] | b[3] | b[4] | b[5] | b[6] | b[7])) { /* what the stages give */
+        const int32_t dc = b[0] * 8;
         for (int i = 0; i < 8; i++)
-            slot[i] = -1;
-        if (c < 0 || end > n_coefs)
-            return *at = b, E_NCOEF;
-        for (; c < end; c++) {
-            const int64_t q = coef_level[c];
-            const unsigned scan = coef_scan[c];
-            int64_t f;
-            if (scan >= 64)
-                return *at = c, E_SCAN;
-            if (b < n_intra)
-                f = scan ? floor_div(mul(mul(q, intra_scan[scan]), qscale), 16) : mul(q, dc_scaler);
-            else
-                f = floor_div(mul(mul(2 * q + (q > 0) - (q < 0), non_intra_scan[scan]), qscale), 32);
-            f = f < COEFF_MIN ? COEFF_MIN : f > COEFF_MAX ? COEFF_MAX : f;
-            const uint64_t raster = (uint64_t)raster_of_scan[scan];
-            if (raster >= 64)
-                return *at = scan, E_RASTER;
-            int32_t line = slot[raster & 7];
-            if (line < 0) {
-                if (!f)
-                    continue; /* zero over zeros: no column to open */
-                if (n_lines >= line_cap)
-                    return *at = b, E_LINES;
-                line = slot[raster & 7] = (int32_t)n_lines++;
-                memset(lines + 8 * line, 0, 8 * sizeof(double));
-            }
-            lines[8 * line + (raster >> 3)] = (double)f;
-        }
+            b[i] = dc;
+        return;
     }
-    out[0] = n_lines, out[1] = c - c0;
-    return OK;
+    int64_t x0 = (int64_t)b[0] * 2048 + 128, x1 = (int64_t)b[4] * 2048, x2 = b[6], x3 = b[2],
+            x4 = b[1], x5 = b[7], x6 = b[5], x7 = b[3], x8;
+    /* first stage */
+    x8 = W7 * (x4 + x5);
+    x4 = x8 + (W1 - W7) * x4;
+    x5 = x8 - (W1 + W7) * x5;
+    x8 = W3 * (x6 + x7);
+    x6 = x8 - (W3 - W5) * x6;
+    x7 = x8 - (W3 + W5) * x7;
+    /* second stage */
+    x8 = x0 + x1;
+    x0 -= x1;
+    x1 = W6 * (x3 + x2);
+    x2 = x1 - (W2 + W6) * x2;
+    x3 = x1 + (W2 - W6) * x3;
+    x1 = x4 + x6;
+    x4 -= x6;
+    x6 = x5 + x7;
+    x5 -= x7;
+    /* third stage */
+    x7 = x8 + x3;
+    x8 -= x3;
+    x3 = x0 + x2;
+    x0 -= x2;
+    x2 = (181 * (x4 + x5) + 128) >> 8;
+    x4 = (181 * (x4 - x5) + 128) >> 8;
+    /* fourth stage */
+    b[0] = (int32_t)((x7 + x1) >> 8);
+    b[1] = (int32_t)((x3 + x2) >> 8);
+    b[2] = (int32_t)((x0 + x4) >> 8);
+    b[3] = (int32_t)((x8 + x6) >> 8);
+    b[4] = (int32_t)((x8 - x6) >> 8);
+    b[5] = (int32_t)((x0 - x4) >> 8);
+    b[6] = (int32_t)((x3 - x2) >> 8);
+    b[7] = (int32_t)((x7 - x1) >> 8);
 }
 
-/* 2. The transformed columns back into their blocks: every sample of the
- * `n` blocks of `piece` is written, a line's or zero. */
-int64_t scatter_lines(
-    const double *lines, int64_t n_lines, const int32_t *slots, int64_t n, double *piece,
-    int64_t *at)
+static inline int16_t clip_sample(int64_t v) { return (int16_t)(v < -256 ? -256 : v > 255 ? 255 : v); }
+
+/* One column of row-pass output (rows 8 apart) into `dst` (rows 8 apart). */
+static inline void idct_col(const int32_t *b, int16_t *dst)
 {
-    memset(piece, 0, (size_t)n * 64 * sizeof(double));
-    for (int64_t b = 0; b < n; b++, piece += 64)
-        for (int col = 0; col < 8; col++) {
-            const int32_t line = slots[8 * b + col];
-            if (line < -1 || line >= n_lines)
-                return *at = b, E_SLOT_MAP;
-            if (line >= 0)
-                for (int row = 0; row < 8; row++)
-                    piece[8 * row + col] = lines[8 * line + row];
-        }
-    return OK;
+    if (!(b[8] | b[16] | b[24] | b[32] | b[40] | b[48] | b[56])) { /* what the stages give */
+        const int16_t dc = clip_sample(((int64_t)b[0] + 32) >> 6);
+        for (int i = 0; i < 8; i++)
+            dst[8 * i] = dc;
+        return;
+    }
+    int64_t x0 = (int64_t)b[0] * 256 + 8192, x1 = (int64_t)b[32] * 256, x2 = b[48], x3 = b[16],
+            x4 = b[8], x5 = b[56], x6 = b[40], x7 = b[24], x8;
+    /* first stage */
+    x8 = W7 * (x4 + x5) + 4;
+    x4 = (x8 + (W1 - W7) * x4) >> 3;
+    x5 = (x8 - (W1 + W7) * x5) >> 3;
+    x8 = W3 * (x6 + x7) + 4;
+    x6 = (x8 - (W3 - W5) * x6) >> 3;
+    x7 = (x8 - (W3 + W5) * x7) >> 3;
+    /* second stage */
+    x8 = x0 + x1;
+    x0 -= x1;
+    x1 = W6 * (x3 + x2) + 4;
+    x2 = (x1 - (W2 + W6) * x2) >> 3;
+    x3 = (x1 + (W2 - W6) * x3) >> 3;
+    x1 = x4 + x6;
+    x4 -= x6;
+    x6 = x5 + x7;
+    x5 -= x7;
+    /* third stage */
+    x7 = x8 + x3;
+    x8 -= x3;
+    x3 = x0 + x2;
+    x0 -= x2;
+    x2 = (181 * (x4 + x5) + 128) >> 8;
+    x4 = (181 * (x4 - x5) + 128) >> 8;
+    /* fourth stage */
+    dst[8 * 0] = clip_sample((x7 + x1) >> 14);
+    dst[8 * 1] = clip_sample((x3 + x2) >> 14);
+    dst[8 * 2] = clip_sample((x0 + x4) >> 14);
+    dst[8 * 3] = clip_sample((x8 + x6) >> 14);
+    dst[8 * 4] = clip_sample((x8 - x6) >> 14);
+    dst[8 * 5] = clip_sample((x0 - x4) >> 14);
+    dst[8 * 6] = clip_sample((x3 - x2) >> 14);
+    dst[8 * 7] = clip_sample((x7 - x1) >> 14);
 }
 
-/* 3. np.rint to int16, into residual block block_res * 6 + block_slot: the
- * sum with 1.5 * 2**52 rounds half to even in the default rounding mode and
- * leaves the integer in the low mantissa bits (|sample| < 2**15, see
- * batch_reconstruct._residual_stacks), without a libm call per sample. */
-int64_t round_store(
-    const double *piece, int64_t b0, int64_t b1, const int64_t *block_res,
-    const int64_t *block_slot, int64_t n_res, int16_t *res6, int64_t *at)
+/* The transform of one block (raster order), into 64 int16 samples; `rows`
+ * has bit r set for every row that may hold a nonzero coefficient (the
+ * others are zero, and stay zero through the row pass). */
+static inline void idct_block(int32_t *blk, unsigned rows, int16_t *dst)
 {
-    for (int64_t b = b0; b < b1; b++, piece += 64) {
-        if (block_res[b] < 0 || block_res[b] >= n_res)
-            return *at = b, E_BLOCK_RES;
-        if (block_slot[b] < 0 || block_slot[b] >= 6)
-            return *at = b, E_BLOCK_SLOT;
-        int16_t *dst = res6 + 64 * (block_res[b] * 6 + block_slot[b]);
+    for (int r = 0; r < 8; r++)
+        if (rows >> r & 1)
+            idct_row(blk + 8 * r);
+    for (int c = 0; c < 8; c++)
+        idct_col(blk + c, dst + c);
+}
+
+/* dct.idct over n blocks of int64 coefficients, which must lie in
+ * [COEFF_MIN, COEFF_MAX] (E_COEFF at the block otherwise). */
+int64_t idct(const int64_t *coeffs, int64_t n, int16_t *samples, int64_t *at)
+{
+    for (int64_t b = 0; b < n; b++, coeffs += 64, samples += 64) {
+        int32_t blk[64];
+        unsigned rows = 0;
         for (int i = 0; i < 64; i++) {
-            const double shifted = piece[i] + 6755399441055744.0;
-            uint64_t bits;
-            memcpy(&bits, &shifted, sizeof bits);
-            dst[i] = (int16_t)(uint16_t)bits;
+            if (coeffs[i] < COEFF_MIN || coeffs[i] > COEFF_MAX)
+                return *at = b, E_COEFF;
+            blk[i] = (int32_t)coeffs[i];
+            rows |= (unsigned)(blk[i] != 0) << (i >> 3);
         }
+        idct_block(blk, rows, samples);
     }
     return OK;
 }
+
+/* ---------------------------------------------------------------------- */
+/* prediction                                                             */
+/* ---------------------------------------------------------------------- */
 
 /* Whether vector (vx, vy) reads a size x size tile at (x, y) of a plane of
  * w x h inside it. */
@@ -201,48 +254,105 @@ static inline void store_block(
         }
 }
 
-/* 4. Every macroblock of a plan, once per picture: prediction straight from
- * the reference planes into a tile on the stack, the residual of mb_res_row
- * added (none for -1), clipped and stored as three tiles of `out`, each
- * sample of it written once.  An intra macroblock is its clipped residual.
- * Nothing is written unless every row checks out. */
-int64_t reconstruct(
-    int64_t n_mb, const int64_t *mb_x, const int64_t *mb_y, const uint8_t *mb_intra,
-    const uint8_t *mb_dir, const int64_t *mb_mv, const int64_t *mb_res_row,
-    const int16_t *res6, int64_t n_res, const frame_t *out, const frame_t *fwd,
+/* ---------------------------------------------------------------------- */
+/* the picture                                                            */
+/* ---------------------------------------------------------------------- */
+
+/* numpy's int64 `*`: wraps. */
+static inline int64_t mul(int64_t a, int64_t b) { return (int64_t)((uint64_t)a * (uint64_t)b); }
+
+/* 1. Every coded block, dequantised (dct.dequantize_intra_sparse /
+ * dequantize_non_intra_sparse: blocks are intra-first) into an int32 block on
+ * the stack -- a later entry at a scan position overwrites an earlier one,
+ * as the numpy scatter has it -- and transformed into residual block
+ * block_res * 6 + block_slot of res6.  Uncoded blocks read zero. */
+static int64_t residuals(const plan_t *plan, int16_t *res6, int64_t *at)
+{
+    for (int s = 0; s < 64; s++)
+        if ((uint64_t)plan->raster_of_scan[s] >= 64)
+            return *at = s, E_RASTER;
+    /* when every row has its six blocks, row after row (a picture that is
+     * all intra, or all fully coded), the blocks write all of res6 */
+    int in_order = plan->n_blocks == 6 * plan->n_res;
+    for (int64_t b = 0; b < plan->n_blocks; b++) {
+        *at = b;
+        if (plan->block_res[b] < 0 || plan->block_res[b] >= plan->n_res)
+            return E_BLOCK_RES;
+        if (plan->block_slot[b] < 0 || plan->block_slot[b] >= 6)
+            return E_BLOCK_SLOT;
+        in_order = in_order && plan->block_res[b] * 6 + plan->block_slot[b] == b;
+    }
+    if (!in_order)
+        memset(res6, 0, (size_t)plan->n_res * 6 * 64 * sizeof *res6);
+    int64_t c = 0;
+    for (int64_t b = 0; b < plan->n_blocks; b++) {
+        const int64_t end = c + plan->block_ncoef[b], qscale = plan->block_qscale[b];
+        const int intra = b < plan->n_intra;
+        int32_t blk[64] = {0};
+        unsigned rows = 0;
+        if (end > plan->n_coefs)
+            return *at = b, E_NCOEF;
+        for (; c < end; c++) {
+            const int64_t q = plan->coef_level[c];
+            const unsigned scan = plan->coef_scan[c];
+            int64_t f;
+            if (scan >= 64)
+                return *at = c, E_SCAN;
+            /* C's `/` truncates toward zero, as 7.4.2.3 asks */
+            if (intra)
+                f = scan ? mul(mul(q, plan->intra_scan[scan]), qscale) / 16 : mul(q, plan->dc_scaler);
+            else
+                f = mul(mul(2 * q + (q > 0) - (q < 0), plan->non_intra_scan[scan]), qscale) / 32;
+            f = f < COEFF_MIN ? COEFF_MIN : f > COEFF_MAX ? COEFF_MAX : f;
+            const int64_t raster = plan->raster_of_scan[scan];
+            blk[raster] = (int32_t)f;
+            rows |= 1u << (raster >> 3);
+        }
+        idct_block(blk, rows, res6 + 64 * (plan->block_res[b] * 6 + plan->block_slot[b]));
+    }
+    return OK;
+}
+
+/* 2. Every macroblock: prediction straight from the reference planes into a
+ * tile on the stack, the residual of mb_res_row added (none for -1),
+ * clipped and stored as three tiles of `out`, each sample of it written
+ * once.  An intra macroblock is its clipped residual.  Nothing is written
+ * unless every row checks out. */
+static int64_t reconstruct(
+    const plan_t *plan, const int16_t *res6, const frame_t *out, const frame_t *fwd,
     const frame_t *bwd, int64_t *at)
 {
     const frame_t *const ref[2] = {fwd, bwd};
-    for (int64_t i = 0; i < n_mb; i++) {
+    for (int64_t i = 0; i < plan->n_mb; i++) {
         *at = i;
-        if (mb_x[i] < 0 || mb_x[i] >= out->width / 16)
+        if (plan->mb_x[i] < 0 || plan->mb_x[i] >= out->width / 16)
             return E_MB_X;
-        if (mb_y[i] < 0 || mb_y[i] >= out->height / 16)
+        if (plan->mb_y[i] < 0 || plan->mb_y[i] >= out->height / 16)
             return E_MB_Y;
-        if (mb_res_row[i] < -1 || mb_res_row[i] >= n_res)
+        if (plan->mb_res_row[i] < -1 || plan->mb_res_row[i] >= plan->n_res)
             return E_RES_ROW;
-        if (mb_intra[i])
+        if (plan->mb_intra[i])
             continue;
-        if (!mb_dir[2 * i] && !mb_dir[2 * i + 1])
+        if (!plan->mb_dir[2 * i] && !plan->mb_dir[2 * i + 1])
             return E_NO_DIRECTION;
         for (int d = 0; d < 2; d++) {
-            const int64_t vx = mb_mv[4 * i + 2 * d], vy = mb_mv[4 * i + 2 * d + 1];
-            if (!mb_dir[2 * i + d])
+            const int64_t vx = plan->mb_mv[4 * i + 2 * d], vy = plan->mb_mv[4 * i + 2 * d + 1];
+            if (!plan->mb_dir[2 * i + d])
                 continue;
             if (!ref[d]->plane[0])
                 return d ? E_NO_BACKWARD : E_NO_FORWARD;
-            if (!inside(mb_x[i] * 16, mb_y[i] * 16, vx, vy, 16, ref[d]->width, ref[d]->height)
-                || !inside(mb_x[i] * 8, mb_y[i] * 8, vx / 2, vy / 2, 8, ref[d]->width / 2,
+            if (!inside(plan->mb_x[i] * 16, plan->mb_y[i] * 16, vx, vy, 16, ref[d]->width, ref[d]->height)
+                || !inside(plan->mb_x[i] * 8, plan->mb_y[i] * 8, vx / 2, vy / 2, 8, ref[d]->width / 2,
                            ref[d]->height / 2))
                 return E_MB_MV;
         }
     }
-    for (int64_t i = 0; i < n_mb; i++) {
-        const int16_t *res = mb_res_row[i] < 0 ? 0 : res6 + 6 * 64 * mb_res_row[i];
-        const uint8_t *dir = mb_dir + 2 * i;
-        const int64_t *mv = mb_mv + 4 * i, x = mb_x[i], y = mb_y[i];
+    for (int64_t i = 0; i < plan->n_mb; i++) {
+        const int16_t *res = plan->mb_res_row[i] < 0 ? 0 : res6 + 6 * 64 * plan->mb_res_row[i];
+        const uint8_t *dir = plan->mb_dir + 2 * i;
+        const int64_t *mv = plan->mb_mv + 4 * i, x = plan->mb_x[i], y = plan->mb_y[i];
         uint8_t tile[3][16 * 16]; /* the prediction: zero for an intra macroblock */
-        if (mb_intra[i]) {
+        if (plan->mb_intra[i]) {
             memset(tile, 0, sizeof tile);
         } else { /* (one call per plane: the size is a constant in each) */
             predict_tile(ref, dir, mv, 0, 16, x * 16, y * 16, tile[0]);
@@ -258,4 +368,14 @@ int64_t reconstruct(
         }
     }
     return OK;
+}
+
+/* The execute phase of one picture: residuals into res6 (n_res x 6 blocks,
+ * the caller's scratch), then every macroblock into `out`. */
+int64_t execute(
+    const plan_t *plan, int16_t *res6, const frame_t *out, const frame_t *fwd, const frame_t *bwd,
+    int64_t *at)
+{
+    const int64_t code = residuals(plan, res6, at);
+    return code ? code : reconstruct(plan, res6, out, fwd, bwd, at);
 }

@@ -2,9 +2,9 @@
 
 The per-macroblock reference (:mod:`repro.mpeg2.reconstruct`: the encoder's
 local reconstruction, and through ``tests/oracles.py`` the decoders' test
-oracle) pays a separate numpy dispatch, ``scipy.fft.idctn``, ``rint``, and
-``clip`` for every 8x8 block, so a picture reconstructs at Python-loop
-speed.  This module restructures the work the way a hardware decoder's memory system
+oracle) pays a separate numpy dispatch per macroblock for the dequantiser,
+the IDCT and the clip, so a picture reconstructs at Python-loop speed.  This
+module restructures the work the way a hardware decoder's memory system
 does: the entropy phase emits a flat *reconstruction plan* — coefficient
 stacks, per-block quantiser scales, intra/inter flags, motion vectors, and
 destination offsets — and the execute phase then runs **one** dequantize +
@@ -17,29 +17,29 @@ Coefficients stay *sparse* from the parser to the IDCT input: a plan holds
 only the nonzero levels (scan position + level per entry, an entry count
 per block — about four per coded block on ordinary streams, not 64), the
 dequantiser runs over those entries alone, and the first dense array is
-the zeroed ``float64`` stack they are scattered into for the IDCT.
+the zeroed int16 stack they are scattered into for the IDCT.
 
 Every arithmetic step gives the reference path's value (the same integer
-operations, in narrower types where the ranges are bounded; same rounding,
-same clip order), so the output is bit-identical — the property the golden
-and hypothesis tests assert.
+operations, in narrower types where the ranges are bounded; the same
+transform, :func:`repro.mpeg2.dct.idct`, whose samples are integers
+already), so the output is bit-identical — the property the golden and
+hypothesis tests assert.
 
 The stacks between the steps live in an :class:`ExecuteScratch` that the
 decoding object owns and passes to every :func:`execute_plan` call, so a
-picture reuses the (already faulted-in) memory of the one before it: the
-IDCT runs over its own input, and the intermediates are as narrow as their
-ranges allow — uint8 predictions, uint16 half-pel sums, int16 residuals
-and sums.
+picture reuses the (already faulted-in) memory of the one before it, the
+transform's working rows included, and the intermediates are as narrow as
+their ranges allow — uint8 predictions, uint16 half-pel sums, int16
+coefficients, residuals and sums.
 
 The execute phase has two engines and no switch between them.  Where a C
-compiler is, :mod:`repro.mpeg2.native_execute` (``_execute.c``) does the
-work above around scipy's IDCT with every sample written once: the sparse
-dequantisers place their results straight into the block columns that hold
-a nonzero coefficient, the transform's first pass runs over those columns
-alone, the rounding writes the int16 residual stack, and one foreign call
-per picture predicts each macroblock from the reference planes, adds its
-residual, clips and stores it -- no prediction, accumulator or tile stacks
-at all.  :func:`_execute_numpy`, the body described above, is its
+compiler is, :mod:`repro.mpeg2.native_execute` (``_execute.c``) does all of
+the above in **one foreign call per picture**, with the GIL released and
+every sample written once: each coded block is dequantised into an int32
+block on the stack and inverse-transformed into the int16 residual stack,
+then each macroblock is predicted from the reference planes, its residual
+added, clipped and stored -- no coefficient, prediction, accumulator or tile
+stacks at all.  :func:`_execute_numpy`, the body described above, is its
 specification, the reference every execute test runs both against by name
 (``tests/oracles.py::use_execute_engine``), and the engine where no
 compiler is.  :func:`execute_plan` dispatches through ``_execute``, bound
@@ -48,7 +48,7 @@ once at import to the kernel if it loaded.
 This module is the execute side.  The plan itself, its builders and its
 bounds checks live in :mod:`repro.mpeg2.plan`, which needs numpy only: a
 process that compiles or ships plans without executing them (a cluster
-splitter) imports that and never loads ``scipy.fft`` -- nor builds or maps
+splitter) imports that and never loads the transform -- nor builds or maps
 the execute kernel, which importing this module does.
 
 Entropy decoding itself stays serial: VLC parsing is inherently sequential
@@ -105,9 +105,6 @@ class ExecuteScratch:
 Planes = Tuple[np.ndarray, np.ndarray, np.ndarray]  # (y, cb, cr) stacks or views
 _PLANE_NAMES = ("y", "cb", "cr")
 
-#: Blocks transformed at a time: 2 MB of float64 coefficients.
-_IDCT_BLOCKS = 4096
-
 
 def _tiled_view(plane: np.ndarray, size: int) -> np.ndarray:
     """A ``(mb_h, mb_w, size, size)`` writable view of a frame plane."""
@@ -120,17 +117,12 @@ def _tiled_view(plane: np.ndarray, size: int) -> np.ndarray:
 def _residual_stacks(plan: ReconstructionPlan, scratch: ExecuteScratch) -> np.ndarray:
     """Dequantize + IDCT every coded block; scatter to ``(n_res, 6, 8, 8)``.
 
-    One dequantize per quantizer class over the coded entries only; then,
-    ``_IDCT_BLOCKS`` blocks at a time, one scatter of the entries into the
-    zeroed raster-order IDCT input, one ``idctn`` over that stack, written
-    over its input, and one rounding of the output into the residual stack
-    — the kernel batching the module exists for, in pieces that stay in
-    cache from the zero fill to the rounding.  The result is the *rounded*
-    residual, int16: both dequantisers saturate to 12 bits, and the
-    orthonormal 8x8 IDCT of 64 such coefficients stays below 2**15 in
-    magnitude (its absolute basis sum is 2.642**2 = 6.98 per sample, so at
-    most 2048 * 6.98 = 14 294).  Uncoded blocks stay exactly zero, matching
-    the reference path's zero scans.
+    One dequantize per quantizer class over the coded entries only, one
+    scatter of the entries into the zeroed raster-order ``(n_blocks, 8, 8)``
+    coefficient stack, one :func:`dct.idct` over it -- the kernel batching
+    the module exists for -- and its int16 samples go into the residual
+    stack.  Uncoded blocks stay exactly zero, matching the reference path's
+    zero scans.
     """
     res6 = scratch.take("res", (plan.n_res, 6, 8, 8), np.int16)
     n_blocks = plan.n_blocks
@@ -139,7 +131,7 @@ def _residual_stacks(plan: ReconstructionPlan, scratch: ExecuteScratch) -> np.nd
         return res6
     # Block j is slot j % 6 of row j // 6 when every row has its six blocks,
     # row after row (a picture that is all intra, or all fully coded): the
-    # rounding then writes the residual stack directly, and all of it.
+    # transform then writes the residual stack directly, and all of it.
     order = plan.block_res * 6 + plan.block_slot
     in_order = n_blocks == 6 * plan.n_res and _in_order(order, n_blocks)
     if not in_order:
@@ -159,26 +151,17 @@ def _residual_stacks(plan: ReconstructionPlan, scratch: ExecuteScratch) -> np.nd
             ),
         )
     )
-    # Where each entry lands in its piece's flattened stack, and where each
-    # block's entries end.
-    dest = np.repeat(np.arange(n_blocks) % _IDCT_BLOCKS * 64, ncoef)
+    # 12-bit coefficients: an int16 stack holds them
+    coeffs = scratch.take("coeffs", (n_blocks, 8, 8), np.int16)
+    coeffs.fill(0)
+    dest = np.repeat(np.arange(0, 64 * n_blocks, 64), ncoef)
     dest += RASTER_OF_SCAN[scan]
-    end = np.cumsum(ncoef, dtype=np.intp)
-    rounded = res6.reshape(-1, 8, 8)
-    coeffs = scratch.take("coeffs", (min(n_blocks, _IDCT_BLOCKS), 8, 8), np.float64)
-    c0 = 0
-    for b0 in range(0, n_blocks, _IDCT_BLOCKS):
-        b1 = min(b0 + _IDCT_BLOCKS, n_blocks)
-        c1 = int(end[b1 - 1])
-        piece = coeffs[: b1 - b0]
-        piece.fill(0)
-        piece.reshape(-1)[dest[c0:c1]] = value[c0:c1]
-        res = dct.idct(piece, overwrite=True)
-        if in_order:
-            np.rint(res, out=rounded[b0:b1], casting="unsafe")
-        else:
-            rounded[order[b0:b1]] = np.rint(res, out=res)
-        c0 = c1
+    coeffs.reshape(-1)[dest] = value
+    if in_order:
+        dct.idct(coeffs, out=res6.reshape(-1, 8, 8), scratch=scratch)
+    else:
+        samples = scratch.take("samples", (n_blocks, 8, 8), np.int16)
+        res6.reshape(-1, 8, 8)[order] = dct.idct(coeffs, out=samples, scratch=scratch)
     return res6
 
 
@@ -422,9 +405,8 @@ def _execute_native(
     bwd: Optional[Frame],
     scratch: ExecuteScratch,
 ) -> None:
-    """The execute phase through ``_execute.c``, the same ``_IDCT_BLOCKS``
-    blocks at a time."""
-    native_execute.execute_plan(plan, out, fwd, bwd, scratch, _IDCT_BLOCKS)
+    """The execute phase through ``_execute.c``: one foreign call."""
+    native_execute.execute_plan(plan, out, fwd, bwd, scratch)
 
 
 # Selected by what this process could observe, once: the library loaded or

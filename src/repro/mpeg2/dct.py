@@ -2,22 +2,35 @@
 
 All kernels are vectorized over *stacks* of blocks shaped ``(N, 8, 8)`` —
 per-block Python loops only appear at the entropy layer where the bitstream
-forces serialization.  The IDCT is the floating-point separable transform
-with deterministic rounding; encoder and every decoder in this repository
-share it, so sequential and parallel reconstructions are bit-identical.
+forces serialization.
+
+ISO 13818-2 does not define a bit-exact IDCT; it asks for IEEE 1180-1990
+accuracy.  :func:`idct` is this repository's definition: the MPEG Software
+Simulation Group's fixed-point Chen–Wang transform, in exact integer
+arithmetic.  The encoder and every decoder here share it, so sequential and
+parallel reconstructions are bit-identical; the native execute kernel
+(``_execute.c``) computes it too, and ``tests/test_dct.py`` holds both to a
+scalar transcription and to the IEEE 1180 procedure.  The forward DCT is the
+encoder's alone, and any accurate one will do: :func:`fdct` is two float64
+matrix products.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
+from repro.mpeg2 import native_execute
 from repro.mpeg2 import tables as T
 
 BLOCK = 8
 
 # Coefficient saturation range (§7.4.3)
 COEFF_MIN, COEFF_MAX = -2048, 2047
+
+# The orthonormal DCT-II matrix: row k is basis function k.
+_DCT = np.sqrt(np.where(np.arange(8) == 0, 1 / 8, 2 / 8))[:, None] * np.cos(
+    np.outer(np.arange(8), 2 * np.arange(8) + 1) * np.pi / 16
+)
 
 
 def fdct(blocks: np.ndarray) -> np.ndarray:
@@ -29,29 +42,132 @@ def fdct(blocks: np.ndarray) -> np.ndarray:
     coefficient fits the standard's 12-bit saturation range.
     """
     x = np.asarray(blocks, dtype=np.float64)
-    return scipy.fft.dctn(x, type=2, axes=(-2, -1), norm="ortho")
+    return _DCT @ x @ _DCT.T
 
 
-def idct(coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Inverse of :func:`fdct`; returns float64 spatial samples.
+def idct(
+    coeffs: np.ndarray, out: np.ndarray | None = None, scratch=None
+) -> np.ndarray:
+    """Inverse of :func:`fdct` on integer coefficients: int16 samples.
 
-    ``overwrite=True`` gives the transform ``coeffs`` to work in: a float64
-    stack is then transformed in its own memory (the same passes, the same
-    bits, no second stack) and the caller reads the returned array, not
-    ``coeffs``.
+    ``coeffs`` is ``(..., 8, 8)`` of an integer dtype, every value in
+    ``[COEFF_MIN, COEFF_MAX]`` (what the dequantisers give; anything else is
+    a ``ValueError``).  The samples, clipped to ``[-256, 255]``, go into
+    ``out`` when it is given (C-contiguous int16 of the same shape).
+    ``scratch`` (an object with ``ExecuteScratch.take``) lends the numpy
+    transform its working rows, so that a warm call allocates none.
 
-    This is the transform's definition for the encoder and every decoder.
-    pocketfft computes it as two 1-D passes, down the columns (axis -2) and
-    then along the rows; the native execute phase
-    (:mod:`repro.mpeg2.native_execute`) makes the same two ``scipy.fft.idct``
-    calls itself so that the first can skip all-zero columns, and is float
-    for float this function only in that order
-    (``tests/test_dct.py::TestTransformSplit``).
+    This is the transform's definition for the encoder and every decoder:
+    the MSSG integer Chen–Wang IDCT, rows then columns, constants
+    ``W_k = round(2048 sqrt(2) cos(k pi / 16))``; see :func:`_idct_numpy`.
+    The kernel computes it where it loaded, the numpy body elsewhere, and
+    the two are equal bit for bit.
     """
-    c = np.asarray(coeffs, dtype=np.float64)
-    return scipy.fft.idctn(
-        c, type=2, axes=(-2, -1), norm="ortho", overwrite_x=overwrite
-    )
+    c = np.asarray(coeffs)
+    if not np.issubdtype(c.dtype, np.integer) or c.shape[-2:] != (8, 8):
+        raise TypeError(f"IDCT input must be (..., 8, 8) integer coefficients, got {c.dtype} {c.shape}")
+    if out is None:
+        out = np.empty(c.shape, dtype=np.int16)
+    elif out.shape != c.shape or out.dtype != np.int16 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous int16 array of shape {c.shape}")
+    _transform(c, out, scratch)
+    return out
+
+
+# W_k = 2048 sqrt(2) cos(k pi / 16), rounded
+W1, W2, W3, W5, W6, W7 = 2841, 2676, 2408, 1609, 1108, 565
+
+#: Blocks the numpy transform takes at a time: its 25 working rows of int64
+#: then fill 3 MB.
+_IDCT_PIECE = 2048
+
+
+def _idct_numpy(c: np.ndarray, out: np.ndarray, scratch=None) -> None:
+    """The transform in numpy, :func:`_pass` over every row and then every
+    column, ``_IDCT_PIECE`` blocks at a time: the specification
+    ``_execute.c``'s ``idct_block`` is held to, and the engine where it did
+    not load."""
+    if c.size and (c.min() < COEFF_MIN or c.max() > COEFF_MAX):
+        raise ValueError("IDCT input outside the 12-bit coefficient range")
+    n = c.size // 64
+    blocks, samples = c.reshape(n, 8, 8), out.reshape(n, 8, 8)
+    shape = (25, 8 * min(n, _IDCT_PIECE))
+    work = np.empty(shape, np.int64) if scratch is None else scratch.take("idct", shape, np.int64)
+    for b0 in range(0, n, _IDCT_PIECE):
+        m = min(n - b0, _IDCT_PIECE)
+        w = work[:, : 8 * m]
+        x, y = w[:8], w[8:16]
+        x[...] = blocks[b0 : b0 + m].reshape(-1, 8).T  # x[i]: coefficient i of each row
+        _pass(x, y, w[16:], columns=False)  # y[i]: column i of each row's output
+        x.reshape(8, m, 8)[...] = y.reshape(8, m, 8).transpose(2, 1, 0)  # x[i]: row i of each column
+        _pass(x, y, w[16:], columns=True)  # y[i]: row i of each column's samples
+        samples[b0 : b0 + m] = y.reshape(8, m, 8).transpose(1, 0, 2)
+
+
+def _pass(x: np.ndarray, y: np.ndarray, t: np.ndarray, columns: bool) -> None:
+    """One pass of the Chen–Wang butterfly, vectorised: ``x[i]`` is input
+    ``i`` of every row (or column), ``y[i]`` receives output ``i``, ``t`` is
+    nine working vectors; all int64, so nothing wraps.
+
+    The row pass scales its input by 2**11 and keeps 3 fraction bits; the
+    column pass scales by 2**8, rounds its odd and even parts to 3 fewer
+    bits (``+4 >> 3``), drops 14 and clips to ``[-256, 255]``.  Both round
+    the two ``sqrt(1/2)`` products as ``(181 (a ± b) + 128) >> 8``.  These
+    are MSSG ``idctrow`` / ``idctcol`` stage for stage, with every
+    first-stage sum written out as the two products it is.
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    a2, a3, a4, a5, a6, a7, s8, s0, tmp = t
+
+    def form(dst, a, wa, b, wb):  # dst = wa * a + wb * b
+        np.multiply(a, wa, out=dst)
+        np.multiply(b, wb, out=tmp)
+        dst += tmp
+
+    # first stage, and the even part's products
+    form(a4, x1, W1, x7, W7)
+    form(a5, x1, W7, x7, -W1)
+    form(a6, x5, W5, x3, W3)
+    form(a7, x5, W3, x3, -W5)
+    form(a2, x2, W6, x6, -W2)
+    form(a3, x2, W2, x6, W6)
+    if columns:
+        t[:6] += 4
+        t[:6] >>= 3
+    scale, rounding, shift = (256, 8192, 14) if columns else (2048, 128, 8)
+    np.multiply(x0, scale, out=s8)
+    s8 += rounding
+    np.multiply(x4, scale, out=tmp)
+    np.subtract(s8, tmp, out=s0)
+    s8 += tmp
+    # second and third stages
+    np.subtract(a4, a6, out=tmp)  # tmp: x4 - x6
+    a4 += a6  # a4: x4 + x6
+    np.subtract(a5, a7, out=a6)  # a6: x5 - x7
+    a5 += a7  # a5: x5 + x7
+    np.add(s8, a3, out=a7)
+    s8 -= a3
+    np.add(s0, a2, out=a3)
+    s0 -= a2
+    np.add(tmp, a6, out=a2)
+    tmp -= a6
+    for v in (a2, tmp):
+        v *= 181
+        v += 128
+        v >>= 8
+    # fourth stage
+    for k, (a, b) in enumerate(((a7, a4), (a3, a2), (s0, tmp), (s8, a5))):
+        np.add(a, b, out=y[k])
+        np.subtract(a, b, out=y[7 - k])
+    y >>= shift
+    if columns:
+        np.clip(y, -256, 255, out=y)
+
+
+# The transform ``idct`` runs, selected by what this process could observe,
+# once: the kernel loaded (``_execute.c``'s ``idct``) or it did not.  No flag
+# chooses; tests substitute the name.
+_transform = native_execute.idct if native_execute.LIBRARY is not None else _idct_numpy
 
 
 # ---------------------------------------------------------------------- #
@@ -96,6 +212,16 @@ def _qscale_factor(qscale, ndim_levels: int) -> np.ndarray:
     return qs.reshape(qs.shape + (1,) * (ndim_levels - 1))
 
 
+def _divide_toward_zero(f: np.ndarray, d: int) -> None:
+    """``f /= d`` in place with the standard's ``/``: integer division
+    truncating toward zero (§7.4.2.3; ``-7 / 4`` is ``-1``), not numpy's
+    floor."""
+    negative = f < 0
+    np.abs(f, out=f)
+    f //= d
+    np.negative(f, out=f, where=negative)
+
+
 def dequantize_intra(
     levels: np.ndarray,
     qscale,
@@ -111,7 +237,7 @@ def dequantize_intra(
     w = matrix.astype(np.int64)
     f = q * w
     f *= _qscale_factor(qscale, q.ndim)
-    f //= 16
+    _divide_toward_zero(f, 16)
     f[..., 0, 0] = q[..., 0, 0] * dc_scaler
     return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
 
@@ -145,7 +271,7 @@ def dequantize_non_intra(
     f += np.sign(q)
     f *= w
     f *= _qscale_factor(qscale, q.ndim)
-    f //= 32
+    _divide_toward_zero(f, 32)
     return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
 
 
@@ -167,7 +293,7 @@ def dequantize_intra_sparse(
     q = np.asarray(level, dtype=np.int64)
     f = q * weight_scan[scan]
     f *= qscale
-    f //= 16
+    _divide_toward_zero(f, 16)
     dc = scan == 0
     f[dc] = q[dc] * dc_scaler
     return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
@@ -183,7 +309,7 @@ def dequantize_non_intra_sparse(
     f += np.sign(q)
     f *= weight_scan[scan]
     f *= qscale
-    f //= 32
+    _divide_toward_zero(f, 32)
     return np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
 
 

@@ -23,7 +23,7 @@ engine found it).
 The split is an import boundary as much as a phase boundary: everything here
 is numpy only, so a process that compiles or ships plans but never executes
 one (a cluster splitter, the plan codec, the message layer) does not load the
-transform and, through it, ``scipy.fft``.
+transform, nor build or map the execute kernel that computes it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Pixel reconstruction a macroblock at a time: the encoder's local
 reconstruction, and the decoders' test oracle.
 
-Dequantization, IDCT, prediction and clipping, one 8x8 block per numpy
-call.  The encoder reconstructs its own reference frames with it; no
+Dequantization, IDCT (:func:`repro.mpeg2.dct.idct`, the integer transform
+every decoder shares), prediction and clipping, one macroblock's six blocks
+per call.  The encoder reconstructs its own reference frames with it; no
 decoder does (they plan and execute whole pictures,
 :mod:`repro.mpeg2.batch_reconstruct`), and ``tests/oracles.py::
 reference_decode`` holds their frames bit-identical to this module's.
@@ -26,7 +27,7 @@ from repro.mpeg2.tables import quantiser_scale_from_code
 def _residuals(
     mb: Macroblock, intra: bool, matrices: QuantMatrices, dc_scaler: int = 8
 ) -> np.ndarray:
-    """Dequantize + IDCT all six blocks; returns (6, 8, 8) float64.
+    """Dequantize + IDCT all six blocks; returns (6, 8, 8) int16 samples.
 
     Uncoded blocks come back as zeros.
     """
@@ -45,7 +46,7 @@ def _residuals(
 
 def _assemble_luma(res: np.ndarray) -> np.ndarray:
     """Stack the four 8x8 luma residual blocks into a 16x16 tile."""
-    out = np.empty((16, 16), dtype=np.float64)
+    out = np.empty((16, 16), dtype=res.dtype)
     out[:8, :8] = res[0]
     out[:8, 8:] = res[1]
     out[8:, :8] = res[2]
@@ -68,9 +69,9 @@ def reconstruct_macroblock(
 
     if mb.intra:
         res = _residuals(mb, intra=True, matrices=matrices, dc_scaler=dc_scaler)
-        y = np.clip(np.rint(_assemble_luma(res)), 0, 255).astype(np.uint8)
-        cb = np.clip(np.rint(res[4]), 0, 255).astype(np.uint8)
-        cr = np.clip(np.rint(res[5]), 0, 255).astype(np.uint8)
+        y = np.clip(_assemble_luma(res), 0, 255).astype(np.uint8)
+        cb = np.clip(res[4], 0, 255).astype(np.uint8)
+        cr = np.clip(res[5], 0, 255).astype(np.uint8)
     else:
         mv_fwd = mb.mv_fwd
         mv_bwd = mb.mv_bwd
@@ -80,9 +81,9 @@ def reconstruct_macroblock(
         py, pcb, pcr = predict_macroblock(fwd, bwd, mb_x, mb_y, mv_fwd, mv_bwd)
         if mb.pattern and any(blk is not None for blk in mb.blocks):
             res = _residuals(mb, intra=False, matrices=matrices)
-            py = py + np.rint(_assemble_luma(res)).astype(np.int64)
-            pcb = pcb + np.rint(res[4]).astype(np.int64)
-            pcr = pcr + np.rint(res[5]).astype(np.int64)
+            py = py + _assemble_luma(res).astype(np.int64)
+            pcb = pcb + res[4].astype(np.int64)
+            pcr = pcr + res[5].astype(np.int64)
         y = np.clip(py, 0, 255).astype(np.uint8)
         cb = np.clip(pcb, 0, 255).astype(np.uint8)
         cr = np.clip(pcr, 0, 255).astype(np.uint8)

@@ -23,8 +23,12 @@ compare against:
   under ``plan_from_columns``, ``plan_of_rows``, ``check_staging`` and
   ``check_plan``;
 - :func:`use_execute_engine`: likewise one of the two execute phases -- the
-  native kernel around scipy's IDCT or the numpy body it is a port of -- put
-  under ``batch_reconstruct.execute_plan`` by name;
+  native kernel (one foreign call per picture) or the numpy body it is a
+  port of -- put under ``batch_reconstruct.execute_plan`` by name, with the
+  same engine's transform under ``dct.idct``;
+- :func:`chen_wang_idct`: the integer IDCT ``dct.idct`` defines, one block
+  in plain Python, transcribed from the MSSG reference decoder and not
+  through ``dct.py``;
 - :func:`object_parse_picture`: the slice loop over
   :func:`repro.mpeg2.macroblock.parse_macroblock_body` (which the tile
   decoders still run on sub-picture payloads), one ``Macroblock`` +
@@ -50,6 +54,7 @@ import pytest
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import (
     batch_reconstruct,
+    dct,
     fast_vlc,
     native_columns,
     native_execute,
@@ -250,16 +255,101 @@ def use_plan_engine(name: str, monkeypatch) -> None:
 
 def use_execute_engine(name: str, monkeypatch) -> None:
     """Until ``monkeypatch`` is undone, ``execute_plan`` reconstructs through
-    the ``"native"`` kernel or the ``"python"`` (numpy) body, in the manner of
+    the ``"native"`` kernel or the ``"python"`` (numpy) body, and ``dct.idct``
+    (the numpy body's, the encoder's and :func:`reference_decode`'s
+    transform) transforms through the same engine, in the manner of
     :func:`use_parse_engine`: ``src/`` has no such switch, and a test that
     asks for a kernel this platform could not build is skipped."""
     if name == "python":
-        execute = batch_reconstruct._execute_numpy
+        execute, transform = batch_reconstruct._execute_numpy, dct._idct_numpy
     elif native_execute.LIBRARY is None:
         pytest.skip(f"no native execute: {native_execute.STATUS}")
     else:
-        execute = batch_reconstruct._execute_native
+        execute, transform = batch_reconstruct._execute_native, native_execute.idct
     monkeypatch.setattr(batch_reconstruct, "_execute", execute)
+    monkeypatch.setattr(dct, "_transform", transform)
+
+
+# W_k = 2048 sqrt(2) cos(k pi / 16), rounded: the MSSG decoder's idct.c
+_W1, _W2, _W3, _W5, _W6, _W7 = 2841, 2676, 2408, 1609, 1108, 565
+
+
+def chen_wang_idct(block) -> List[int]:
+    """The 64 samples (raster order) of one block of 64 integer
+    coefficients (raster order): MSSG ``Fast_IDCT`` -- ``idctrow`` over the
+    rows, ``idctcol`` over the columns, the column outputs clipped to
+    [-256, 255] -- statement for statement, in Python's unbounded integers
+    (so nothing wraps where C's 32-bit ``int`` would) and without the two
+    shortcuts, which give what the stages give."""
+    blk = [int(v) for v in block]
+    for r in range(0, 64, 8):
+        x0 = (blk[r] << 11) + 128
+        x1, x2, x3 = blk[r + 4] << 11, blk[r + 6], blk[r + 2]
+        x4, x5, x6, x7 = blk[r + 1], blk[r + 7], blk[r + 5], blk[r + 3]
+        # first stage
+        x8 = _W7 * (x4 + x5)
+        x4 = x8 + (_W1 - _W7) * x4
+        x5 = x8 - (_W1 + _W7) * x5
+        x8 = _W3 * (x6 + x7)
+        x6 = x8 - (_W3 - _W5) * x6
+        x7 = x8 - (_W3 + _W5) * x7
+        # second stage
+        x8 = x0 + x1
+        x0 -= x1
+        x1 = _W6 * (x3 + x2)
+        x2 = x1 - (_W2 + _W6) * x2
+        x3 = x1 + (_W2 - _W6) * x3
+        x1 = x4 + x6
+        x4 -= x6
+        x6 = x5 + x7
+        x5 -= x7
+        # third stage
+        x7 = x8 + x3
+        x8 -= x3
+        x3 = x0 + x2
+        x0 -= x2
+        x2 = (181 * (x4 + x5) + 128) >> 8
+        x4 = (181 * (x4 - x5) + 128) >> 8
+        # fourth stage
+        blk[r : r + 8] = [
+            (x7 + x1) >> 8, (x3 + x2) >> 8, (x0 + x4) >> 8, (x8 + x6) >> 8,
+            (x8 - x6) >> 8, (x0 - x4) >> 8, (x3 - x2) >> 8, (x7 - x1) >> 8,
+        ]
+    for c in range(8):
+        x0 = (blk[c] << 8) + 8192
+        x1, x2, x3 = blk[c + 32] << 8, blk[c + 48], blk[c + 16]
+        x4, x5, x6, x7 = blk[c + 8], blk[c + 56], blk[c + 40], blk[c + 24]
+        # first stage
+        x8 = _W7 * (x4 + x5) + 4
+        x4 = (x8 + (_W1 - _W7) * x4) >> 3
+        x5 = (x8 - (_W1 + _W7) * x5) >> 3
+        x8 = _W3 * (x6 + x7) + 4
+        x6 = (x8 - (_W3 - _W5) * x6) >> 3
+        x7 = (x8 - (_W3 + _W5) * x7) >> 3
+        # second stage
+        x8 = x0 + x1
+        x0 -= x1
+        x1 = _W6 * (x3 + x2) + 4
+        x2 = (x1 - (_W2 + _W6) * x2) >> 3
+        x3 = (x1 + (_W2 - _W6) * x3) >> 3
+        x1 = x4 + x6
+        x4 -= x6
+        x6 = x5 + x7
+        x5 -= x7
+        # third stage
+        x7 = x8 + x3
+        x8 -= x3
+        x3 = x0 + x2
+        x0 -= x2
+        x2 = (181 * (x4 + x5) + 128) >> 8
+        x4 = (181 * (x4 - x5) + 128) >> 8
+        # fourth stage
+        column = [
+            (x7 + x1) >> 14, (x3 + x2) >> 14, (x0 + x4) >> 14, (x8 + x6) >> 14,
+            (x8 - x6) >> 14, (x0 - x4) >> 14, (x3 - x2) >> 14, (x7 - x1) >> 14,
+        ]
+        blk[c::8] = [min(max(v, -256), 255) for v in column]
+    return blk
 
 
 def builder_plan(parsed, sequence, matrices, members=None) -> ReconstructionPlan:
@@ -361,6 +451,7 @@ __all__ = [
     "ObjectParsedPicture",
     "assert_same_plan",
     "builder_plan",
+    "chen_wang_idct",
     "compile_plans_reference",
     "dense_scans",
     "object_parse_picture",

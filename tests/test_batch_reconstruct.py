@@ -8,8 +8,9 @@ the hypothesis test sweeps random GOP structures (I/P/B mixes, skipped
 macroblocks from frozen content, partial slices wherever a 2x2 tiling cuts
 a slice mid-row) through both the sequential decoder and the tiled wall.
 
-``execute_plan`` has two engines -- the native kernel around scipy's IDCT
-where it could be built, the numpy body otherwise -- and ``src/`` no switch
+``execute_plan`` has two engines -- the native kernel (one foreign call per
+picture, the integer IDCT included) where it could be built, the numpy body
+otherwise -- and ``src/`` no switch
 between them: this module names the kernel (conftest's ``execute_engine``
 reads ``EXECUTE_ENGINE`` from the collecting module) and
 ``tests/test_python_execute.py`` collects the same cases on the numpy body,
@@ -43,7 +44,7 @@ from repro.parallel.mb_splitter import MacroblockSplitter
 from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.pipeline import ParallelDecoder
 from repro.wall.layout import TileLayout
-from tests.oracles import reference_decode
+from tests.oracles import chen_wang_idct, reference_decode
 
 EXECUTE_ENGINE = "native"
 pytestmark = pytest.mark.usefixtures("execute_engine")
@@ -81,7 +82,7 @@ def test_the_engine_this_module_names_is_the_one_that_executes(execute_engine, s
     _execute_all(sequence, plans, scratch)
     if execute_engine == "native":
         assert batch_reconstruct._execute is batch_reconstruct._execute_native
-        assert scratch.taken == {"res", "coeffs", "lines", "slots"}
+        assert scratch.taken == {"res"}
     else:
         assert batch_reconstruct._execute is batch_reconstruct._execute_numpy
         assert {"res", "coeffs", "res_y", "acc"} < scratch.taken
@@ -215,17 +216,17 @@ def test_empty_plan_executes_as_noop():
 
 
 def _dense_residuals(scans, n_intra, qscale, matrices, dc_scaler):
-    """What the dense path made of ``(n, 64)`` scan-order levels: rounded
-    IDCT of ``dct.dequantize_intra`` / ``dequantize_non_intra``."""
+    """What the dense path made of ``(n, 64)`` scan-order levels: the IDCT
+    of ``dct.dequantize_intra`` / ``dequantize_non_intra``."""
     blocks = dct.scan_to_block(scans)
-    coeffs = np.empty(blocks.shape, dtype=np.float64)
+    coeffs = np.empty(blocks.shape, dtype=np.int64)
     coeffs[:n_intra] = dct.dequantize_intra(
         blocks[:n_intra], qscale[:n_intra], matrices.intra, dc_scaler
     )
     coeffs[n_intra:] = dct.dequantize_non_intra(
         blocks[n_intra:], qscale[n_intra:], matrices.non_intra
     )
-    return coeffs, np.rint(dct.idct(coeffs))
+    return coeffs, dct.idct(coeffs)
 
 
 @st.composite
@@ -257,7 +258,7 @@ def _all_coded(level):
 @settings(max_examples=150, deadline=None)
 @given(coefficient_cases())
 @example(_all_coded(2047))  # every entry coded, every product saturates high
-@example(_all_coded(-2047))  # ... and low, through negative floor division
+@example(_all_coded(-2047))  # ... and low, through negative division
 @example((np.zeros((1, 64), np.int32), 1, np.array([2]), QuantMatrices(), 8))
 def test_sparse_dequantiser_matches_dense(case):
     scans, n_intra, qscale, matrices, dc_scaler = case
@@ -298,6 +299,50 @@ def test_sparse_dequantiser_matches_dense(case):
     flat = res6.reshape(-1, 8, 8)
     assert np.array_equal(flat[:n], dense_res)
     assert not flat[n:].any()
+
+
+@pytest.mark.parametrize("intra", [True, False])
+def test_the_engine_dequantises_toward_zero(intra):
+    """One macroblock whose every block holds one negative level at scan
+    position 1 (raster (0, 1)), at a quantiser scale of 2 (code 1), each
+    block under its own matrix weight: the frame is the scalar IDCT of the
+    hand-worked coefficients, over a prediction of 128 or (intra) a DC of
+    1024 -- and, where the division is inexact, flooring would have shown."""
+    # (level, weight, coefficient): level * W * 2 / 16, or (2 level - 1) * W * 2 / 32
+    cases = (
+        [(-1, 17, -2), (-1, 24, -3), (-3, 7, -2), (-1, 20, -2), (-7, 6, -5), (-1, 8, -1)]
+        if intra
+        else [(-1, 11, -2), (-1, 16, -3), (-2, 7, -2), (-1, 13, -2), (-3, 5, -2), (-1, 20, -3)]
+    )
+    dc, base = (1024, 0) if intra else (0, 128)
+
+    def samples(coefficient):
+        coeffs = [0] * 64
+        coeffs[0], coeffs[1] = dc, coefficient
+        return np.array(chen_wang_idct(coeffs)).reshape(8, 8) + base
+
+    for block, (level, weight, coefficient) in enumerate(cases):
+        product, divisor = (level * weight * 2, 16) if intra else ((2 * level - 1) * weight * 2, 32)
+        assert -(-product // divisor) == coefficient
+        if product % divisor:
+            assert not np.array_equal(samples(product // divisor), samples(coefficient))
+        scan = np.zeros(64, dtype=np.int32)
+        scan[1] = level
+        if intra:
+            scan[0] = 128  # a DC level of 128 at dc_scaler 8
+        matrix = np.full((8, 8), weight, dtype=np.int32)
+        mb = Macroblock(
+            address=0, intra=intra, motion_forward=not intra, mv_fwd=None if intra else (0, 0),
+            pattern=not intra, cbp=63, qscale_code=1,
+            blocks=[scan if b == block else None for b in range(6)],
+        )
+        builder = PlanBuilder(PictureType.P, 1, 16, 16, QuantMatrices(intra=matrix, non_intra=matrix))
+        builder.add_all([mb])
+        out = Frame.blank(16, 16, y=7, c=7)
+        execute_plan(builder.build(), out, Frame.blank(16, 16, y=128, c=128), None)
+        tiles = [out.y[:8, :8], out.y[:8, 8:], out.y[8:, :8], out.y[8:, 8:], out.cb, out.cr]
+        assert np.array_equal(tiles[block], samples(coefficient)), block
+        assert all((t == base).all() for b, t in enumerate(tiles) if b != block)
 
 
 def test_level_narrowing_saturates_where_dequantisation_does():
@@ -409,9 +454,10 @@ def test_scratch_contents_never_reach_the_output(name, request):
 
 
 def test_idct_in_pieces_matches_reference(small_stream, monkeypatch):
-    """Pictures of more blocks than one transform takes (here 7, so a piece
-    boundary falls inside macroblocks and inside the intra/inter split)."""
-    monkeypatch.setattr(batch_reconstruct, "_IDCT_BLOCKS", 7)
+    """Pictures of more blocks than the numpy transform takes at a time
+    (here 7, so a piece boundary falls inside macroblocks and inside the
+    intra/inter split; the kernel transforms a block at a time)."""
+    monkeypatch.setattr(dct, "_IDCT_PIECE", 7)
     ref, bat = _decode_both(small_stream)
     assert ref == bat
     _assert_scratch_never_shows(small_stream)
@@ -473,8 +519,9 @@ def _saturating_macroblocks(intra_first: bool):
 @pytest.mark.parametrize("fwd_level,bwd_level", [(0, 0), (0, 255), (255, 0), (255, 255)])
 def test_range_ends_match_the_per_macroblock_oracle(intra_first, fwd_level, bwd_level):
     """The widest values each narrow intermediate must hold — four 255s and
-    a rounding 2 in a half-pel sum, 255 + 255 + 1 in an average, +-14 29x
-    residuals over predictions of 0 and 255 — against the per-macroblock
+    a rounding 2 in a half-pel sum, 255 + 255 + 1 in an average, residuals
+    at both ends of the transform's clip, -256 and 255, over predictions of
+    0 and 255 — against the per-macroblock
     path's int64 arithmetic, so a uint16 or int16 wrap cannot hide."""
     mb_w, mb_h, mbs = _saturating_macroblocks(intra_first)
     w, h = 16 * mb_w, 16 * mb_h
@@ -486,7 +533,7 @@ def test_range_ends_match_the_per_macroblock_oracle(intra_first, fwd_level, bwd_
     in_order = np.array_equal(plan.block_res * 6 + plan.block_slot, np.arange(plan.n_blocks))
     assert in_order == intra_first
     res = _residual_stacks(plan, ExecuteScratch())
-    assert res.max() > 14200 and res.min() < -14200
+    assert res.max() == 255 and res.min() == -256
 
     want = Frame.blank(w, h)
     for mb in mbs:

@@ -34,6 +34,7 @@ from repro.workloads.synthetic import GENERATORS
 from tests.oracles import (
     assert_same_plan,
     builder_plan,
+    chen_wang_idct,
     compile_plans_reference,
     object_parse_picture,
     reference_decode,
@@ -876,7 +877,8 @@ IRQGCYGjEAjgBlc8X0QCFICcCpZJLcBEGYjIiCAtgAAAAQJBbGbcd4ED+xBNcB1ygRgAysFNDCal
 JJI0AYlcwfengAAAAbc=
 """
 )
-_GOLDEN_SHA256 = "4ff9e740a8080d65855cbbf764d05e37031149514e1fdecbda30ef6b81065e83"
+# The decode under dct.idct, the integer Chen–Wang IDCT.
+_GOLDEN_SHA256 = "0eeb8a513fdbe4a6fa31225f68f8b42ed637b2dcecc374d06c79714c6d78278e"
 
 
 def _digest(frames):
@@ -892,6 +894,43 @@ def test_golden_stream_digest():
     frames = decode_stream(_GOLDEN_STREAM)
     assert len(frames) == 4 and all(isinstance(f, Frame) for f in frames)
     assert _digest(frames) == _GOLDEN_SHA256
+
+
+def _reference_decode_with(transform, monkeypatch):
+    """:func:`reference_decode` of the golden stream with ``transform`` (one
+    ``(64,)`` block to 64 samples) as ``dct.idct``."""
+    from repro.mpeg2 import dct
+
+    def idct(coeffs, out=None, scratch=None):
+        blocks = np.asarray(coeffs).reshape(-1, 64)
+        return np.array([transform(b) for b in blocks]).reshape(np.shape(coeffs))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dct, "idct", idct)
+        return reference_decode(_GOLDEN_STREAM)
+
+
+def test_the_golden_digest_is_the_scalar_transcriptions(monkeypatch):
+    """The digest is not the engines' say-so: the per-macroblock oracle with
+    the plain-Python Chen–Wang transcription as its IDCT gives it too."""
+    assert _digest(_reference_decode_with(chen_wang_idct, monkeypatch)) == _GOLDEN_SHA256
+
+
+def test_the_golden_decode_is_within_two_of_a_float_idct_decode(monkeypatch):
+    """The same stream through a float64 matrix IDCT rounded with ``rint``:
+    no sample of the four pictures more than 2 away, drift through the P
+    and B references included -- and some sample away, or the comparison
+    would not be seeing the integer transform."""
+    n = np.arange(8)
+    basis = np.where(n == 0, np.sqrt(1 / 8), np.sqrt(2 / 8))[:, None] * np.cos(
+        (2 * n[None, :] + 1) * n[:, None] * np.pi / 16
+    )
+    float_frames = _reference_decode_with(
+        lambda b: np.rint(basis.T @ b.reshape(8, 8) @ basis).reshape(64), monkeypatch
+    )
+    frames = decode_stream(_GOLDEN_STREAM)
+    worst = max(a.max_abs_diff(b) for a, b in zip(frames, float_frames))
+    assert 0 < worst <= 2, worst
 
 
 @pytest.mark.parametrize("poison", [0x5A, 0xA5])

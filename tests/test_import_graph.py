@@ -127,7 +127,7 @@ def test_no_worker_loads_what_only_the_driver_side_needs(role_modules, role):
 
 @pytest.mark.parametrize("role", ["root", "split"])
 def test_root_and_splitter_stay_off_scipy_and_small(role_modules, role):
-    """Neither ever runs an IDCT: no ``scipy``, no execute side -- so its
+    """Neither ever runs an IDCT: no ``scipy``, no execute side or ``dct`` -- so its
     kernel is never built or mapped there, only the parser's two (the slice
     walk, and the columns and plans behind it), through the loader they
     share -- and about 250 modules where importing everything was 601."""
@@ -159,9 +159,14 @@ def test_the_splitter_maps_the_columns_kernel_and_not_the_execute_kernel():
 
 
 def test_decoder_is_the_role_that_loads_the_transform(role_modules):
-    assert "repro.mpeg2.batch_reconstruct" in role_modules["dec"]
-    assert "repro.mpeg2.native_execute" in role_modules["dec"]  # and the kernel around it
-    assert "scipy.fft" in role_modules["dec"]
+    """The transform is the execute kernel's own (and ``dct``'s numpy body),
+    so the decoder loads no ``scipy`` either: 261 modules, where ``scipy.fft``
+    made it 585 -- under the bound the other two roles keep."""
+    modules = role_modules["dec"]
+    assert "repro.mpeg2.batch_reconstruct" in modules
+    assert "repro.mpeg2.native_execute" in modules and "repro.mpeg2.dct" in modules
+    assert not loaded(modules, "scipy"), loaded(modules, "scipy")[:5]
+    assert len(modules) <= 300, len(modules)
 
 
 def test_supervisor_preload_is_the_three_roles_and_no_more():
@@ -177,7 +182,7 @@ def test_supervisor_preload_is_the_three_roles_and_no_more():
     )
     for role in ("root", "splitter", "decoder"):
         assert f"repro.cluster.runtime.{role}" in modules
-    assert "scipy.fft" in modules
+    assert not loaded(modules, "scipy")
     for forbidden in (
         "repro.mpeg2.encoder",
         "repro.parallel.system",
@@ -282,27 +287,19 @@ def test_a_cached_kernel_is_loaded_without_the_machinery_that_builds_it():
     at_start = modules_after("pass")
     for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
         assert builder not in at_start, f"the interpreter's start-up loaded {builder}"
-    modules = modules_after(
+    for statement in (
         "from repro.mpeg2 import native_columns, native_walk, parser, plan\n"
         "assert native_walk.LIBRARY is not None, native_walk.STATUS\n"
         "assert native_columns.LIBRARY is not None, native_columns.STATUS\n"
-        "assert parser._parse is parser._parse_native and plan._build is plan._build_native"
-    )
-    for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
-        assert builder not in modules, builder
-    # scipy.fft imports most of those for itself, so for the execute kernel:
-    # what the loader would call is there to be called, and is not
-    modules = modules_after(
-        "import subprocess, tempfile\n"
-        "def refuse(*args, **kwargs):\n"
-        "    raise AssertionError('a cached kernel was rebuilt')\n"
-        "subprocess.run = tempfile.mkstemp = tempfile.mkdtemp = refuse\n"
-        "from repro.mpeg2 import batch_reconstruct, native_columns, native_execute\n"
-        "assert native_columns.LIBRARY is not None, native_columns.STATUS\n"
+        "assert parser._parse is parser._parse_native and plan._build is plan._build_native",
+        "from repro.mpeg2 import batch_reconstruct, dct, native_execute\n"
         "assert native_execute.LIBRARY is not None, native_execute.STATUS\n"
-        "assert batch_reconstruct._execute is batch_reconstruct._execute_native"
-    )
-    assert "shlex" not in modules
+        "assert batch_reconstruct._execute is batch_reconstruct._execute_native\n"
+        "assert dct._transform is native_execute.idct",
+    ):
+        modules = modules_after(statement)
+        for builder in ("subprocess", "tempfile", "hashlib", "shlex", "shutil", "pathlib"):
+            assert builder not in modules, builder
 
 
 def test_the_coefficient_tables_are_not_built_window_by_window():

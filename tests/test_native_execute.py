@@ -13,12 +13,13 @@ numpy body's frame, sample for sample.
 """
 
 import copy
+import ctypes
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.mpeg2 import batch_reconstruct, native_execute
+from repro.mpeg2 import batch_reconstruct, dct, native_execute
 from repro.mpeg2.batch_reconstruct import ExecuteScratch
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.frames import Frame
@@ -198,35 +199,44 @@ def test_the_sample_plan_is_the_numpy_bodys_frame_on_strided_planes(seed):
 
 
 def test_pieces_of_any_size_give_the_same_frame(monkeypatch):
+    """The kernel transforms a block at a time on the stack, the numpy body
+    ``dct._IDCT_PIECE`` blocks at a time: every piece size gives the
+    kernel's frame."""
     fwd, bwd = references()
     plan = sample_plan()
     want = native_guarded(plan, BLANK, fwd, bwd)
+    monkeypatch.setattr(dct, "_transform", dct._idct_numpy)
     for blocks in (1, 2, 5, plan.n_blocks - 1, plan.n_blocks):
-        monkeypatch.setattr(batch_reconstruct, "_IDCT_BLOCKS", blocks)
-        assert native_guarded(plan, BLANK, fwd, bwd) == want
+        monkeypatch.setattr(dct, "_IDCT_PIECE", blocks)
+        got = BLANK.copy()
+        batch_reconstruct._execute_numpy(plan, got, fwd, bwd, ExecuteScratch())
+        assert got == want
 
 
-def test_the_rounding_is_rint_at_every_half_and_beside_it():
-    """``round_store`` adds and reads back 1.5 * 2**52 where numpy calls
-    ``rint``: the same int16 for every half in the residual's range (ties go
-    to even), its two neighbours in float64, and both signs of zero."""
-    halves = np.arange(-14300, 14300) + 0.5
-    values = np.concatenate(
-        [halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf), [0.0, -0.0]]
-    )
-    rng = np.random.default_rng(3)
-    values = np.concatenate([values, rng.uniform(-14300, 14300, -len(values) % 64 + 640)])
-    piece = np.ascontiguousarray(values.reshape(-1, 8, 8))
-    n = len(piece)
-    res6 = np.full((n // 6 + 2, 6, 8, 8), 77, dtype=np.int16)
-    block_res, block_slot = np.arange(n) // 6, np.arange(n) % 6
-    native_execute._call(
-        native_execute.LIBRARY.round_store,
-        piece.ctypes.data, 0, n, block_res.ctypes.data, block_slot.ctypes.data,
-        len(res6) - 1, res6.ctypes.data,
-    )
-    assert np.array_equal(res6.reshape(-1, 8, 8)[:n], np.rint(piece).astype(np.int16))
-    assert (res6.reshape(-1, 8, 8)[n:] == 77).all()
+def test_a_picture_is_one_foreign_call():
+    """``execute_plan`` on the kernel: one call of ``execute`` per picture,
+    whatever the picture holds, and nothing else of the library."""
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            function = getattr(library, name)
+
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+
+            return counted
+
+    library = native_execute.LIBRARY
+    fwd, bwd = references()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native_execute, "LIBRARY", Counting())
+        for seed in range(3):
+            batch_reconstruct._execute_native(
+                sample_plan(seed), BLANK.copy(), fwd, bwd, ExecuteScratch()
+            )
+    assert calls == ["execute"] * 3
 
 
 # ---------------------------------------------------------------------- #
@@ -282,10 +292,11 @@ def test_one_index_out_of_range_is_an_exception_and_an_untouched_output():
 
 
 def test_the_kernel_takes_nobodys_word_for_its_sizes():
-    """``execute_plan`` refuses entry counts that do not sum to the entries,
-    sizes the line buffer for the worst case and passes the scan table: the
-    kernel checks each of them all the same (its codes that no plan can
-    reach), called here directly with sizes that lie."""
+    """``execute_plan`` refuses entry counts that do not sum to the entries
+    and passes the scan table; the kernel checks each of them all the same
+    (its codes that no plan can reach), called here directly with a
+    ``plan_t`` whose words lie -- and leaves the output alone.  Its block
+    transform refuses a coefficient outside the 12-bit range."""
     fwd, bwd = references()
     broken = copy.deepcopy(sample_plan())
     broken.block_ncoef[-1] += 1
@@ -293,46 +304,44 @@ def test_the_kernel_takes_nobodys_word_for_its_sizes():
         native_guarded(broken, BLANK, fwd, bwd)
 
     plan = sample_plan()
-    n = plan.n_blocks
-    matrices = plan.matrices
-    raster = native_execute.RASTER_OF_SCAN
-
-    def place(n_coefs=plan.n_coefs, line_cap=8 * n, raster=raster):
-        lines = np.full((8 * n + 1, 8), 7.0)
-        slots = np.full((n + 1, 8), 7, dtype=np.int32)
-        used = np.zeros(2, dtype=np.int64)
-        try:
-            native_execute._call(
-                native_execute.LIBRARY.dequantize_place,
-                plan.block_ncoef.ctypes.data, plan.block_qscale.ctypes.data, 0, n,
-                plan.n_intra_blocks, plan.coef_scan.ctypes.data, plan.coef_level.ctypes.data,
-                0, n_coefs, matrices.intra_scan.ctypes.data, matrices.non_intra_scan.ctypes.data,
-                raster.ctypes.data, plan.dc_scaler, lines.ctypes.data, line_cap,
-                slots.ctypes.data, used.ctypes.data,
-            )
-        finally:
-            assert (lines[line_cap:] == 7.0).all() and (slots[n:] == 7).all()
-        return lines, slots, used.tolist()
-
-    lines, slots, (n_lines, n_read) = place()
-    assert n_read == plan.n_coefs and 0 < n_lines <= 8 * n
-    with pytest.raises(ValueError, match="block_ncoef overruns"):
-        place(n_coefs=plan.n_coefs - 1)
-    with pytest.raises(RuntimeError, match="line buffer full"):
-        place(line_cap=n_lines - 1)
+    raster = native_execute.RASTER_OF_SCAN.astype(np.int64)
     beyond = raster.copy()
     beyond[int(plan.coef_scan[0])] = 64
-    with pytest.raises(IndexError, match="RASTER_OF_SCAN"):
-        place(raster=beyond)
 
-    piece = np.full((n + 1, 8, 8), 7.0)
-    slots[n - 1, 3] = n_lines  # one past the lines there are
-    with pytest.raises(RuntimeError, match="names no line"):
-        native_execute._call(
-            native_execute.LIBRARY.scatter_lines,
-            lines.ctypes.data, n_lines, slots.ctypes.data, n, piece.ctypes.data,
-        )
-    assert (piece[n:] == 7.0).all()
+    def execute(**lies):
+        struct, columns = native_execute._plan_t(plan)
+        for name, value in lies.items():
+            setattr(struct, name, value)
+        out, housings = housed(BLANK, guard_bytes)
+        frames = [native_execute._frame(f, "frame") for f in (out, fwd, bwd)]
+        res6 = np.zeros((plan.n_res + 1, 6, 8, 8), dtype=np.int16)
+        try:
+            native_execute._call(
+                native_execute.LIBRARY.execute,
+                ctypes.byref(struct), res6.ctypes.data, *[ctypes.byref(f) for f in frames],
+            )
+        finally:
+            assert not res6[plan.n_res :].any(), "wrote past the residual rows"
+            assert_guards_intact(housings)
+        return out
+
+    assert execute() == native_guarded(plan, BLANK, fwd, bwd)
+    with pytest.raises(ValueError, match="block_ncoef overruns"):
+        execute(n_coefs=plan.n_coefs - 1)
+    with pytest.raises(IndexError, match="RASTER_OF_SCAN outside .* at scan position"):
+        execute(raster_of_scan=beyond.ctypes.data)
+    with pytest.raises(IndexError, match="block_res outside"):
+        execute(n_res=int(plan.block_res.max()))
+    with pytest.raises(IndexError, match="mb_res_row outside"):
+        execute(n_res=int(plan.mb_res_row.max()), n_blocks=0, n_coefs=0)
+
+    blocks = np.zeros((3, 8, 8), dtype=np.int64)
+    samples = np.full((4, 8, 8), 7, dtype=np.int16)
+    for value in (dct.COEFF_MIN - 1, dct.COEFF_MAX + 1, -(2**40)):
+        blocks[2, 5, 1] = value
+        with pytest.raises(ValueError, match="12-bit coefficient range in block 2"):
+            native_execute.idct(blocks, samples[:3])
+    assert (samples[3] == 7).all()
 
 
 def test_a_missing_direction_or_reference_is_the_numpy_bodys_value_error():
@@ -508,7 +517,7 @@ def test_the_kernel_is_built_cached_and_named_by_the_shared_loader(tmp_path, mon
     shutil.copy(native_execute._SOURCE, source)
     monkeypatch.setattr(native_execute, "_SOURCE", str(source))
     library, path = native_execute._load()  # a cold cache: compiled
-    assert library is not None and hasattr(library, "reconstruct")
+    assert library is not None and hasattr(library, "execute")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "_execute-" + path.rsplit("_execute-", 1)[1], "_execute.c",
     ]

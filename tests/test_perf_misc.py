@@ -147,13 +147,15 @@ class TestExecuteAllocations:
         assert warm < frame_bytes + self.SLACK, (warm, frame_bytes)
 
     def test_the_native_path_takes_four_buffers_and_allocates_by_the_plan(self, monkeypatch):
-        """No prediction, accumulator or tile stacks: the kernel predicts
-        from the reference planes and stores into the output.  What a warm
-        call still allocates is a few index words, whatever the raster."""
+        """No coefficient, prediction, accumulator or tile stacks: the kernel
+        transforms each block on the stack, predicts from the reference
+        planes and stores into the output; of the four buffers it once took,
+        only the residual stack is left.  What a warm call still allocates
+        is a few index words, whatever the raster."""
         use_execute_engine("native", monkeypatch)
         scratch = NamedScratch()
         cold, warm, plan, out = self._traced_cold_and_warm(scratch)
-        assert scratch.taken <= {"res", "coeffs", "lines", "slots"}
+        assert scratch.taken == {"res"}
         plan_bytes = sum(
             getattr(plan, name).nbytes for name, *_ in plan_codec._ARRAYS
         )
