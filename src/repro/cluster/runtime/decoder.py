@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import queue
 import time
-from collections import Counter
 from pathlib import Path
 from typing import Dict, List
+
+import numpy as np
 
 from repro.cluster.runtime.config import WallConfig
 from repro.cluster.runtime.messages import (
@@ -28,7 +29,6 @@ from repro.cluster.runtime.messages import (
     MSG_REPORT,
     MSG_SEQ,
     MSG_SUBPICTURE,
-    block_nbytes,
     decode_block,
     decode_block_hmsg,
     decode_plan_hmsg,
@@ -42,7 +42,6 @@ from repro.cluster.runtime.messages import (
     encode_tile_frame,
     encode_tile_frame_hmsg,
     tile_frame_nbytes,
-    write_block_into,
     write_tile_frame_into,
 )
 from repro.cluster.runtime.rendezvous import (
@@ -73,11 +72,13 @@ from repro.perf.telemetry import (
 from repro.perf.trace import TraceWriter
 from repro.wall.layout import TileLayout
 
-#: Decoder-pool slab geometry: boundary blocks are at most one 17x17 luma
-#: piece + two 9x9 chroma pieces (~450 B), so small slabs; the count covers
-#: a few pictures' worth of in-flight exchanges before falling back.
-BLOCK_SLAB_BYTES = 512
-BLOCK_SLAB_COUNT = 256
+#: Decoder-pool slab geometry: a block is one picture's pieces for one
+#: peer, each piece at most one 17x17 luma + two 9x9 chroma samples (~450
+#: B); a 1080p cut moves a few KiB a picture.  The count covers a few
+#: pictures' worth of in-flight blocks per peer; a larger block, or one
+#: that finds every slab leased, goes by value.
+BLOCK_SLAB_BYTES = 64 * 1024
+BLOCK_SLAB_COUNT = 16
 #: Tile-frame crops in flight to the collector before falling back.
 FRAME_SLAB_COUNT = 8
 
@@ -281,8 +282,8 @@ def _decoder_body(
         plan_handle = None
         if msg.type == MSG_PLAN_H:
             with traced_stage(tracer, dec.stage_times, "wire", picture=i):
-                anid, expected_recvs, plan_handle, program, in_stamps = (
-                    decode_plan_hmsg(msg.payload)
+                anid, plan_handle, program, in_stamps = decode_plan_hmsg(
+                    msg.payload, n_tiles
                 )
                 # Zero-copy decode straight out of the splitter's slab;
                 # the handle is released only after the plan executes.
@@ -293,31 +294,37 @@ def _decoder_body(
             ptype = tp.picture_type
         elif msg.type == MSG_PLAN:
             with traced_stage(tracer, dec.stage_times, "wire", picture=i):
-                anid, expected_recvs, tp, program, in_stamps = decode_plan_msg(
-                    msg.payload, dec.matrices
+                anid, tp, program, in_stamps = decode_plan_msg(
+                    msg.payload, dec.matrices, n_tiles
                 )
             sp = None
             ptype = tp.picture_type
         else:
-            anid, expected_recvs, sp_bytes, program, in_stamps = decode_subpicture(
-                msg.payload
+            anid, sp_bytes, program, in_stamps = decode_subpicture(
+                msg.payload, n_tiles
             )
             sp = SubPicture.deserialize(sp_bytes)
             ptype = sp.picture_type
+        if program.tile != tid or program.picture_index != i:
+            raise ProtocolError(
+                f"{me}: MEI program of tile {program.tile}, picture "
+                f"{program.picture_index} arrived with picture {i}"
+            )
         # Ack to the *next* splitter (ANID), releasing picture i+1.
         split_ch[anid].send(MSG_ACK, picture=i, sender=tid)
 
         t0 = time.perf_counter()
         c0 = time.thread_time()
-        served = 0
+        served = sent_msgs = got_msgs = 0
         with tracer.span("serve", picture=i):
+            # one block per destination peer: one message, one lease
             for block in dec.execute_sends(program, ptype):
                 ch = peers[f"dec{block.dest}"]
-                bnb = block_nbytes(block)
+                bnb = block.nbytes
                 lease = None
                 if (
                     pool is not None
-                    and bnb > 0
+                    and 0 < bnb <= BLOCK_SLAB_BYTES
                     and ch.peer_features.get("shm_pool")
                 ):
                     try:
@@ -325,7 +332,7 @@ def _decoder_body(
                     except PoolExhausted:
                         lease = None
                 if lease is not None:
-                    write_block_into(block, lease.buf)
+                    np.frombuffer(lease.buf, np.uint8)[:] = block.pixels
                     ch.send(
                         MSG_BLOCK_H,
                         encode_block_hmsg(block, lease.handle),
@@ -339,7 +346,8 @@ def _decoder_body(
                         MSG_BLOCK, encode_block(block), picture=i, sender=tid
                     )
                     registry().counter("pool.bytes_by_copy").inc(bnb)
-                served += block.nbytes
+                served += bnb
+                sent_msgs += 1
         serve_s = time.perf_counter() - t0
         serve_cpu = time.thread_time() - c0
 
@@ -347,23 +355,31 @@ def _decoder_body(
         # The MEI exchange barrier: this tile cannot reconstruct until every
         # remote reference block of picture i has arrived.
         with tracer.span("exchange_wait", picture=i):
-            # Per-source debt ledger: a closed peer that still owes this
-            # picture blocks is a death, not an orderly EOF — fail fast
-            # instead of sitting out the full receive timeout.
-            owed = Counter(f"dec{src}" for _, src in program.recvs)
-            pending = held_back.pop(i, [])
-            for block, bh in pending:
+            # Per-source debt ledger, one block from each peer the RECV rows
+            # name: a closed peer that still owes this picture its block is
+            # a death, not an orderly EOF — fail fast instead of sitting
+            # out the full receive timeout.
+            owed = {f"dec{src}" for src in program.senders()}
+
+            def settle(block, bh) -> None:
+                nonlocal got_msgs
+                name = f"dec{block.src}"
+                if name not in owed:
+                    raise ProtocolError(f"{me}: unowed block of picture {i} from {name}")
                 dec.apply_recv(block, ptype)
                 if bh is not None:
                     pools.release(bh)
-                owed[f"dec{block.src}"] -= 1
-            got = len(pending)
+                owed.discard(name)
+                got_msgs += 1
+
+            for block, bh in held_back.pop(i, []):
+                settle(block, bh)
             for name in closed:
-                if owed.get(name, 0) > 0:
+                if name in owed:
                     raise ChannelClosed(
                         f"{me}: {name} died owing blocks of picture {i}"
                     )
-            while got < expected_recvs:
+            while owed:
                 bkind, blabel, bmsg = queue_get(
                     blk_q, cfg.recv_timeout, f"blocks of picture {i}"
                 )
@@ -371,7 +387,7 @@ def _decoder_body(
                     raise bmsg
                 if bkind == "closed":
                     closed.add(blabel)
-                    if owed.get(blabel, 0) > 0:
+                    if blabel in owed:
                         raise ChannelClosed(
                             f"{me}: {blabel} died owing blocks of picture {i}"
                         )
@@ -381,11 +397,7 @@ def _decoder_body(
                 else:
                     block, bh = decode_block(bmsg.payload), None
                 if bmsg.picture == i:
-                    dec.apply_recv(block, ptype)
-                    if bh is not None:
-                        pools.release(bh)
-                    owed[f"dec{block.src}"] -= 1
-                    got += 1
+                    settle(block, bh)
                 else:
                     held_back.setdefault(bmsg.picture, []).append((block, bh))
         wait_remote_s = time.perf_counter() - t0
@@ -420,6 +432,8 @@ def _decoder_body(
             decode_s=round(decode_s, 6),
             cpu_s=round(busy_cpu, 6),
             served_bytes=served,
+            block_msgs=sent_msgs,  # MSG_BLOCK(_H) sent: one per peer served
+            block_msgs_in=got_msgs,  # and applied: one per peer owed
         )
         if cfg.partition_policy == "feedback":
             # Telemetry upstream: per-picture busy time rides the ack

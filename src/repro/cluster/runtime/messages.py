@@ -2,20 +2,18 @@
 
 The channel layer (:mod:`repro.net.channel`) frames every message with a
 type + picture-index header; this module defines the types and how each
-payload is encoded.  The two high-volume payloads — reference-pixel
-blocks and decoded tile frames — use hand-rolled struct + raw-plane
-encodings so the runtime moves pixels, not pickles, and the sequence
-header travels as its own coded bytes.  The other low-volume control
-payload left (MEI programs, inside the sub-picture and plan messages) uses
-pickle: every peer is a worker this package spawned itself, so the usual
-pickle trust caveat does not bite.  Picture units travel as a fixed head,
-the GOP header's own coded bytes and the picture's.
+payload is encoded.  Nothing here is pickled: the high-volume payloads --
+reference-pixel blocks and decoded tile frames -- are a ``struct`` head
+and raw planes, the sequence and GOP headers travel as their own coded
+bytes, and an MEI program (inside the sub-picture and plan messages) is
+its own ``struct`` head and int32 table (:meth:`MEIProgram.to_bytes`).
+Every decoder here refuses damaged bytes with a ``ValueError`` (or the
+header's ``BitstreamError``); none executes anything.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 from typing import Optional, Tuple
 
@@ -29,7 +27,7 @@ from repro.mpeg2.parser import PictureUnit
 from repro.mpeg2.plan import QuantMatrices
 from repro.mpeg2.plan_codec import Buffers, TilePlan
 from repro.mpeg2.structures import GOPHeader, SequenceHeader
-from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
+from repro.parallel.mei import ROW_WIDTH, MEIProgram, PixelBlock, check_rows
 
 # ---------------------------- message types ----------------------------- #
 # (repro.net.channel.HEARTBEAT is 0; application types start at 1.)
@@ -37,22 +35,22 @@ from repro.parallel.mei import BlockXfer, MEIProgram, PixelBlock
 MSG_HELLO = 1  # dialer -> accepter: who is calling           (json)
 MSG_SEQ = 2  # root -> splitters -> decoders: SequenceHeader  (its coded bytes)
 MSG_PICTURE = 3  # root -> splitter: one coded picture        (struct+coded bytes)
-MSG_SUBPICTURE = 4  # splitter -> decoder: SP + MEI program   (struct+pickle)
+MSG_SUBPICTURE = 4  # splitter -> decoder: SP + MEI program   (struct+SP+table)
 MSG_ACK = 5  # decoder -> ANID splitter: picture received     (empty)
-MSG_BLOCK = 6  # decoder -> decoder: reference pixels         (struct+planes)
+MSG_BLOCK = 6  # decoder -> decoder: one picture's pixels    (struct+rows+planes)
 MSG_FRAME = 7  # decoder -> collector: displayed tile crop    (struct+planes)
 MSG_CREDIT = 8  # splitter -> root: receive buffer freed      (empty)
 MSG_EOS = 9  # end of stream, cascaded down the tree          (empty)
 MSG_ERROR = 10  # any worker -> collector: fatal diagnostic   (json)
-MSG_PLAN = 11  # splitter -> decoder: compiled plan + MEI     (struct+arrays+pickle)
+MSG_PLAN = 11  # splitter -> decoder: compiled plan + MEI     (struct+arrays+table)
 
 # Handle-bearing twins of the three high-volume payloads.  Same metadata
 # headers as the by-value forms, but the pixels/arrays live in a
 # shared-memory pool slab (repro.mem) and only a ~30-byte Handle crosses
 # the socket.  Negotiated per channel at HELLO time; TCP peers and
 # pool-exhausted sends fall back to the by-value types above.
-MSG_PLAN_H = 12  # splitter -> decoder: plan handle + MEI     (struct+handle+pickle)
-MSG_BLOCK_H = 13  # decoder -> decoder: reference pixel handle (struct+handle)
+MSG_PLAN_H = 12  # splitter -> decoder: plan handle + MEI     (struct+handle+table)
+MSG_BLOCK_H = 13  # decoder -> decoder: pixel handle          (struct+rows+handle)
 MSG_FRAME_H = 14  # decoder -> collector: tile crop handle    (struct+handle)
 
 # Adaptive tile repartitioning (repro.parallel.partition): the root
@@ -148,7 +146,25 @@ def decode_picture(payload) -> Tuple[int, PictureUnit, float]:
 #: Two latency stamps ride every downstream header: ``t_root`` (pipeline
 #: ingress at the root) and ``t_split`` (plan/subpicture shipped by the
 #: splitter).  Decoder->collector frames add ``t_dec`` (tile shipped).
-_SP_HEAD = "<HHIdd"  # anid, expected_recvs, len(sp_bytes), t_root, t_split
+_SP_HEAD = "<HIdd"  # anid, len(sp_bytes), t_root, t_split
+
+
+def _head(fmt: str, payload, what: str) -> tuple:
+    if len(payload) < struct.calcsize(fmt):
+        raise ValueError(f"{what} of {len(payload)} bytes: shorter than its head")
+    return struct.unpack_from(fmt, payload)
+
+
+def _handle(payload, offset: int, what: str) -> Tuple[Handle, int]:
+    """A pool handle at ``offset``; ``ValueError`` where it is cut short or
+    its pool name is not text."""
+    try:
+        handle, end = Handle.unpack(payload, offset)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what}: damaged pool handle ({exc})") from None
+    if end > len(payload):
+        raise ValueError(f"{what}: shorter than its pool handle")
+    return handle, end
 
 
 def encode_subpicture(
@@ -157,24 +173,25 @@ def encode_subpicture(
     program: MEIProgram,
     stamps: Tuple[float, float] = (0.0, 0.0),
 ) -> bytes:
-    head = struct.pack(
-        _SP_HEAD, anid, len(program.recvs), len(sp_bytes), *stamps
-    )
-    return head + sp_bytes + pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+    head = struct.pack(_SP_HEAD, anid, len(sp_bytes), *stamps)
+    return head + sp_bytes + program.to_bytes()
 
 
 def decode_subpicture(
-    payload: bytes,
-) -> Tuple[int, int, bytes, MEIProgram, Tuple[float, float]]:
-    """Return ``(anid, expected_recvs, sp_bytes, program, (t_root, t_split))``."""
-    anid, expected, sp_len, t_root, t_split = struct.unpack_from(_SP_HEAD, payload)
+    payload: bytes, n_tiles: int
+) -> Tuple[int, bytes, MEIProgram, Tuple[float, float]]:
+    """Return ``(anid, sp_bytes, program, (t_root, t_split))``; the program
+    is checked for a wall of ``n_tiles`` tiles."""
+    anid, sp_len, t_root, t_split = _head(_SP_HEAD, payload, "sub-picture message")
     off = struct.calcsize(_SP_HEAD)
+    if len(payload) < off + sp_len:
+        raise ValueError("sub-picture message: shorter than the sub-picture it announces")
     sp_bytes = payload[off : off + sp_len]
-    program = pickle.loads(payload[off + sp_len :])
-    return anid, expected, sp_bytes, program, (t_root, t_split)
+    program = MEIProgram.from_bytes(memoryview(payload)[off + sp_len :], n_tiles)
+    return anid, sp_bytes, program, (t_root, t_split)
 
 
-_PLAN_HEAD = "<HHIdd"  # anid, expected_recvs, plan byte count, t_root, t_split
+_PLAN_HEAD = "<HIdd"  # anid, plan byte count, t_root, t_split
 
 
 def encode_plan_msg(
@@ -186,31 +203,26 @@ def encode_plan_msg(
     """Encode a compiled tile plan + its MEI program as a buffer list.
 
     The plan's ndarray buffers pass through untouched (zero-copy on the
-    socket); only the small MEI program is pickled.
+    socket); the MEI program follows as its table.
     """
     plan_bufs = plan_codec.encode_plan(tp)
     head = struct.pack(
-        _PLAN_HEAD,
-        anid,
-        len(program.recvs),
-        plan_codec.buffers_nbytes(plan_bufs),
-        *stamps,
+        _PLAN_HEAD, anid, plan_codec.buffers_nbytes(plan_bufs), *stamps
     )
-    return [head, *plan_bufs, pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)]
+    return [head, *plan_bufs, program.to_bytes()]
 
 
 def decode_plan_msg(
-    payload: bytes, matrices: QuantMatrices
-) -> Tuple[int, int, TilePlan, MEIProgram, Tuple[float, float]]:
-    """Return ``(anid, expected_recvs, tile_plan, program, (t_root, t_split))``.
+    payload: bytes, matrices: QuantMatrices, n_tiles: int
+) -> Tuple[int, TilePlan, MEIProgram, Tuple[float, float]]:
+    """Return ``(anid, tile_plan, program, (t_root, t_split))``.
 
     The plan's arrays are zero-copy views into ``payload``; ``matrices``
     is the decoder's own copy (matrices never travel on the wire — see
-    :mod:`repro.mpeg2.plan_codec`).
+    :mod:`repro.mpeg2.plan_codec`); the program is checked for a wall of
+    ``n_tiles`` tiles.
     """
-    anid, expected, plan_len, t_root, t_split = struct.unpack_from(
-        _PLAN_HEAD, payload
-    )
+    anid, plan_len, t_root, t_split = _head(_PLAN_HEAD, payload, "plan message")
     off = struct.calcsize(_PLAN_HEAD)
     tp, end = plan_codec.decode_plan(payload, matrices, offset=off)
     if end - off != plan_len:
@@ -218,11 +230,11 @@ def decode_plan_msg(
             f"plan payload length mismatch: header says {plan_len}, "
             f"codec consumed {end - off}"
         )
-    program = pickle.loads(payload[end:])
-    return anid, expected, tp, program, (t_root, t_split)
+    program = MEIProgram.from_bytes(memoryview(payload)[end:], n_tiles)
+    return anid, tp, program, (t_root, t_split)
 
 
-_PLAN_H_HEAD = "<HHdd"  # anid, expected_recvs, t_root, t_split
+_PLAN_H_HEAD = "<Hdd"  # anid, t_root, t_split
 
 
 def encode_plan_hmsg(
@@ -233,28 +245,24 @@ def encode_plan_hmsg(
 ) -> bytes:
     """MSG_PLAN_H payload: the plan already sits in a pool slab (written
     there with :func:`~repro.mpeg2.plan_codec.encode_plan_into`); only
-    anid + handle + the small pickled MEI program cross the wire."""
-    head = struct.pack(_PLAN_H_HEAD, anid, len(program.recvs), *stamps)
-    return (
-        head
-        + handle.pack()
-        + pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    anid + handle + the MEI program's table cross the wire."""
+    head = struct.pack(_PLAN_H_HEAD, anid, *stamps)
+    return head + handle.pack() + program.to_bytes()
 
 
 def decode_plan_hmsg(
-    payload: bytes,
-) -> Tuple[int, int, Handle, MEIProgram, Tuple[float, float]]:
-    """Return ``(anid, expected_recvs, handle, program, (t_root, t_split))``.
+    payload: bytes, n_tiles: int
+) -> Tuple[int, Handle, MEIProgram, Tuple[float, float]]:
+    """Return ``(anid, handle, program, (t_root, t_split))``.
 
     The caller views the handle through its :class:`~repro.mem.PoolRegistry`
     and decodes the slab with the ordinary ``decode_plan`` — the slab
     layout is byte-identical to the by-value wire payload.
     """
-    anid, expected, t_root, t_split = struct.unpack_from(_PLAN_H_HEAD, payload)
-    handle, off = Handle.unpack(payload, struct.calcsize(_PLAN_H_HEAD))
-    program = pickle.loads(payload[off:])
-    return anid, expected, handle, program, (t_root, t_split)
+    anid, t_root, t_split = _head(_PLAN_H_HEAD, payload, "plan-handle message")
+    handle, off = _handle(payload, struct.calcsize(_PLAN_H_HEAD), "plan-handle message")
+    program = MEIProgram.from_bytes(memoryview(payload)[off:], n_tiles)
+    return anid, handle, program, (t_root, t_split)
 
 
 # ----------------------- partition telemetry ---------------------------- #
@@ -282,122 +290,64 @@ def decode_error(payload: bytes) -> Tuple[str, str]:
 
 
 # ------------------------- pixel-block payload -------------------------- #
+#
+# One block per (source, destination) pair and picture: a head, the SEND
+# rows for the destination (int32, ROW_WIDTH a row), then the packed
+# samples -- in the payload (MSG_BLOCK) or in a pool slab (MSG_BLOCK_H).
 
-_BLOCK_FMT = "<HHB8HB"  # src, dest, direction, luma rect, chroma rect, flags
+_BLOCK_HEAD = "<HHI"  # src, dest, rows
 
 
-def _rect_shape(r: Rect) -> Tuple[int, int]:
-    return (r.y1 - r.y0, r.x1 - r.x0)
+def _block_rows(payload, what: str) -> Tuple[int, int, np.ndarray, int]:
+    """``(src, dest, rows, offset past them)``; the rows' peer column must
+    be ``dest`` and pass :func:`~repro.parallel.mei.check_rows` (the
+    raster bound is the receiving decoder's)."""
+    src, dest, n = _head(_BLOCK_HEAD, payload, what)
+    off = struct.calcsize(_BLOCK_HEAD)
+    end = off + 4 * ROW_WIDTH * n
+    if len(payload) < end:
+        raise ValueError(f"{what}: shorter than the {n} rows it announces")
+    rows = np.frombuffer(payload, "<i4", ROW_WIDTH * n, off)
+    rows = rows.reshape(n, ROW_WIDTH).astype(np.int32)
+    check_rows(rows, dest + 1, what)
+    if src == dest or (rows[:, ROW_WIDTH - 1] != dest).any():
+        raise ValueError(f"{what}: rows from {src} not all for {dest}")
+    return src, dest, rows, end
 
 
-def encode_block(block: PixelBlock) -> bytes:
-    lr, cr_ = block.xfer.luma, block.xfer.chroma
-    flags = (
-        (1 if block.y is not None else 0)
-        | (2 if block.cb is not None else 0)
-        | (4 if block.cr is not None else 0)
+def _block_head(block: PixelBlock) -> bytes:
+    return (
+        struct.pack(_BLOCK_HEAD, block.src, block.dest, len(block.rows))
+        + block.rows.astype("<i4", copy=False).tobytes()
     )
-    head = struct.pack(
-        _BLOCK_FMT,
-        block.src,
-        block.dest,
-        block.xfer.direction,
-        lr.x0, lr.y0, lr.x1, lr.y1,
-        cr_.x0, cr_.y0, cr_.x1, cr_.y1,
-        flags,
-    )
-    planes = [
-        np.ascontiguousarray(p).tobytes()
-        for p in (block.y, block.cb, block.cr)
-        if p is not None
-    ]
-    return head + b"".join(planes)
 
 
-def _block_from(vals, planes_buf, planes_off: int) -> PixelBlock:
-    """Build a PixelBlock from unpacked header values + a plane buffer
-    (the socket payload tail, or a shared-memory slab view)."""
-    src, dest, direction = vals[0], vals[1], vals[2]
-    luma = Rect(vals[3], vals[4], vals[5], vals[6])
-    chroma = Rect(vals[7], vals[8], vals[9], vals[10])
-    flags = vals[11]
-    off = planes_off
-
-    def take(rect: Rect, present: bool):
-        nonlocal off
-        if not present:
-            return None
-        h, w = _rect_shape(rect)
-        plane = np.frombuffer(
-            planes_buf, dtype=np.uint8, count=h * w, offset=off
-        )
-        off += h * w
-        return plane.reshape(h, w)
-
-    y = take(luma, bool(flags & 1))
-    cb = take(chroma, bool(flags & 2))
-    cr = take(chroma, bool(flags & 4))
-    return PixelBlock(
-        xfer=BlockXfer(luma=luma, chroma=chroma, direction=direction),
-        src=src,
-        dest=dest,
-        y=y,
-        cb=cb,
-        cr=cr,
-    )
+def encode_block(block: PixelBlock) -> Buffers:
+    return [_block_head(block), memoryview(block.pixels)]
 
 
 def decode_block(payload: bytes) -> PixelBlock:
-    vals = struct.unpack_from(_BLOCK_FMT, payload)
-    return _block_from(vals, payload, struct.calcsize(_BLOCK_FMT))
-
-
-def block_nbytes(block: PixelBlock) -> int:
-    """Plane payload bytes of one block (slab lease sizing)."""
-    return sum(p.nbytes for p in (block.y, block.cb, block.cr) if p is not None)
-
-
-def write_block_into(block: PixelBlock, buf) -> int:
-    """Write the block's planes into a pool slab; returns bytes written."""
-    off = 0
-    for p in (block.y, block.cb, block.cr):
-        if p is None:
-            continue
-        dst = np.frombuffer(buf, dtype=np.uint8, count=p.nbytes, offset=off)
-        np.copyto(dst.reshape(p.shape), p)
-        off += p.nbytes
-    return off
+    """The samples are a zero-copy view of ``payload``; whether their count
+    fits the rows is the receiving decoder's check."""
+    src, dest, rows, off = _block_rows(payload, "block message")
+    return PixelBlock(src, dest, rows, np.frombuffer(payload, np.uint8, offset=off))
 
 
 def encode_block_hmsg(block: PixelBlock, handle: Handle) -> bytes:
-    """MSG_BLOCK_H payload: the by-value header + the slab handle; the
-    planes were already written with :func:`write_block_into`."""
-    lr, cr_ = block.xfer.luma, block.xfer.chroma
-    flags = (
-        (1 if block.y is not None else 0)
-        | (2 if block.cb is not None else 0)
-        | (4 if block.cr is not None else 0)
-    )
-    head = struct.pack(
-        _BLOCK_FMT,
-        block.src,
-        block.dest,
-        block.xfer.direction,
-        lr.x0, lr.y0, lr.x1, lr.y1,
-        cr_.x0, cr_.y0, cr_.x1, cr_.y1,
-        flags,
-    )
-    return head + handle.pack()
+    """MSG_BLOCK_H payload: the by-value head and rows + the slab handle;
+    the samples were already written into the slab."""
+    return _block_head(block) + handle.pack()
 
 
 def decode_block_hmsg(payload: bytes, view_fn) -> Tuple[PixelBlock, Handle]:
     """Decode a handle-bearing block; ``view_fn`` maps Handle -> memoryview
     (a :meth:`~repro.mem.PoolRegistry.view` bound method).  The returned
-    planes are zero-copy views into the slab — release the handle only
+    samples are a zero-copy view into the slab — release the handle only
     after they have been applied."""
-    vals = struct.unpack_from(_BLOCK_FMT, payload)
-    handle, _off = Handle.unpack(payload, struct.calcsize(_BLOCK_FMT))
-    return _block_from(vals, view_fn(handle), 0), handle
+    src, dest, rows, off = _block_rows(payload, "block-handle message")
+    handle, _off = _handle(payload, off, "block-handle message")
+    pixels = np.frombuffer(view_fn(handle), np.uint8)
+    return PixelBlock(src, dest, rows, pixels), handle
 
 
 # ------------------------- tile-frame payload --------------------------- #

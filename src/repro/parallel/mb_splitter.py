@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mpeg2.constants import PictureType
-from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
 from repro.mpeg2.parser import MacroblockParser, ParsedMB, ParsedPicture, PictureUnit
 from repro.mpeg2.plan import (
     QuantMatrices,
@@ -31,7 +30,7 @@ from repro.mpeg2.plan import (
 )
 from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.structures import SequenceHeader
-from repro.parallel.mei import BWD, FWD, BlockXfer, MEIBatch
+from repro.parallel.mei import MEIBatch
 from repro.parallel.subpicture import SPH, RunRecord, SkipRecord, SubPicture
 from repro.perf.metrics import StageTimes
 from repro.perf.telemetry import registry
@@ -85,16 +84,6 @@ class _Run:
     @property
     def next_addr(self) -> int:
         return self.items[-1].mb.address + 1
-
-
-def _contained(rect_cols, idx: np.ndarray, bound: Rect) -> np.ndarray:
-    x0, y0, x1, y1 = rect_cols
-    return (
-        (x0[idx] >= bound.x0)
-        & (y0[idx] >= bound.y0)
-        & (x1[idx] <= bound.x1)
-        & (y1[idx] <= bound.y1)
-    )
 
 
 @dataclass
@@ -185,68 +174,30 @@ class MacroblockSplitter:
         """Compile each tile's share of ``parsed.columns`` into a plan.
 
         The parser's output is already the columnar table, so tile
-        membership, plan arrays and the escape test for MEI exchanges are
-        all array expressions.  Only the rare macroblocks whose reference
-        rectangle actually leaves a tile's coverage go through the scalar
-        ``_exchange`` — in (stream, tile) order, the order a macroblock-
-        at-a-time walk visits them, so MEI dedup and program order are
-        those of ``tests/oracles.py::compile_plans_reference``.
+        membership, plan arrays and the MEI programs are all array
+        expressions (:meth:`_exchanges`).
         """
         layout = self.layout
         hdr = parsed.header
         c = parsed.columns
-        mei = MEIBatch(picture_index, layout.n_tiles)
         check_staging(parsed, self.sequence.width, self.sequence.height)
 
-        mb_x, mb_y = c.address % parsed.mb_width, c.address // parsed.mb_width
-        # Per row and direction: is there a nonzero coded vector (the only
-        # kind that can need an exchange), and the luma / chroma reference
-        # rectangles it reads (garbage where there is none).
-        active = ~c.intra[:, None] & c.motion & c.mv.any(axis=2)
-        luma, chroma = reference_rects(mb_x[:, None], mb_y[:, None], c.mv)
-
-        esc_items: List[np.ndarray] = []
-        esc_tids: List[np.ndarray] = []
         plans: Dict[int, TilePlan] = {}
         for t in layout:
             idx = parsed.rows_in(t.rect)
-            m = len(idx)
             n_sk = int(c.skipped[idx].sum())
             plans[t.tid] = TilePlan(
                 picture_index=picture_index,
                 tile=t.tid,
                 picture_type=hdr.picture_type,
-                n_coded=m - n_sk,
+                n_coded=len(idx) - n_sk,
                 n_skipped=n_sk,
                 plan=plan_of_rows(parsed, self.matrices, idx),
             )
-            if m == 0:
-                continue
-            cov = t.coverage
-            ccov = Rect(cov.x0 // 2, cov.y0 // 2, cov.x1 // 2, cov.y1 // 2)
-            local = _contained(luma, idx, cov) & _contained(chroma, idx, ccov)
-            esc = (active[idx] & ~local).any(axis=1)
-            if esc.any():
-                esc_items.append(idx[esc])
-                esc_tids.append(np.full(int(esc.sum()), t.tid, np.int64))
-
-        if esc_items:
-            gi = np.concatenate(esc_items)
-            gt = np.concatenate(esc_tids)
-            # visit order: stream position major, tile id minor
-            for k in np.lexsort((gt, gi)):
-                i = int(gi[k])
-                vectors = [
-                    (d, (int(c.mv[i, d, 0]), int(c.mv[i, d, 1])))
-                    for d in (FWD, BWD)
-                    if c.motion[i, d]
-                ]
-                self._exchange(mei, int(gt[k]), int(mb_x[i]), int(mb_y[i]), vectors)
-
         return PlanSplitResult(
             picture_index=picture_index,
             plans=plans,
-            mei=mei,
+            mei=self._exchanges(parsed, picture_index),
             picture_type=hdr.picture_type,
         )
 
@@ -267,8 +218,6 @@ class MacroblockSplitter:
             )
             for t in layout
         }
-        mei = MEIBatch(picture_index, layout.n_tiles)
-
         open_runs: Dict[int, Optional[_Run]] = {t.tid: None for t in layout}
         pending: Dict[int, Optional[_SkipStreak]] = {t.tid: None for t in layout}
 
@@ -382,7 +331,6 @@ class MacroblockSplitter:
                             slice_index=item.slice_index,
                             items=[item],
                         )
-                self._add_exchanges(mei, item, t, mb_x, mb_y)
 
         for t in layout.tiles:
             close_run(t.tid)
@@ -391,62 +339,119 @@ class MacroblockSplitter:
         return SplitResult(
             picture_index=picture_index,
             subpictures=subpictures,
-            mei=mei,
+            mei=self._exchanges(parsed, picture_index),
             picture_type=hdr.picture_type,
         )
 
     # ------------------------------------------------------------------ #
 
-    def _add_exchanges(
-        self, mei: MEIBatch, item: ParsedMB, t: int, mb_x: int, mb_y: int
-    ) -> None:
-        """Pre-calculate remote reference transfers for one macroblock."""
-        mb = item.mb
-        if mb.intra:
-            return
-        vectors = []
-        if mb.motion_forward and mb.mv_fwd is not None:
-            vectors.append((FWD, mb.mv_fwd))
-        if mb.motion_backward and mb.mv_bwd is not None:
-            vectors.append((BWD, mb.mv_bwd))
-        # P "No MC" and P skips read the co-located macroblock, which is
-        # always inside this tile's coverage — no exchange needed.
-        self._exchange(mei, t, mb_x, mb_y, vectors)
+    def _exchanges(self, parsed: ParsedPicture, picture_index: int) -> MEIBatch:
+        """Pre-calculate the picture's MEI programs in one array pass.
 
-    def _exchange(
-        self, mei: MEIBatch, t: int, mb_x: int, mb_y: int, vectors: list
-    ) -> None:
-        """Add the transfers tile ``t`` needs for a non-intra macroblock's
-        coded ``(direction, vector)`` pairs."""
+        A candidate is a (macroblock, tile, direction) whose coded nonzero
+        vector reads outside the tile's coverage (a zero vector reads the
+        co-located macroblock: local by construction; intra macroblocks
+        and P "No MC" read nothing remote).  Against every other tile it
+        gives a piece: the intersection with that tile's partition, and
+        with its ceil-halved partition for chroma.  A plane's piece is
+        needed if it is non-empty and not inside the destination's
+        (floor-halved for chroma) coverage; an unneeded plane's rect is
+        ``(0, 0, 0, 0)``.  Rows are ordered by (stream position, tile,
+        direction, other tile) and a duplicate (src, dest, luma, chroma,
+        direction) keeps its first occurrence — the order and dedup of the
+        macroblock-at-a-time walk in ``tests/oracles.py``.
+        """
         layout = self.layout
-        tile = layout.tile(t)
-        cov = tile.coverage
-        ccov = Rect(cov.x0 // 2, cov.y0 // 2, cov.x1 // 2, cov.y1 // 2)
+        c = parsed.columns
+        # Per row and direction: a nonzero coded vector (the only kind that
+        # can need an exchange); then only the rows with one, and the luma
+        # rectangles they read (plan.reference_rects' luma half).
+        # (``any`` over a length-2 axis is a slow strided reduce: spelled out)
+        active = ~c.intra[:, None] & c.motion & ((c.mv[..., 0] != 0) | (c.mv[..., 1] != 0))
+        moving = np.flatnonzero(active[:, 0] | active[:, 1])
+        active, mv = active[moving], c.mv[moving]
+        mb_x = c.address[moving] % parsed.mb_width
+        mb_y = c.address[moving] // parsed.mb_width
+        x0 = mb_x[:, None] * 16 + (mv[..., 0] >> 1)
+        y0 = mb_y[:, None] * 16 + (mv[..., 1] >> 1)
+        luma = np.stack(
+            (x0, y0, x0 + 16 + (mv[..., 0] & 1), y0 + 16 + (mv[..., 1] & 1)), axis=-1
+        )
 
-        for direction, mv in vectors:
-            if mv == (0, 0):
-                continue  # co-located read, local by construction
-            lrect = reference_rect(mb_x, mb_y, mv)
-            crect = chroma_reference_rect(mb_x, mb_y, mv)
-            if cov.contains(lrect) and ccov.contains(crect):
-                continue
-            for other in layout.tiles:
-                if other.tid == t:
-                    continue
-                p = other.partition
-                lpiece = p.intersect(lrect)
-                cp = Rect(p.x0 // 2, p.y0 // 2, -(-p.x1 // 2), -(-p.y1 // 2))
-                cpiece = cp.intersect(crect)
-                luma_needed = not lpiece.is_empty() and not cov.contains(lpiece)
-                chroma_needed = not cpiece.is_empty() and not ccov.contains(cpiece)
-                if not luma_needed and not chroma_needed:
-                    continue
-                mei.add_exchange(
-                    other.tid,
-                    t,
-                    BlockXfer(
-                        luma=lpiece if luma_needed else Rect(0, 0, 0, 0),
-                        chroma=cpiece if chroma_needed else Rect(0, 0, 0, 0),
-                        direction=direction,
-                    ),
-                )
+        # Candidates, in (row, tile, direction) order: the row is in the
+        # tile (the box test of ParsedPicture.rows_in) and its vector reads
+        # outside the tile's coverage.  The luma read decides: the chroma
+        # read lies inside the luma read halved, and the coverage is
+        # macroblock aligned.
+        cells, part, cpart, cov, ccov = _boxes(layout)
+        ri, ti = np.nonzero(
+            (mb_x[:, None] >= cells[:, 0])
+            & (mb_y[:, None] >= cells[:, 1])
+            & (mb_x[:, None] <= cells[:, 2])
+            & (mb_y[:, None] <= cells[:, 3])
+        )
+        p, cd = np.nonzero(active[ri] & ~_inside(luma[ri], cov[ti, None]))
+        ci, ct = ri[p], ti[p]
+        lread = luma[ci, cd]
+        cread = np.stack(
+            reference_rects(mb_x[ci], mb_y[ci], mv[ci, cd])[1], axis=-1
+        )
+
+        # candidate x other tile: the pieces, and which planes are needed
+        lp = _intersect(lread[:, None], part[None])
+        cp = _intersect(cread[:, None], cpart[None])
+        l_need = _nonempty(lp) & ~_inside(lp, cov[ct][:, None])
+        c_need = _nonempty(cp) & ~_inside(cp, ccov[ct][:, None])
+        other = np.arange(layout.n_tiles)
+        k, o = np.nonzero((l_need | c_need) & (other[None] != ct[:, None]))
+        table = np.concatenate(
+            (
+                np.where(l_need[k, o, None], lp[k, o], 0),
+                np.where(c_need[k, o, None], cp[k, o], 0),
+                np.stack((cd[k], o, ct[k]), axis=1),
+            ),
+            axis=1,
+        ).astype(np.int32)
+        # keep each distinct row's first occurrence (rows compared as bytes)
+        as_bytes = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))
+        _, first = np.unique(as_bytes.ravel(), return_index=True)
+        return MEIBatch.from_exchanges(
+            picture_index, layout.n_tiles, table[np.sort(first)]
+        )
+
+
+def _boxes(layout: TileLayout) -> tuple:
+    """Per tile, each an ``(n_tiles, 4)`` array: the first and last
+    macroblock column and row its rect touches, its partition, the
+    ceil-halved (chroma) partition, its coverage and the floor-halved
+    (chroma) coverage."""
+    def corners(rects):
+        return np.array([[r.x0, r.y0, r.x1, r.y1] for r in rects])
+
+    rect = corners(t.rect for t in layout)
+    cells = np.concatenate((rect[:, :2] // 16, (rect[:, 2:] - 1) // 16), axis=1)
+    part = corners(t.partition for t in layout)
+    cpart = np.concatenate((part[:, :2] // 2, -(-part[:, 2:] // 2)), axis=1)
+    cov = corners(t.coverage for t in layout)
+    return cells, part, cpart, cov, cov // 2
+
+
+def _inside(rects: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``rects`` (``(..., 4)``: x0, y0, x1, y1) inside ``bound``."""
+    return (
+        (rects[..., 0] >= bound[..., 0])
+        & (rects[..., 1] >= bound[..., 1])
+        & (rects[..., 2] <= bound[..., 2])
+        & (rects[..., 3] <= bound[..., 3])
+    )
+
+
+def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        (np.maximum(a[..., :2], b[..., :2]), np.minimum(a[..., 2:], b[..., 2:])),
+        axis=-1,
+    )
+
+
+def _nonempty(rects: np.ndarray) -> np.ndarray:
+    return (rects[..., 2] > rects[..., 0]) & (rects[..., 3] > rects[..., 1])

@@ -1,10 +1,13 @@
 """Per-tile decoder (paper §4.1, refined algorithm Table 3).
 
 A tile decoder receives (MEI, SP) pairs in decode order.  For each picture
-it first executes the MEI SEND instructions (reading previously decoded
-reference frames), applies the received blocks into its local reference
-copies, then decodes the sub-picture through the same parse -> plan ->
-execute phases as the sequential decoder.
+it first executes the MEI SEND rows (reading previously decoded reference
+frames) into one packed block per destination, applies the one block each
+source sends it into its local reference copies, then decodes the
+sub-picture through the same parse -> plan -> execute phases as the
+sequential decoder.  Every row is checked against the raster before it
+indexes a plane, so a block or program off the wire is refused with a
+``ValueError``, never an ``IndexError`` or a short copy.
 
 No server thread and no blocking demand-fetch exist anywhere in this class
 — the pre-calculated exchange is the paper's central decoder-side idea.
@@ -15,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.bitstream import BitReader, BitstreamError
 from repro.mpeg2 import fast_vlc
@@ -33,7 +38,14 @@ from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.structures import SequenceHeader
 from repro.perf.metrics import StageTimes
 from repro.perf.telemetry import registry
-from repro.parallel.mei import BWD, FWD, MEIProgram, PixelBlock
+from repro.parallel.mei import (
+    BWD,
+    DIRECTION,
+    FWD,
+    PEER,
+    MEIProgram,
+    PixelBlock,
+)
 from repro.parallel.subpicture import RunRecord, SkipRecord, SubPicture
 from repro.wall.layout import Tile, TileLayout
 
@@ -106,40 +118,80 @@ class TileDecoder:
     # MEI execution
     # ------------------------------------------------------------------ #
 
+    def _block_size(self, rows: list) -> int:
+        """Samples a block of ``rows`` packs; ``ValueError`` for a row whose
+        direction is neither FWD nor BWD or whose rect is inverted or
+        leaves the raster, before anything indexes a plane."""
+        w, h = self.sequence.width, self.sequence.height
+        cw, ch = w // 2, h // 2
+        size = 0
+        for x0, y0, x1, y1, cx0, cy0, cx1, cy1, direction, _ in rows:
+            if not (
+                0 <= x0 <= x1 <= w
+                and 0 <= y0 <= y1 <= h
+                and 0 <= cx0 <= cx1 <= cw
+                and 0 <= cy0 <= cy1 <= ch
+                and direction in (FWD, BWD)
+            ):
+                raise ValueError(
+                    "MEI row refused: a direction that is neither FWD nor BWD, "
+                    "or a rect inverted or off the raster"
+                )
+            size += (x1 - x0) * (y1 - y0) + 2 * (cx1 - cx0) * (cy1 - cy0)
+        return size
+
+    def _refs(self, rows: list, ptype: PictureType) -> list:
+        """``[forward, backward]`` reference frames, None for a direction no
+        row names."""
+        used = {r[DIRECTION] for r in rows}
+        return [self._ref_for_direction(d, ptype) if d in used else None for d in (FWD, BWD)]
+
     def execute_sends(
         self, program: MEIProgram, ptype: PictureType
     ) -> List[PixelBlock]:
-        """Run the SEND instructions: cut reference pixels for peers."""
+        """Run the SEND instructions: one block per destination, in
+        destination order, its samples cut from the already-decoded
+        references (see :class:`~repro.parallel.mei.PixelBlock`)."""
+        sends = program.sends
+        rows = sends.tolist()
+        self._block_size(rows)
+        refs = self._refs(rows, ptype)
         out: List[PixelBlock] = []
-        for xfer, dest in program.sends:
-            ref = self._ref_for_direction(xfer.direction, ptype)
-            lr, cr_ = xfer.luma, xfer.chroma
-            y = ref.y[lr.y0 : lr.y1, lr.x0 : lr.x1].copy() if lr.area else None
-            cb = (
-                ref.cb[cr_.y0 : cr_.y1, cr_.x0 : cr_.x1].copy() if cr_.area else None
-            )
-            cr = (
-                ref.cr[cr_.y0 : cr_.y1, cr_.x0 : cr_.x1].copy() if cr_.area else None
-            )
-            block = PixelBlock(
-                xfer=xfer, src=self.tile.tid, dest=dest, y=y, cb=cb, cr=cr
-            )
+        for dest in sorted({r[PEER] for r in rows}):
+            mine = sends[sends[:, PEER] == dest]
+            pieces = []
+            for plane, c in (("y", 0), ("cb", 4), ("cr", 4)):
+                planes = [None if f is None else getattr(f, plane) for f in refs]
+                pieces += [
+                    planes[r[DIRECTION]][r[c + 1] : r[c + 3], r[c] : r[c + 2]]
+                    for r in rows
+                    if r[PEER] == dest
+                ]
+            block = PixelBlock(self.tile.tid, dest, mine, np.concatenate(pieces, axis=None))
             self.stats.serve_bytes += block.nbytes
             out.append(block)
         return out
 
     def apply_recv(self, block: PixelBlock, ptype: PictureType) -> None:
-        """Write one received transfer into the local reference copy."""
+        """Scatter one received block into the local reference copies."""
         if block.dest != self.tile.tid:
             raise ValueError("transfer delivered to the wrong decoder")
-        ref = self._ref_for_direction(block.xfer.direction, ptype)
-        lr, cr_ = block.xfer.luma, block.xfer.chroma
-        if block.y is not None:
-            ref.y[lr.y0 : lr.y1, lr.x0 : lr.x1] = block.y
-        if block.cb is not None:
-            ref.cb[cr_.y0 : cr_.y1, cr_.x0 : cr_.x1] = block.cb
-        if block.cr is not None:
-            ref.cr[cr_.y0 : cr_.y1, cr_.x0 : cr_.x1] = block.cr
+        rows = block.rows.tolist()
+        size = self._block_size(rows)
+        if block.pixels.shape != (size,):
+            raise ValueError(f"block of {block.pixels.shape} samples for rows of {size}")
+        refs = self._refs(rows, ptype)
+        at = 0
+        for plane, c in (("y", 0), ("cb", 4), ("cr", 4)):
+            planes = [None if f is None else getattr(f, plane) for f in refs]
+            for r in rows:
+                x0, y0, x1, y1 = r[c : c + 4]
+                n = (x1 - x0) * (y1 - y0)
+                if n:
+                    planes[r[DIRECTION]][y0:y1, x0:x1] = block.pixels[at : at + n].reshape(
+                        y1 - y0, x1 - x0
+                    )
+                    at += n
         self.stats.fetch_bytes += block.nbytes
 
     # ------------------------------------------------------------------ #

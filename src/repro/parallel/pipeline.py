@@ -31,7 +31,7 @@ class PipelineStats:
     splitter_send_bytes: List[int] = field(default_factory=list)
     decoder_stats: Dict[int, TileDecoderStats] = field(default_factory=dict)
     exchange_bytes: int = 0
-    exchange_count: int = 0
+    exchange_count: int = 0  # MEI transfers (rows), not blocks
     subpicture_payload_bytes: int = 0
     subpicture_total_bytes: int = 0
 
@@ -108,14 +108,15 @@ class ParallelDecoder:
         self, decoders: Dict[int, TileDecoder], result: SplitResult
     ) -> Dict[int, Optional[Frame]]:
         ptype = result.picture_type
-        # Phase 1: everyone executes SENDs against already-decoded frames.
+        # Phase 1: everyone executes SENDs against already-decoded frames,
+        # one packed block per (source, destination) pair.
         blocks = []
         for tid, dec in decoders.items():
             blocks.extend(dec.execute_sends(result.mei.program(tid), ptype))
         # Phase 2: deliveries.
         for block in blocks:
             decoders[block.dest].apply_recv(block, ptype)
-        self.stats.exchange_count += len(blocks)
+        self.stats.exchange_count += sum(len(b.rows) for b in blocks)
         self.stats.exchange_bytes += sum(b.nbytes for b in blocks)
         # Phase 3: decode, passing sub-pictures through their wire format.
         ready: Dict[int, Optional[Frame]] = {}

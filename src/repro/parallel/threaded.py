@@ -10,8 +10,9 @@ through blocking queues, with the paper's full control flow:
 - each splitter thread splits independently and waits for all decoder
   acks of the previous picture — redirected via ANID — before sending,
   which serializes sub-picture delivery without reorder queues;
-- each tile-decoder thread executes its MEI SENDs, blocks on its RECVs
-  (with a hold-back buffer for blocks of the next picture arriving early),
+- each tile-decoder thread executes its MEI SENDs (one packed block per
+  destination), waits for one block from each peer its RECVs name (with
+  a hold-back buffer for blocks of the next picture arriving early),
   decodes, and emits display-ready frames.
 
 Output is bit-exact with the sequential decoder; the value of this runner
@@ -63,7 +64,7 @@ class _PlanMessage:
     anid: int
     plan_bytes: bytes
     program: object  # MEIProgram
-    expected_recvs: int
+    expected_blocks: int  # one per peer the program receives from
 
 
 class _Cancelled(BaseException):
@@ -238,7 +239,7 @@ class ThreadedParallelDecoder:
                             anid=nsid,
                             plan_bytes=plan_codec.encode_plan_bytes(result.plans[tid]),
                             program=prog,
-                            expected_recvs=len(prog.recvs),
+                            expected_blocks=len(prog.senders()),
                         )
                     )
 
@@ -287,13 +288,13 @@ class ThreadedParallelDecoder:
                 for block in dec.execute_sends(msg.program, ptype):
                     blk_q[block.dest].put((i, block))
                 serve_cpu = time.thread_time() - c0
-                # collect expected blocks; hold back early arrivals
+                # collect one block per sending peer; hold back early arrivals
                 with self._span("exchange_wait", picture=i):
                     pending = held_back.pop(i, [])
                     for block in pending:
                         dec.apply_recv(block, ptype)
                     got = len(pending)
-                    while got < msg.expected_recvs:
+                    while got < msg.expected_blocks:
                         pic_idx, block = _get(blk_q[tid], f"blocks of picture {i}")
                         if pic_idx == i:
                             dec.apply_recv(block, ptype)

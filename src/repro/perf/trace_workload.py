@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
+from repro.parallel.mei import PEER, payload_bytes
 from repro.parallel.subpicture import RunRecord
 from repro.perf.costmodel import Exchange, PictureWork, TileWork
 from repro.wall.layout import TileLayout
@@ -78,10 +79,10 @@ def extract_trace(
         pair_bytes: Dict[tuple, int] = {}
         pair_instr: Dict[tuple, int] = {}
         for tid in range(layout.n_tiles):
-            prog = result.mei.program(tid)
-            for xfer, dst in prog.sends:
+            sends = result.mei.program(tid).sends
+            for dst, nb in zip(sends[:, PEER].tolist(), payload_bytes(sends).tolist()):
                 key = (tid, dst)
-                pair_bytes[key] = pair_bytes.get(key, 0) + xfer.payload_bytes
+                pair_bytes[key] = pair_bytes.get(key, 0) + nb
                 pair_instr[key] = pair_instr.get(key, 0) + 1
         for (src, dst), nbytes in pair_bytes.items():
             exchanges.append(

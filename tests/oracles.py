@@ -77,7 +77,8 @@ from repro.mpeg2.reconstruct import reconstruct_macroblock
 from repro.mpeg2.plan_codec import TilePlan
 from repro.mpeg2.structures import PictureHeader
 from repro.parallel.mb_splitter import MacroblockSplitter, PlanSplitResult
-from repro.parallel.mei import MEIBatch
+from repro.mpeg2.motion import Rect, chroma_reference_rect, reference_rect
+from repro.parallel.mei import BWD, FWD, BlockXfer, MEIBatch
 
 # A macroblock never starts with 23 zero bits, while the zero padding +
 # start-code prefix that ends a slice always provides them.
@@ -393,6 +394,60 @@ def assert_same_plan(a: ReconstructionPlan, b: ReconstructionPlan, where=()) -> 
     assert np.array_equal(dense_scans(a), dense_scans(b)), (where, "coefficients")
 
 
+def add_exchanges(
+    layout, mei: MEIBatch, item: ParsedMB, t: int, mb_x: int, mb_y: int
+) -> None:
+    """Pre-calculate remote reference transfers for one macroblock of tile
+    ``t`` — the scalar walk :meth:`MacroblockSplitter._exchanges` is held
+    to, program for program and row for row."""
+    mb = item.mb
+    if mb.intra:
+        return
+    vectors = []
+    if mb.motion_forward and mb.mv_fwd is not None:
+        vectors.append((FWD, mb.mv_fwd))
+    if mb.motion_backward and mb.mv_bwd is not None:
+        vectors.append((BWD, mb.mv_bwd))
+    # P "No MC" and P skips read the co-located macroblock, which is
+    # always inside this tile's coverage — no exchange needed.
+    exchange(layout, mei, t, mb_x, mb_y, vectors)
+
+
+def exchange(layout, mei: MEIBatch, t: int, mb_x: int, mb_y: int, vectors: list) -> None:
+    """Add the transfers tile ``t`` needs for a non-intra macroblock's
+    coded ``(direction, vector)`` pairs."""
+    cov = layout.tile(t).coverage
+    ccov = Rect(cov.x0 // 2, cov.y0 // 2, cov.x1 // 2, cov.y1 // 2)
+
+    for direction, mv in vectors:
+        if mv == (0, 0):
+            continue  # co-located read, local by construction
+        lrect = reference_rect(mb_x, mb_y, mv)
+        crect = chroma_reference_rect(mb_x, mb_y, mv)
+        if cov.contains(lrect) and ccov.contains(crect):
+            continue
+        for other in layout.tiles:
+            if other.tid == t:
+                continue
+            p = other.partition
+            lpiece = p.intersect(lrect)
+            cp = Rect(p.x0 // 2, p.y0 // 2, -(-p.x1 // 2), -(-p.y1 // 2))
+            cpiece = cp.intersect(crect)
+            luma_needed = not lpiece.is_empty() and not cov.contains(lpiece)
+            chroma_needed = not cpiece.is_empty() and not ccov.contains(cpiece)
+            if not luma_needed and not chroma_needed:
+                continue
+            mei.add_exchange(
+                other.tid,
+                t,
+                BlockXfer(
+                    luma=lpiece if luma_needed else Rect(0, 0, 0, 0),
+                    chroma=cpiece if chroma_needed else Rect(0, 0, 0, 0),
+                    direction=direction,
+                ),
+            )
+
+
 def compile_plans_reference(
     splitter: MacroblockSplitter, parsed, picture_index: int
 ) -> PlanSplitResult:
@@ -426,7 +481,7 @@ def compile_plans_reference(
         for t in layout.tiles_for_mb(mb_x, mb_y):
             builders[t].add(mb)
             counts[t][1 if mb.skipped else 0] += 1
-            splitter._add_exchanges(mei, item, t, mb_x, mb_y)
+            add_exchanges(layout, mei, item, t, mb_x, mb_y)
 
     plans = {
         t.tid: TilePlan(
@@ -449,11 +504,13 @@ def compile_plans_reference(
 
 __all__ = [
     "ObjectParsedPicture",
+    "add_exchanges",
     "assert_same_plan",
     "builder_plan",
     "chen_wang_idct",
     "compile_plans_reference",
     "dense_scans",
+    "exchange",
     "object_parse_picture",
     "reference_decode",
     "use_execute_engine",

@@ -21,8 +21,12 @@ import repro
 from repro.cluster.runtime import ClusterError, ClusterSupervisor, WallConfig
 from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
+from repro.mpeg2.parser import PictureScanner
+from repro.parallel.mb_splitter import MacroblockSplitter
+from repro.parallel.mei import DEST, SRC
 from repro.perf import metrics, telemetry
 from repro.perf.trace import TRACE_SUFFIX, TraceWriter, read_trace_file
+from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
 
 pytestmark = pytest.mark.integration
@@ -321,6 +325,34 @@ class TestTraceTimeline:
         assert len(by_event["split"]) == len(frames)  # across k splitters
         assert len(by_event["decode"]) == 4 * len(frames)  # per tile
         assert len(by_event["frame_sent"]) == 4 * len(frames)
+
+    def test_one_block_message_per_peer_and_picture(self, clip_stream, wall_run):
+        """Each decoder sends one MSG_BLOCK(_H) per peer its SEND rows name
+        and applies one from each peer its RECV rows name, per picture —
+        not one per transfer."""
+        _, stream = clip_stream
+        sup, _, _ = wall_run
+        sequence, pictures = PictureScanner(stream).scan()
+        splitter = MacroblockSplitter(
+            sequence, TileLayout(sequence.width, sequence.height, 2, 2)
+        )
+        want_out, want_in, transfers = {}, {}, 0
+        for i, unit in enumerate(pictures):
+            exchanges = splitter.split_plans(unit, i).mei.exchanges
+            pairs = set(map(tuple, exchanges[:, [SRC, DEST]].tolist()))
+            transfers += len(exchanges)
+            for t in range(4):
+                want_out[(t, i)] = sum(src == t for src, _ in pairs)
+                want_in[(t, i)] = sum(dest == t for _, dest in pairs)
+        got_out, got_in = {}, {}
+        for ev in read_trace_file(sup.merged_trace_path):
+            if ev.event == "decode" and "ph" not in ev.data:
+                tile = int(ev.proc[len("dec"):])
+                got_out[(tile, ev.picture)] = ev.data["block_msgs"]
+                got_in[(tile, ev.picture)] = ev.data["block_msgs_in"]
+        assert got_out == want_out and got_in == want_in
+        # premise: blocks moved, and fewer messages than transfers
+        assert 0 < sum(want_out.values()) < transfers
 
     def test_timeline_carries_spans(self, wall_run):
         """Every instrumented region appears as balanced B/E span pairs."""

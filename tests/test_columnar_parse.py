@@ -100,10 +100,10 @@ def assert_same_parse(columnar, reference, lean):
 
 
 def assert_same_split(a, b, layout):
-    assert a.mei._seen == b.mei._seen
+    assert np.array_equal(a.mei.exchanges, b.mei.exchanges)
     for tid in range(layout.n_tiles):
         pa, pb = a.mei.program(tid), b.mei.program(tid)
-        assert pa.sends == pb.sends and pa.recvs == pb.recvs
+        assert np.array_equal(pa.sends, pb.sends) and np.array_equal(pa.recvs, pb.recvs)
         ta, tb = a.plans[tid], b.plans[tid]
         assert (ta.n_coded, ta.n_skipped) == (tb.n_coded, tb.n_skipped)
         assert_same_plan(ta.plan, tb.plan)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.mpeg2.constants import MB_SIZE, PictureType
+from repro.mpeg2.motion import Rect
 from repro.mpeg2.parser import MacroblockParser, PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
+from repro.parallel.mei import LUMA, PEER
 from repro.parallel.subpicture import RunRecord, SkipRecord
 from repro.wall.layout import TileLayout
 
@@ -131,14 +133,14 @@ class TestMEIDerivation:
         _, layout, results, _ = split_setup
         for res in results:
             sends = sorted(
-                (src, dst, repr(x))
+                (src, r[PEER], *r[:PEER])
                 for src in range(layout.n_tiles)
-                for x, dst in res.mei.program(src).sends
+                for r in res.mei.program(src).sends.tolist()
             )
             recvs = sorted(
-                (src, dst, repr(x))
+                (r[PEER], dst, *r[:PEER])
                 for dst in range(layout.n_tiles)
-                for x, src in res.mei.program(dst).recvs
+                for r in res.mei.program(dst).recvs.tolist()
             )
             assert sends == recvs
 
@@ -153,9 +155,10 @@ class TestMEIDerivation:
         for res in results:
             for src in range(layout.n_tiles):
                 part = layout.tile(src).partition
-                for x, _ in res.mei.program(src).sends:
-                    if x.luma.area:
-                        assert part.contains(x.luma)
+                for r in res.mei.program(src).sends.tolist():
+                    luma = Rect(*r[LUMA])
+                    if luma.area:
+                        assert part.contains(luma)
 
     def test_recv_pieces_outside_coverage(self, split_setup):
         """A tile never receives what it already reconstructs itself."""
@@ -163,9 +166,10 @@ class TestMEIDerivation:
         for res in results:
             for dst in range(layout.n_tiles):
                 cov = layout.tile(dst).coverage
-                for x, _ in res.mei.program(dst).recvs:
-                    if x.luma.area:
-                        assert not cov.contains(x.luma)
+                for r in res.mei.program(dst).recvs.tolist():
+                    luma = Rect(*r[LUMA])
+                    if luma.area:
+                        assert not cov.contains(luma)
 
     def test_single_tile_has_no_exchanges(self, small_stream):
         seq, pics = PictureScanner(small_stream).scan()

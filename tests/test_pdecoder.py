@@ -6,11 +6,10 @@ import pytest
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.encoder import Encoder, EncoderConfig
 from repro.mpeg2.frames import Frame
-from repro.mpeg2.motion import Rect
 from repro.mpeg2.parser import PictureScanner
 from repro.parallel.mb_splitter import MacroblockSplitter
-from repro.parallel.mei import BWD, FWD, BlockXfer
-from repro.parallel.pdecoder import PixelBlock, TileDecoder
+from repro.parallel.mei import BWD, FWD, MEIProgram, PixelBlock
+from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.subpicture import SubPicture
 from repro.wall.layout import TileLayout
 from repro.workloads.synthetic import moving_pattern_frames
@@ -48,12 +47,10 @@ class TestRouting:
     def test_misdelivered_block_rejected(self, setup):
         dec = _decoder(setup, tid=0)
         blk = PixelBlock(
-            xfer=BlockXfer(Rect(0, 0, 4, 4), Rect(0, 0, 2, 2), FWD),
             src=1,
             dest=1,  # not this decoder
-            y=np.zeros((4, 4), np.uint8),
-            cb=None,
-            cr=None,
+            rows=np.array([[0, 0, 4, 4, 0, 0, 0, 0, FWD, 1]], np.int32),
+            pixels=np.zeros(16, np.uint8),
         )
         with pytest.raises(ValueError):
             dec.apply_recv(blk, PictureType.P)
@@ -118,16 +115,78 @@ class TestMEIExecution:
         ref_src = Frame.blank(96, 64, y=99)
         src.chain.held = ref_src
         dst.chain.held = Frame.blank(96, 64, y=0)
-        xfer = BlockXfer(Rect(40, 8, 48, 24), Rect(20, 4, 24, 12), FWD)
-        from repro.parallel.mei import MEIProgram
-
-        prog = MEIProgram(tile=0, picture_index=1, sends=[(xfer, 1)])
+        row = [40, 8, 48, 24, 20, 4, 24, 12, FWD, 1]
+        prog = MEIProgram(tile=0, picture_index=1, sends=np.array([row], np.int32))
         blocks = src.execute_sends(prog, PictureType.P)
         assert len(blocks) == 1
-        assert blocks[0].nbytes == xfer.payload_bytes
+        assert blocks[0].nbytes == prog.send_payload_bytes == 8 * 16 + 2 * 4 * 8
         dst.apply_recv(blocks[0], PictureType.P)
         assert (dst.chain.held.y[8:24, 40:48] == 99).all()
-        assert src.stats.serve_bytes == dst.stats.fetch_bytes == xfer.payload_bytes
+        assert src.stats.serve_bytes == dst.stats.fetch_bytes == prog.send_payload_bytes
+
+    def test_one_block_per_destination_packs_planes_in_row_order(self, setup):
+        """Rows for two peers, both directions and a luma-only piece: one
+        block per peer, its samples luma pieces first, then Cb, then Cr,
+        each in row order; the receiver writes each back where it was."""
+        seq = setup[0]
+        layout = TileLayout(seq.width, seq.height, 3, 1)
+        src = TileDecoder(layout.tile(0), layout, seq)
+        rng = np.random.default_rng(3)
+        fwd = Frame.blank(96, 64)
+        bwd = Frame.blank(96, 64)
+        for f in (fwd, bwd):
+            for plane in (f.y, f.cb, f.cr):
+                plane[...] = rng.integers(0, 256, plane.shape)
+        src.chain.prev_anchor, src.chain.held = fwd, bwd
+        rows = [
+            [40, 8, 48, 24, 20, 4, 24, 12, FWD, 2],
+            [60, 40, 77, 57, 30, 20, 39, 29, BWD, 1],
+            [50, 0, 56, 2, 0, 0, 0, 0, FWD, 2],
+            [0, 48, 3, 64, 0, 24, 2, 32, BWD, 2],
+        ]
+        prog = MEIProgram(tile=0, picture_index=2, sends=np.array(rows, np.int32))
+        blocks = src.execute_sends(prog, PictureType.B)
+        assert [(b.src, b.dest) for b in blocks] == [(0, 1), (0, 2)]
+        for block in blocks:
+            mine = [r for r in rows if r[9] == block.dest]
+            assert block.rows.tolist() == mine
+            refs = {FWD: fwd, BWD: bwd}
+            want = [refs[r[8]].y[r[1]:r[3], r[0]:r[2]].ravel() for r in mine]
+            for plane in ("cb", "cr"):
+                want += [
+                    getattr(refs[r[8]], plane)[r[5]:r[7], r[4]:r[6]].ravel() for r in mine
+                ]
+            assert np.array_equal(block.pixels, np.concatenate(want))
+            dst = TileDecoder(layout.tile(block.dest), layout, seq)
+            dst.chain.prev_anchor, dst.chain.held = Frame.blank(96, 64), Frame.blank(96, 64)
+            dst.apply_recv(block, PictureType.B)
+            got = {FWD: dst.chain.prev_anchor, BWD: dst.chain.held}
+            for r in mine:
+                for plane, (x0, y0, x1, y1) in (("y", r[0:4]), ("cb", r[4:8]), ("cr", r[4:8])):
+                    assert np.array_equal(
+                        getattr(got[r[8]], plane)[y0:y1, x0:x1],
+                        getattr(refs[r[8]], plane)[y0:y1, x0:x1],
+                    )
+
+    @pytest.mark.parametrize(
+        "row, n_pixels, match",
+        [
+            ([90, 0, 97, 4, 0, 0, 0, 0, FWD, 0], 28, "raster"),  # luma past the edge
+            ([0, 0, 4, 4, 0, 30, 2, 33, FWD, 0], 16 + 2 * 6, "raster"),  # chroma past it
+            ([8, 0, 4, 4, 0, 0, 0, 0, FWD, 0], 0, "inverted"),
+            ([0, 0, 4, 4, 0, 0, 0, 0, 3, 0], 16, "direction"),
+            ([0, 0, 4, 4, 0, 0, 0, 0, BWD, 0], 16, "backward reference"),  # in a P picture
+            ([0, 0, 4, 4, 0, 0, 0, 0, FWD, 0], 15, "samples"),  # one sample short
+        ],
+    )
+    def test_a_block_that_does_not_fit_is_refused(self, setup, row, n_pixels, match):
+        dec = _decoder(setup, tid=0)
+        dec.chain.held = Frame.blank(96, 64, y=7)
+        before = dec.chain.held.y.copy()
+        blk = PixelBlock(1, 0, np.array([row], np.int32), np.zeros(n_pixels, np.uint8))
+        with pytest.raises(ValueError, match=match):
+            dec.apply_recv(blk, PictureType.P)
+        assert np.array_equal(dec.chain.held.y, before)
 
     def test_display_reorder_matches_sequential(self, setup):
         """Anchors are held one picture; B frames emit immediately."""

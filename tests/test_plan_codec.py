@@ -140,13 +140,14 @@ class TestRoundTrip:
             program = result.mei.program(tid)
             bufs = encode_plan_msg(1, result.plans[tid], program, (1.5, 2.5))
             payload = b"".join(bytes(b) for b in bufs)
-            anid, expected, tp, prog, stamps = decode_plan_msg(
-                payload, splitter.matrices
+            anid, tp, prog, stamps = decode_plan_msg(
+                payload, splitter.matrices, layout.n_tiles
             )
             assert anid == 1
-            assert expected == len(program.recvs)
             assert stamps == (1.5, 2.5)
-            assert len(prog.sends) == len(program.sends)
+            assert (prog.tile, prog.picture_index) == (tid, 2)
+            assert np.array_equal(prog.sends, program.sends)
+            assert np.array_equal(prog.recvs, program.recvs)
             _assert_plans_equal(result.plans[tid], tp)
 
 

@@ -1,5 +1,6 @@
 """The protocol on real OS threads: order-correct and deadlock-free."""
 
+import queue
 import threading
 import time
 
@@ -8,6 +9,9 @@ import pytest
 import repro.parallel.threaded as threaded_mod
 from repro.mpeg2.decoder import decode_stream
 from repro.mpeg2.encoder import Encoder, EncoderConfig
+from repro.mpeg2.parser import PictureScanner
+from repro.parallel.mb_splitter import MacroblockSplitter
+from repro.parallel.mei import DEST, SRC, PixelBlock
 from repro.parallel.pdecoder import TileDecoder
 from repro.parallel.threaded import ThreadedParallelDecoder
 from repro.wall.layout import TileLayout
@@ -30,6 +34,37 @@ class TestThreadedDecoder:
         out = ThreadedParallelDecoder(layout, k=k).decode(stream, timeout=60)
         assert len(out) == len(ref)
         assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, out))
+
+    def test_one_block_per_pair_and_picture(self, clip_stream, monkeypatch):
+        """Every picture crosses the block queues as one block per (source,
+        destination) pair whose programs name any transfer — at most
+        n·(n−1) — not one per transfer."""
+        _, stream = clip_stream
+        layout = TileLayout(128, 96, 2, 2)
+        sent = []
+
+        class CountingQueue(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                if isinstance(item, tuple) and isinstance(item[1], PixelBlock):
+                    sent.append((item[0], item[1].src, item[1].dest))
+                return super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(threaded_mod.queue, "Queue", CountingQueue)
+        ref = decode_stream(stream)
+        out = ThreadedParallelDecoder(layout, k=2).decode(stream, timeout=60)
+        assert all(a.max_abs_diff(b) == 0 for a, b in zip(ref, out))
+
+        sequence, pictures = PictureScanner(stream).scan()
+        splitter = MacroblockSplitter(sequence, layout)
+        want, transfers = [], 0
+        for i, unit in enumerate(pictures):
+            exchanges = splitter.split_plans(unit, i).mei.exchanges
+            pairs = set(map(tuple, exchanges[:, [SRC, DEST]].tolist()))
+            assert len(pairs) <= layout.n_tiles * (layout.n_tiles - 1)
+            want += [(i, *pair) for pair in pairs]
+            transfers += len(exchanges)
+        assert sorted(sent) == sorted(want)
+        assert 0 < len(sent) < transfers  # premise: blocks moved, batched
 
     def test_with_overlap(self, clip_stream):
         _, stream = clip_stream
